@@ -8,6 +8,9 @@ other, so matching is a hash join rather than a quadratic sweep.  The
 canonical coordinates are integers and the sweep is carried out in int64
 with a proven no-overflow bound, so the join is exact; every matched pair
 is nevertheless re-verified with the literal cyclotomic correlation sums.
+The per-shift overlap gathers and the int64 reduction matrix come from the
+correlation plan that :mod:`golaypairs.qarray` caches per dimension, the
+same one :func:`~golaypairs.qarray.is_gap` runs on.
 
 Fingerprints are computed in fixed-size chunks.  With ``workers > 1`` the
 chunks are farmed out to a process pool and merged back in input order, so
@@ -16,6 +19,7 @@ reports are byte-for-byte identical for every worker count.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,7 +28,6 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .cyclotomic import get_context
 from .decompose import decompose, verify_certificate
 from .errors import (
     BudgetExceededError,
@@ -32,7 +35,7 @@ from .errors import (
     OddModulusError,
     VerificationError,
 )
-from .qarray import QaryArray, _overlap_pairs, half_shifts, is_gap
+from .qarray import QaryArray, _cube_plan, _reduction, is_gap
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
@@ -57,21 +60,23 @@ def _id_from_entries(q: int, entries: tuple[int, ...]) -> int:
 
 @lru_cache(maxsize=8)
 def _signature_plan(q: int, m: int):
-    """Reduction matrix and per-shift index-pair gathers for the int64 sweep."""
-    ctx = get_context(q)
-    red = np.array(ctx.reduction_rows(), dtype=np.int64)
-    max_abs = int(np.abs(red).max()) if red.size else 0
-    if (1 << m) * max_abs >= (1 << 62):
-        raise ValueError(
-            f"canonical coordinates too large for an exact int64 sweep at q={q}"
+    """Reduction matrix and per-shift index-pair gathers for the int64 sweep.
+
+    The gathers are taken from the shared correlation plan of
+    :mod:`golaypairs.qarray`, one per shift of ``half_shifts(m)`` in that
+    order.
+    """
+    plan = _cube_plan(m)
+    red = _reduction(q, 1 << m)
+    starts = plan.starts
+    gathers = tuple(
+        (
+            plan.later[starts[s] : starts[s + 1]].astype(np.intp),
+            plan.earlier[starts[s] : starts[s + 1]].astype(np.intp),
         )
-    gathers = []
-    for tau in half_shifts(m):
-        pairs = _overlap_pairs(m, tau)
-        i_idx = np.array([i for i, _ in pairs], dtype=np.intp)
-        j_idx = np.array([j for _, j in pairs], dtype=np.intp)
-        gathers.append((i_idx, j_idx))
-    return red, tuple(gathers), ctx.degree
+        for s in np.argsort(plan.order)
+    )
+    return red, gathers, red.shape[1]
 
 
 def _chunk_signatures(
@@ -103,6 +108,25 @@ def _chunk_worker(task: tuple[int, int, int, int]):
     return _chunk_signatures(q, m, start, stop)
 
 
+def _space_size(q: int, m: int, budget: int) -> int | None:
+    """q^(2^m) if it is at most ``budget``, else None.
+
+    Squares q up to m times and stops as soon as the value passes the
+    budget; with q >= 2 no number much beyond budget**2 is ever built.
+    """
+    size = q
+    for _ in range(m):
+        if size > budget:
+            return None
+        size *= size
+    return size if size <= budget else None
+
+
+def _pool_size(workers: int, chunks: int) -> int:
+    """Worker processes worth starting: at most one per chunk and per CPU."""
+    return max(1, min(workers, chunks, os.cpu_count() or 1))
+
+
 def enumerate_all_gaps(
     q: int, m: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> list[tuple[QaryArray, QaryArray]]:
@@ -110,8 +134,9 @@ def enumerate_all_gaps(
 
     Pairs are returned with the ids in ascending order (a pair may consist of
     an array and itself) and the list sorted by id pair, independent of the
-    worker count.  Raises :class:`BudgetExceededError` before any work if the
-    space holds more than ``budget`` arrays.
+    worker count, which is clamped to the number of chunks and CPUs.  Raises
+    :class:`BudgetExceededError` before any work if the space holds more
+    than ``budget`` arrays.
     """
     if q < 2:
         raise ValueError(f"modulus must be at least 2, got {q}")
@@ -119,16 +144,17 @@ def enumerate_all_gaps(
         raise ValueError(f"dimension must be nonnegative, got {m}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    n_total = q ** (1 << m)
-    if n_total > budget:
+    n_total = _space_size(q, m, budget)
+    if n_total is None:
         raise BudgetExceededError(
-            f"space holds q^(2^m) = {n_total} arrays, over the budget of {budget}"
+            f"space holds q^(2^m) = {q}^(2^{m}) arrays, over the budget of {budget}"
         )
     tasks = [
         (q, m, start, min(start + CHUNK, n_total))
         for start in range(0, n_total, CHUNK)
     ]
-    if workers == 1 or len(tasks) == 1:
+    workers = _pool_size(workers, len(tasks))
+    if workers == 1:
         results = [_chunk_signatures(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -16,10 +16,11 @@ combinatorially in :mod:`golaypairs.decompose`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .cyclotomic import CycElement, get_context
-from .qarray import QaryArray, _overlap_pairs, all_shifts
+from .qarray import QaryArray, all_shifts
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,31 @@ def _submasks(mask: int) -> list[int]:
         subs += [s | bit for s in subs]
         rest ^= bit
     return subs
+
+
+@lru_cache(maxsize=None)
+def _overlap_pairs(m: int, tau: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Index pairs (i, j) with i = j + tau, both inside the cube.
+
+    Built shift by shift, apart from the plan that :mod:`golaypairs.qarray`
+    correlates with, so the coefficient route stays an independent check.
+    """
+    base = 0
+    delta = 0
+    free: list[int] = []
+    for k, t in enumerate(tau):
+        bit = 1 << k
+        if t == 0:
+            free.append(bit)
+        elif t == 1:
+            delta += bit
+        else:
+            base += bit
+            delta -= bit
+    idx = [base]
+    for bit in free:
+        idx += [s | bit for s in idx]
+    return tuple((s + delta, s) for s in idx)
 
 
 def correlation_via_coefficients(fun: GenFun) -> dict[tuple[int, ...], CycElement]:

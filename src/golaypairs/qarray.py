@@ -10,6 +10,21 @@ Shift vectors are plain tuples with entries in {-1, 0, 1}; anything outside
 that alphabet is rejected rather than treated as a zero-contribution shift.
 Autocorrelation values are exact elements of Z[zeta_q] (see
 :mod:`golaypairs.cyclotomic`).
+
+Every correlation here runs on one numpy kernel driven by a shift plan that
+is cached per dimension (per length for sequences).  The plan lists the
+overlapping cell pairs of every kept half shift, grouped by shift, in the
+smallest unsigned dtypes.  The kernel gathers the entry differences mod q
+for a range of plan shifts, counts them with one ``np.bincount`` into one
+histogram of root-of-unity multiplicities per shift, and multiplies the
+histograms by the cyclotomic reduction matrix to get canonical coordinates.
+That product is exact in int64 because 2**m times the largest reduction
+entry must stay below 2**62, which holds for every practical q; larger
+moduli are refused with ``ValueError``.  :func:`is_gap` checks the plan in
+two batches: first the 2**(m-1) full-support shifts, each of which overlaps
+in one antipodal pair of cells, then the rest.  A pair with one cell
+changed therefore fails after 2**(m-1) pair lookups, while a true pair
+pays for all (4**m - 2**m) / 2 of them.
 """
 
 from __future__ import annotations
@@ -17,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .cyclotomic import CycElement, get_context
 
@@ -132,27 +149,6 @@ def _validate_shift(m: int, tau: Sequence[int]) -> tuple[int, ...]:
     return tau
 
 
-@lru_cache(maxsize=None)
-def _overlap_pairs(m: int, tau: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Index pairs (i, j) with i = j + tau, both inside the cube."""
-    base = 0
-    delta = 0
-    free: list[int] = []
-    for k, t in enumerate(tau):
-        bit = 1 << k
-        if t == 0:
-            free.append(bit)
-        elif t == 1:
-            delta += bit
-        else:
-            base += bit
-            delta -= bit
-    idx = [base]
-    for bit in free:
-        idx += [s | bit for s in idx]
-    return tuple((s + delta, s) for s in idx)
-
-
 def all_shifts(m: int) -> Iterable[tuple[int, ...]]:
     """All 3**m shift vectors, in deterministic lexicographic order."""
     return product((-1, 0, 1), repeat=m)
@@ -164,7 +160,10 @@ def half_shifts(m: int) -> tuple[tuple[int, ...], ...]:
 
     The kept representative is the one whose first nonzero coordinate is +1.
     Conjugate symmetry of the autocorrelation makes this half sufficient for
-    complementarity tests.
+    complementarity tests.  In lexicographic order these are exactly the
+    shifts after the zero shift, so ``half_shifts(m)[h]`` is shift number
+    ``(3**m + 1) // 2 + h`` of :func:`all_shifts` and its negative is shift
+    number ``(3**m - 3) // 2 - h``.
     """
     kept = []
     for tau in product((-1, 0, 1), repeat=m):
@@ -174,24 +173,197 @@ def half_shifts(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(kept)
 
 
+class _ShiftPlan(NamedTuple):
+    """Overlap pairs of a list of shifts, grouped by shift.
+
+    Pair p joins cell ``later[p]`` with cell ``earlier[p]``, where
+    ``later[p] = earlier[p] + tau`` for the shift tau of plan shift
+    ``shift[p]``.  Plan shift s owns pairs ``starts[s]`` to
+    ``starts[s + 1] - 1`` and is entry ``order[s]`` of the caller's shift
+    list.  ``batches`` are the ranges of plan shifts that a complementarity
+    test checks one after another.  All arrays are read-only.
+    """
+
+    later: np.ndarray
+    earlier: np.ndarray
+    shift: np.ndarray
+    starts: np.ndarray
+    order: np.ndarray
+    batches: tuple[tuple[int, int], ...]
+
+
+def _make_plan(later, earlier, shift, counts, order, batches, cells) -> _ShiftPlan:
+    """Freeze a plan, storing indices in the smallest unsigned dtypes."""
+    cell_dtype = np.min_scalar_type(max(cells - 1, 0))
+    arrays = (
+        later.astype(cell_dtype),
+        earlier.astype(cell_dtype),
+        shift.astype(np.min_scalar_type(max(len(counts) - 1, 0))),
+        np.concatenate(([0], np.cumsum(counts))).astype(np.intp),
+        order.astype(np.intp),
+    )
+    for arr in arrays:
+        arr.flags.writeable = False
+    return _ShiftPlan(*arrays, tuple((lo, hi) for lo, hi in batches if hi > lo))
+
+
+@lru_cache(maxsize=None)
+def _cube_plan(m: int) -> _ShiftPlan:
+    """Plan of ``half_shifts(m)``: the full-support shell first, then the rest.
+
+    Every (shift, overlap cell) combination is a base-4 number whose digit
+    at coordinate k, 0 to 3, means (tau_k, x_k) = (-1, 1), (0, 0), (0, 1),
+    (1, 0); coordinate 1 is the top digit, so the shift's position in
+    :func:`all_shifts` follows from the digits.  A stable sort groups the
+    combinations by plan shift.  A shift in {-1, 1}**m overlaps in one
+    antipodal pair; those 2**(m-1) shifts form the first batch, so a broken
+    antipodal pair is found almost for free.
+    """
+    cell = np.min_scalar_type((1 << m) - 1)
+    position = np.min_scalar_type(3**m - 1)
+    later = earlier = np.zeros(1, dtype=cell)
+    index = np.zeros(1, dtype=position)
+    for k in range(m):
+        bit = 1 << k
+        later = (later[:, None] + np.array([0, 0, bit, bit], dtype=cell)).ravel()
+        earlier = (earlier[:, None] + np.array([bit, 0, bit, 0], dtype=cell)).ravel()
+        index = (index[:, None] * 3 + np.array([0, 1, 1, 2], dtype=position)).ravel()
+    zero = (3**m - 1) // 2
+    kept = index > zero
+    half = index[kept] - (zero + 1)
+    counts = np.bincount(half, minlength=zero)
+    shell = counts == 1
+    order = np.concatenate((np.flatnonzero(shell), np.flatnonzero(~shell)))
+    rank = np.empty(zero, dtype=np.min_scalar_type(max(zero - 1, 0)))
+    rank[order] = np.arange(zero)
+    shift = rank[half]
+    perm = np.argsort(shift, kind="stable")
+    n_shell = int(shell.sum())
+    return _make_plan(
+        later[kept][perm], earlier[kept][perm], shift[perm], counts[order],
+        order, ((0, n_shell), (n_shell, zero)), 1 << m,
+    )
+
+
+@lru_cache(maxsize=None)
+def _sequence_plan(length: int) -> _ShiftPlan:
+    """Plan of the shifts 1 .. length-1 of a sequence, in order, one batch.
+
+    Shift tau is plan shift tau - 1 and pairs t + tau with t.
+    """
+    n = max(length - 1, 0)
+    counts = np.arange(n, 0, -1, dtype=np.int64)
+    shift = np.repeat(np.arange(n), counts)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    earlier = np.arange(starts[-1]) - starts[shift]
+    return _make_plan(
+        earlier + shift + 1, earlier, shift, counts, np.arange(n), ((0, n),), length
+    )
+
+
+@lru_cache(maxsize=None)
+def _reduction(q: int, cells: int) -> np.ndarray:
+    """``CycContext.reduction_rows()`` as a read-only int64 (q, phi(q)) matrix.
+
+    A kernel histogram over at most two rows of ``cells`` entries counts at
+    most 2 * cells pairs per shift, so its canonical coordinates stay below
+    2 * cells * max|reduction entry|.  Below 2**63 the int64 products and
+    sums are exact; larger moduli are refused.
+    """
+    rows = get_context(q).reduction_rows()
+    max_abs = max((abs(v) for row in rows for v in row), default=0)
+    if cells * max_abs >= 1 << 62:
+        raise ValueError(
+            f"canonical coordinates too large for an exact int64 sweep at q={q}"
+        )
+    red = np.array(rows, dtype=np.int64)
+    red.flags.writeable = False
+    return red
+
+
+def _histograms(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
+    """Exponent histograms of plan shifts lo .. hi-1, summed over the rows.
+
+    Entry (d, s - lo) counts the pairs (i, j) of plan shift s and the rows r
+    with r[i] - r[j] = d mod q: the multiplicity of zeta**d in the summed
+    autocorrelations.  One bincount over d * (hi - lo) + s covers every
+    shift; its first lo bins are empty and dropped.
+    """
+    a, b = plan.starts[lo], plan.starts[hi]
+    n = hi - lo
+    keys = rows.take(plan.later[a:b], axis=1)
+    keys -= rows.take(plan.earlier[a:b], axis=1)
+    keys %= q
+    keys *= n
+    keys += plan.shift[a:b]
+    return np.bincount(keys.ravel(), minlength=q * n + lo)[lo:].reshape(q, n)
+
+
+def _cancels(plan: _ShiftPlan, rows: np.ndarray, q: int) -> bool:
+    """Whether the rows' autocorrelations sum to zero at every plan shift.
+
+    Batches run in plan order and the first one with a nonzero canonical
+    coordinate decides.
+    """
+    red_t = _reduction(q, rows.shape[1]).T
+    return not any(
+        np.count_nonzero(red_t @ _histograms(plan, rows, q, lo, hi))
+        for lo, hi in plan.batches
+    )
+
+
+def _element(ctx, hist: np.ndarray, conjugate: bool) -> CycElement:
+    """The single-shift histogram ``hist`` (shape (q, 1)) as a CycElement."""
+    value = CycElement(ctx, tuple(hist[:, 0].tolist()))
+    return value.conjugate() if conjugate else value
+
+
+def _rows(q: int, *seqs: Sequence[int]) -> np.ndarray:
+    """Sequences reduced mod q, one int64 row each."""
+    return np.array([[v % q for v in s] for s in seqs], dtype=np.int64)
+
+
 def autocorrelation(f: QaryArray, tau: Sequence[int]) -> CycElement:
     """Exact aperiodic autocorrelation of f at shift tau.
 
     The value is sum over x of zeta**(f(x+tau) - f(x)) with the sum running
-    over the points where both x and x+tau lie inside the cube.
+    over the points where both x and x+tau lie inside the cube.  A shift of
+    the negative half is the conjugate of its negation.
     """
     tau = _validate_shift(f.m, tau)
-    q = f.q
-    counts = [0] * q
-    ent = f.entries
-    for i, j in _overlap_pairs(f.m, tau):
-        counts[(ent[i] - ent[j]) % q] += 1
-    return get_context(q).element(counts)
+    ctx = get_context(f.q)
+    index = 0
+    for t in tau:
+        index = 3 * index + t + 1
+    zero = (3**f.m - 1) // 2
+    if index == zero:
+        return ctx.integer(1 << f.m)
+    plan = _cube_plan(f.m)
+    s = int(np.flatnonzero(plan.order == abs(index - zero) - 1)[0])
+    hist = _histograms(plan, np.array((f.entries,), dtype=np.int64), f.q, s, s + 1)
+    return _element(ctx, hist, index < zero)
 
 
 def correlation_spectrum(f: QaryArray) -> dict[tuple[int, ...], CycElement]:
-    """Autocorrelation at every shift in {-1,0,1}**m, keyed by shift vector."""
-    return {tau: autocorrelation(f, tau) for tau in all_shifts(f.m)}
+    """Autocorrelation at every shift in {-1,0,1}**m, keyed by shift vector.
+
+    One kernel pass computes the half shifts; the negative half is their
+    conjugates in reverse order and the zero shift is 2**m.
+    """
+    q = f.q
+    ctx = get_context(q)
+    plan = _cube_plan(f.m)
+    n = len(plan.order)
+    hist = np.empty((q, n), dtype=np.int64)
+    hist[:, plan.order] = _histograms(
+        plan, np.array((f.entries,), dtype=np.int64), q, 0, n
+    )
+    half = [CycElement(ctx, tuple(c)) for c in hist.T.tolist()]
+    mirror = hist[(-np.arange(q)) % q, ::-1]
+    values = [CycElement(ctx, tuple(c)) for c in mirror.T.tolist()]
+    values.append(ctx.integer(1 << f.m))
+    values += half
+    return dict(zip(all_shifts(f.m), values))
 
 
 def is_gap(f: QaryArray, g: QaryArray) -> bool:
@@ -200,23 +372,15 @@ def is_gap(f: QaryArray, g: QaryArray) -> bool:
     True iff the two autocorrelations cancel exactly at every nonzero shift.
     Work is halved via conjugate symmetry: checking one representative per
     {tau, -tau} pair is equivalent to checking all 3**m - 1 nonzero shifts.
+    The full-support shell is checked first and the remaining half shifts
+    only if it cancels.
     """
     if f.q != g.q or f.m != g.m:
         raise ValueError("shape or modulus mismatch")
-    q = f.q
-    ctx = get_context(q)
-    fe = f.entries
-    ge = g.entries
-    for tau in half_shifts(f.m):
-        counts = [0] * q
-        pairs = _overlap_pairs(f.m, tau)
-        for i, j in pairs:
-            counts[(fe[i] - fe[j]) % q] += 1
-        for i, j in pairs:
-            counts[(ge[i] - ge[j]) % q] += 1
-        if not ctx.element(counts).is_zero():
-            return False
-    return True
+    if f.m == 0:
+        return True
+    rows = np.array((f.entries, g.entries), dtype=np.int64)
+    return _cancels(_cube_plan(f.m), rows, f.q)
 
 
 def sequence_autocorrelation(q: int, s: Sequence[int], tau: int) -> CycElement:
@@ -224,12 +388,12 @@ def sequence_autocorrelation(q: int, s: Sequence[int], tau: int) -> CycElement:
     length = len(s)
     if not -length < tau < length:
         raise ValueError(f"shift {tau} out of range for length {length}")
-    counts = [0] * q
-    lo = max(0, -tau)
-    hi = length - max(0, tau)
-    for t in range(lo, hi):
-        counts[(s[t + tau] - s[t]) % q] += 1
-    return get_context(q).element(counts)
+    ctx = get_context(q)
+    if tau == 0:
+        return ctx.integer(length)
+    k = abs(tau) - 1
+    hist = _histograms(_sequence_plan(length), _rows(q, s), q, k, k + 1)
+    return _element(ctx, hist, tau < 0)
 
 
 def is_gcp(q: int, s1: Sequence[int], s2: Sequence[int]) -> bool:
@@ -239,15 +403,8 @@ def is_gcp(q: int, s1: Sequence[int], s2: Sequence[int]) -> bool:
     """
     if len(s1) != len(s2):
         raise ValueError("sequences must have equal length")
-    ctx = get_context(q)
-    for tau in range(1, len(s1)):
-        counts = [0] * q
-        for t in range(len(s1) - tau):
-            counts[(s1[t + tau] - s1[t]) % q] += 1
-            counts[(s2[t + tau] - s2[t]) % q] += 1
-        if not ctx.element(counts).is_zero():
-            return False
-    return True
+    get_context(q)  # rejects q < 1 before residues mod q are taken
+    return _cancels(_sequence_plan(len(s1)), _rows(q, s1, s2), q)
 
 
 def _spread_masks(vars_: tuple[int, ...]) -> list[int]:

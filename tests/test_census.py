@@ -117,6 +117,18 @@ def test_input_validation():
         enumerate_standard(2, -1)
 
 
+def test_worker_count_is_clamped_to_chunks_and_cpus():
+    import os
+
+    from golaypairs.census import _pool_size
+
+    cpus = os.cpu_count() or 1
+    assert _pool_size(10**18, 10**18) == cpus
+    assert _pool_size(10**18, 3) == min(3, cpus)
+    assert _pool_size(10**18, 1) == 1
+    assert _pool_size(1, 10**18) == 1
+
+
 def test_worker_counts_do_not_change_reports():
     reports = [
         verify_theorem(2, 3, workers=w).to_json_dict() for w in (1, 2, 3)

@@ -137,6 +137,14 @@ def test_census_budget_exit_code(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_census_budget_refusal_never_builds_the_space_size(capsys):
+    # 2^(2^40) arrays: refused by comparison, not by evaluating the power
+    assert main(["census", "2", "40"]) == 3
+    err = capsys.readouterr().err
+    assert "budget" in err
+    assert "Traceback" not in err
+
+
 def test_census_reports_identical_across_workers(tmp_path, capsys):
     outs = []
     for w in ("1", "2", "8"):
