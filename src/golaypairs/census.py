@@ -8,13 +8,15 @@ other, so matching is a hash join rather than a quadratic sweep.  The
 canonical coordinates are integers and the sweep is carried out in int64
 with a proven no-overflow bound, so the join is exact; every matched pair
 is nevertheless re-verified with the literal cyclotomic correlation sums.
-The per-shift overlap gathers and the int64 reduction matrix come from the
-correlation plan that :mod:`golaypairs.qarray` caches per dimension, the
-same one :func:`~golaypairs.qarray.is_gap` runs on.
+The sweep runs on the correlation kernel of :mod:`golaypairs.qarray` that
+:func:`~golaypairs.qarray.is_gap` runs on, with one row group per array.
 
-Fingerprints are computed in fixed-size chunks.  With ``workers > 1`` the
-chunks are farmed out to a process pool and merged back in input order, so
-reports are byte-for-byte identical for every worker count.
+Fingerprints are computed in chunks of ``CHUNK`` arrays.  The kernel holds
+a key per array and overlap pair, so a larger chunk raises peak memory:
+``census 4 3`` peaks at 85 MB with 16384 arrays and at 74 MB with 4096.  With
+``workers > 1`` the chunks are farmed out to a process pool and merged back
+in input order, so reports are byte-for-byte identical for every worker
+count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations, product
 
 import numpy as np
@@ -35,11 +36,11 @@ from .errors import (
     OddModulusError,
     VerificationError,
 )
-from .qarray import QaryArray, _cube_plan, _reduction, is_gap
+from .qarray import QaryArray, _cube_plan, _histograms, _reduction, is_gap
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
-CHUNK = 16384
+CHUNK = 4096
 
 
 def _array_from_id(q: int, m: int, ident: int) -> QaryArray:
@@ -58,54 +59,25 @@ def _id_from_entries(q: int, entries: tuple[int, ...]) -> int:
     return ident
 
 
-@lru_cache(maxsize=8)
-def _signature_plan(q: int, m: int):
-    """Reduction matrix and per-shift index-pair gathers for the int64 sweep.
-
-    The gathers are taken from the shared correlation plan of
-    :mod:`golaypairs.qarray`, one per shift of ``half_shifts(m)`` in that
-    order.
-    """
-    plan = _cube_plan(m)
-    red = _reduction(q, 1 << m)
-    starts = plan.starts
-    gathers = tuple(
-        (
-            plan.later[starts[s] : starts[s + 1]].astype(np.intp),
-            plan.earlier[starts[s] : starts[s + 1]].astype(np.intp),
-        )
-        for s in np.argsort(plan.order)
-    )
-    return red, gathers, red.shape[1]
-
-
 def _chunk_signatures(
     q: int, m: int, start: int, stop: int
 ) -> tuple[list[bytes], list[bytes]]:
     """Fingerprints (and their negatives) for ids start..stop-1, in id order."""
-    red, gathers, deg = _signature_plan(q, m)
+    plan = _cube_plan(m)
+    red_t = _reduction(q, 1 << m).T
     n = stop - start
-    ids = np.arange(start, stop, dtype=np.int64)
-    size = 1 << m
-    table = np.empty((n, size), dtype=np.int64)
-    work = ids.copy()
-    for t in range(size):
-        table[:, t] = work % q
+    table = np.empty((n, 1, 1 << m), dtype=np.int64)
+    work = np.arange(start, stop, dtype=np.int64)
+    for t in range(1 << m):
+        table[:, 0, t] = work % q
         work //= q
-    sig = np.empty((n, len(gathers) * deg), dtype=np.int64)
-    for s, (i_idx, j_idx) in enumerate(gathers):
-        diffs = (table[:, i_idx] - table[:, j_idx]) % q
-        sig[:, s * deg : (s + 1) * deg] = red[diffs].sum(axis=1)
+    hist = _histograms(plan, table, q, 0, len(plan.order))
+    sig = (red_t @ hist).reshape(n, red_t.shape[0] * len(plan.order))
     neg = -sig
     return (
         [sig[r].tobytes() for r in range(n)],
         [neg[r].tobytes() for r in range(n)],
     )
-
-
-def _chunk_worker(task: tuple[int, int, int, int]):
-    q, m, start, stop = task
-    return _chunk_signatures(q, m, start, stop)
 
 
 def _space_size(q: int, m: int, budget: int) -> int | None:
@@ -158,7 +130,7 @@ def enumerate_all_gaps(
         results = [_chunk_signatures(*task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_worker, tasks))
+            results = list(pool.map(_chunk_signatures, *zip(*tasks)))
     sigs: list[bytes] = []
     negs: list[bytes] = []
     for sig_chunk, neg_chunk in results:

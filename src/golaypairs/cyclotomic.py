@@ -18,14 +18,9 @@ from typing import Iterable, Sequence
 
 from .errors import VerificationError
 
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] += av * bv
-    return out
+# The reduction table holds q * phi(q) integers, up to 16.7M (q = 4093) within
+# the bound, built in 1 to 2 s.  Larger moduli are refused before it is built.
+_MAX_Q = 4096
 
 
 def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -81,14 +76,15 @@ class CycContext:
 
     Holds the q-th cyclotomic polynomial and a reduction table mapping each
     power x**d (d < q) to its remainder modulo that polynomial.  Elements
-    carry a reference to their context; mixing contexts raises.
+    carry a reference to their context; mixing contexts raises.  Moduli
+    above 4096 are refused with ``ValueError``.
     """
 
     __slots__ = ("q", "phi", "degree", "_rows")
 
     def __init__(self, q: int):
-        if q < 1:
-            raise ValueError(f"q must be positive, got {q}")
+        if not 1 <= q <= _MAX_Q:
+            raise ValueError(f"q must lie in 1..{_MAX_Q}, got {q}")
         self.q = q
         self.phi = cyclotomic_polynomial(q)
         self.degree = len(self.phi) - 1
@@ -145,7 +141,10 @@ class CycContext:
 
 @lru_cache(maxsize=None)
 def get_context(q: int) -> CycContext:
-    """Shared per-q context; contexts are immutable and safe to cache."""
+    """Shared per-q context; contexts are immutable and safe to cache.
+
+    Raises ``ValueError`` for q < 1 and for q above 4096.
+    """
     return CycContext(q)
 
 

@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .boolfun import _components_from_dense_anf, _mobius_list, to_anf
+from .boolfun import _components, _subset_transform, to_anf
 from .errors import NotAGapError, OddModulusError, VerificationError
 from .genfun import disjoint_product, embed, from_array, star
-from .qarray import QaryArray, _spread_masks, is_gap
+from .qarray import QaryArray, _json_int, _spread_masks, is_gap, restrict
 from .standard import StandardParams, construct_standard
 
 
@@ -79,38 +79,27 @@ def _two_block_fill(
     vals1: tuple[int, ...],
     z2: tuple[int, ...],
     vals2: tuple[int, ...],
-    const: int = 0,
 ) -> tuple[int, ...]:
-    """Entries of x -> vals1[x|z1] + vals2[x|z2] + const over m variables."""
+    """Entries of x -> vals1[x|z1] + vals2[x|z2] over m variables."""
     out = [0] * (1 << m)
     sp2 = _spread_masks(z2)
-    for i1, m1 in enumerate(_spread_masks(z1)):
-        base = vals1[i1] + const
-        for i2, m2 in enumerate(sp2):
-            out[m1 | m2] = (base + vals2[i2]) % q
+    for m1, v1 in zip(_spread_masks(z1), vals1):
+        for m2, v2 in zip(sp2, vals2):
+            out[m1 | m2] = (v1 + v2) % q
     return tuple(out)
 
 
-def _two_block_matches(
-    target: tuple[int, ...],
-    q: int,
-    z1: tuple[int, ...],
-    vals1: tuple[int, ...],
-    z2: tuple[int, ...],
-    vals2: tuple[int, ...],
-    const: int = 0,
-) -> bool:
-    sp2 = _spread_masks(z2)
-    for i1, m1 in enumerate(_spread_masks(z1)):
-        base = vals1[i1] + const
-        for i2, m2 in enumerate(sp2):
-            if target[m1 | m2] != (base + vals2[i2]) % q:
-                return False
-    return True
-
-
-def _restrict_entries(entries: tuple[int, ...], vars_: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(entries[s] for s in _spread_masks(vars_))
+def _forced_halves(
+    q: int, m: int, z1: tuple, z2: tuple, a: QaryArray, b: QaryArray, d: QaryArray
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Entries of the x_m = 1 halves f1 = -b* + d and g1 = -a* + q/2 + d."""
+    half = q // 2
+    neg_b_star = tuple((-v) % q for v in reversed(b.entries))
+    g1_block = tuple((half - v) % q for v in reversed(a.entries))
+    return (
+        _two_block_fill(q, m, z1, neg_b_star, z2, d.entries),
+        _two_block_fill(q, m, z1, g1_block, z2, d.entries),
+    )
 
 
 def gcd_normalized(f0: QaryArray, g0: QaryArray) -> GcdSplit:
@@ -125,48 +114,27 @@ def gcd_normalized(f0: QaryArray, g0: QaryArray) -> GcdSplit:
     if f0.q != g0.q or f0.m != g0.m:
         raise ValueError("shape or modulus mismatch")
     q, m = f0.q, f0.m
-    lam_f = _mobius_list(list(f0.entries), m, q)
-    lam_g = _mobius_list(list(g0.entries), m, q)
-    blocks_f = _components_from_dense_anf(lam_f, m)
-    blocks_g = _components_from_dense_anf(lam_g, m)
-    parent = list(range(m + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for blocks in (blocks_f, blocks_g):
-        for block in blocks:
-            root = find(block[0])
-            for v in block[1:]:
-                parent[find(v)] = root
-    joined: dict[int, list[int]] = {}
-    for v in range(1, m + 1):
-        joined.setdefault(find(v), []).append(v)
+    lam_f = _subset_transform(list(f0.entries), m, q, -1)
+    lam_g = _subset_transform(list(g0.entries), m, q, -1)
 
     fe, ge = f0.entries, g0.entries
     base_diff = (ge[0] - fe[0]) % q
     z2: list[int] = []
-    for block in joined.values():
-        masks = _spread_masks(tuple(block))
-        if all((ge[s] - fe[s]) % q == base_diff for s in masks):
+    for block in _components(m, lam_f, lam_g):
+        if all((ge[s] - fe[s]) % q == base_diff for s in _spread_masks(block)):
             z2.extend(block)
     z2_vars = tuple(sorted(z2))
     z1_vars = tuple(v for v in range(1, m + 1) if v not in z2)
 
-    a = QaryArray(q, len(z1_vars), _restrict_entries(fe, z1_vars))
-    b = QaryArray(q, len(z1_vars), _restrict_entries(ge, z1_vars))
-    c_raw = _restrict_entries(fe, z2_vars)
-    f0c = fe[0]
-    c = QaryArray(q, len(z2_vars), tuple((v - f0c) % q for v in c_raw))
+    a = restrict(f0, z1_vars)
+    b = restrict(g0, z1_vars)
+    c = restrict(f0, z2_vars) + (-fe[0])
 
-    if not _two_block_matches(fe, q, z1_vars, a.entries, z2_vars, c.entries):
+    if _two_block_fill(q, m, z1_vars, a.entries, z2_vars, c.entries) != fe:
         raise VerificationError("common-part split failed to rebuild f0")
-    if not _two_block_matches(ge, q, z1_vars, b.entries, z2_vars, c.entries):
+    if _two_block_fill(q, m, z1_vars, b.entries, z2_vars, c.entries) != ge:
         raise VerificationError("common-part split failed to rebuild g0")
-    return GcdSplit(z1_vars, z2_vars, a, b, c, f0c, ge[0])
+    return GcdSplit(z1_vars, z2_vars, a, b, c, fe[0], ge[0])
 
 
 def extract_d(
@@ -179,21 +147,10 @@ def extract_d(
     at every point.  A false flag means the original pair cannot have been
     complementary.
     """
-    q = f1.q
-    half = q // 2
     z1, z2 = split.z1_vars, split.z2_vars
-    b_star = split.b.reverse()
-    a_star = split.a.reverse()
-    bstar0 = b_star.entries[0]
-    d = QaryArray(
-        q, len(z2), tuple((v + bstar0) % q for v in _restrict_entries(f1.entries, z2))
-    )
-    neg_b_star = tuple((-v) % q for v in b_star.entries)
-    g1_block = tuple((half - v) % q for v in a_star.entries)
-    verified = _two_block_matches(
-        f1.entries, q, z1, neg_b_star, z2, d.entries
-    ) and _two_block_matches(g1.entries, q, z1, g1_block, z2, d.entries)
-    return d, verified
+    d = restrict(f1, z2) + split.b.entries[-1]
+    halves = _forced_halves(f1.q, f1.m, z1, z2, split.a, split.b, d)
+    return d, halves == (f1.entries, g1.entries)
 
 
 @dataclass(frozen=True)
@@ -247,29 +204,29 @@ class DecompositionCertificate:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DecompositionCertificate":
         try:
-            q = int(data["q"])
-            m = int(data["m"])
+            q = _json_int(data["q"])
+            m = _json_int(data["m"])
             params = StandardParams.from_json_dict(data["params"])
             if m == 0:
                 return cls(q, 0, params)
             split = GcdSplit(
-                tuple(int(v) for v in data["z1_vars"]),
-                tuple(int(v) for v in data["z2_vars"]),
+                tuple(_json_int(v) for v in data["z1_vars"]),
+                tuple(_json_int(v) for v in data["z2_vars"]),
                 QaryArray.from_json_dict(data["a"]),
                 QaryArray.from_json_dict(data["b"]),
                 QaryArray.from_json_dict(data["c"]),
-                int(data["f0_const"]),
-                int(data["g0_const"]),
+                _json_int(data["f0_const"]),
+                _json_int(data["g0_const"]),
             )
             return cls(
                 q,
                 m,
                 params,
-                int(data["split_var"]),
+                _json_int(data["split_var"]),
                 split,
                 QaryArray.from_json_dict(data["d"]),
-                int(data["e"]),
-                int(data["e_prime"]),
+                _json_int(data["e"]),
+                _json_int(data["e_prime"]),
                 cls.from_json_dict(data["left"]),
                 cls.from_json_dict(data["right"]),
             )
@@ -378,6 +335,18 @@ def decompose(
     return params, cert
 
 
+def _rebuild(
+    node: DecompositionCertificate, a: QaryArray, b: QaryArray, c: QaryArray, d: QaryArray
+) -> tuple[QaryArray, QaryArray, tuple[int, ...]]:
+    """The pair of an inner node from its sub-pairs, and the entries of f0 = a + c."""
+    q, m = node.q, node.m
+    z1, z2 = node.split.z1_vars, node.split.z2_vars
+    f0 = _two_block_fill(q, m - 1, z1, a.entries, z2, c.entries)
+    g0 = _two_block_fill(q, m - 1, z1, b.entries, z2, c.entries)
+    f1, g1 = _forced_halves(q, m - 1, z1, z2, a, b, d)
+    return QaryArray(q, m, f0 + f1), QaryArray(q, m, g0 + g1), f0
+
+
 def replay(cert: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
     """Rebuild the pair a certificate describes, bottom-up, from leaves only.
 
@@ -385,23 +354,10 @@ def replay(cert: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
     stored intermediate arrays are not consulted (they are cross-checked in
     :func:`verify_certificate`).
     """
-    q, m = cert.q, cert.m
     if cert.is_leaf:
         return construct_standard(cert.params)
-    a, b = replay(cert.left)
-    c, d = replay(cert.right)
-    half = q // 2
-    z1, z2 = cert.split.z1_vars, cert.split.z2_vars
-    neg_b_star = tuple((-v) % q for v in b.reverse().entries)
-    g1_block = tuple((half - v) % q for v in a.reverse().entries)
-    f0 = _two_block_fill(q, m - 1, z1, a.entries, z2, c.entries)
-    g0 = _two_block_fill(q, m - 1, z1, b.entries, z2, c.entries)
-    f1 = _two_block_fill(q, m - 1, z1, neg_b_star, z2, d.entries)
-    g1 = _two_block_fill(q, m - 1, z1, g1_block, z2, d.entries)
-    return (
-        QaryArray(q, m, f0 + f1),
-        QaryArray(q, m, g0 + g1),
-    )
+    ff, gg, _ = _rebuild(cert, *replay(cert.left), *replay(cert.right))
+    return ff, gg
 
 
 def verify_certificate(
@@ -448,23 +404,14 @@ def verify_certificate(
             q, m, split.z1_vars, split.z2_vars, node.left.params, node.right.params
         ):
             fail("node parameters are not the recombination of the children")
-        half = q // 2
-        z1, z2 = split.z1_vars, split.z2_vars
-        neg_b_star = tuple((-v) % q for v in b.reverse().entries)
-        g1_block = tuple((half - v) % q for v in a.reverse().entries)
-        f0 = _two_block_fill(q, m - 1, z1, a.entries, z2, c.entries)
-        g0 = _two_block_fill(q, m - 1, z1, b.entries, z2, c.entries)
-        f1 = _two_block_fill(q, m - 1, z1, neg_b_star, z2, d.entries)
-        g1 = _two_block_fill(q, m - 1, z1, g1_block, z2, d.entries)
-        ff = QaryArray(q, m, f0 + f1)
-        gg = QaryArray(q, m, g0 + g1)
+        ff, gg, f0 = _rebuild(node, a, b, c, d)
         if m <= max_corr_dim:
             if not is_gap(ff, gg):
                 fail(f"node pair is not complementary at dimension {m}")
             if not is_gap(a, b) or not is_gap(c, d):
                 fail(f"sub-pairs are not complementary at dimension {m}")
-            fa = embed(from_array(a), z1, m - 1)
-            fc = embed(from_array(c), z2, m - 1)
+            fa = embed(from_array(a), split.z1_vars, m - 1)
+            fc = embed(from_array(c), split.z2_vars, m - 1)
             prod = disjoint_product(fa, fc)
             if prod != from_array(QaryArray(q, m - 1, f0)):
                 fail("factor product does not rebuild the restriction")

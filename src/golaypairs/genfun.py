@@ -36,20 +36,18 @@ class GenFun:
         support = frozenset(int(v) for v in self.support)
         if any(v < 1 or v > self.m for v in support):
             raise ValueError(f"support {set(support)} out of range for m={self.m}")
+        object.__setattr__(self, "support", support)
         coeffs = tuple(self.coeffs)
         if len(coeffs) != 1 << self.m:
             raise ValueError(f"expected {1 << self.m} coefficients")
         if any(c.ctx.q != self.q for c in coeffs):
             raise ValueError("coefficient context mismatch")
-        mask = 0
-        for v in support:
-            mask |= 1 << (v - 1)
+        mask = self.support_mask
         for t, c in enumerate(coeffs):
             if t & ~mask and not c.is_zero():
                 raise ValueError(
                     f"nonzero coefficient at monomial {t:b} outside support"
                 )
-        object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

@@ -11,16 +11,20 @@ that alphabet is rejected rather than treated as a zero-contribution shift.
 Autocorrelation values are exact elements of Z[zeta_q] (see
 :mod:`golaypairs.cyclotomic`).
 
-Every correlation here runs on one numpy kernel driven by a shift plan that
-is cached per dimension (per length for sequences).  The plan lists the
-overlapping cell pairs of every kept half shift, grouped by shift, in the
-smallest unsigned dtypes.  The kernel gathers the entry differences mod q
-for a range of plan shifts, counts them with one ``np.bincount`` into one
-histogram of root-of-unity multiplicities per shift, and multiplies the
-histograms by the cyclotomic reduction matrix to get canonical coordinates.
-That product is exact in int64 because 2**m times the largest reduction
-entry must stay below 2**62, which holds for every practical q; larger
-moduli are refused with ``ValueError``.  :func:`is_gap` checks the plan in
+Every correlation here, and the census sweep, runs on one numpy kernel
+driven by a shift plan that is cached per dimension (per length for
+sequences).  The plan lists the overlapping cell pairs of every kept half
+shift, grouped by shift, in the smallest unsigned dtypes; plans over
+``_MAX_PLAN_BYTES`` are refused with ``BudgetExceededError``.  The kernel
+takes rows grouped as (groups, rows per group, cells), gathers the entry
+differences mod q for a range of plan shifts, and counts them with one
+bincount into one histogram of root-of-unity multiplicities per group and
+shift.  A correlation is one group of one or two rows; the census
+passes one group per array.  Multiplying the histograms by the cyclotomic
+reduction matrix gives canonical coordinates.  That product is exact in
+int64 because 2**m times the largest reduction entry must stay below 2**62,
+which holds for every practical q; larger moduli are refused with
+``ValueError``.  :func:`is_gap` checks the plan in
 two batches: first the 2**(m-1) full-support shifts, each of which overlaps
 in one antipodal pair of cells, then the rest.  A pair with one cell
 changed therefore fails after 2**(m-1) pair lookups, while a true pair
@@ -37,6 +41,18 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cyclotomic import CycElement, get_context
+from .errors import BudgetExceededError
+
+# A cube plan build peaks at about 26 bytes per (shift, overlap cell)
+# combination at m = 11; 32 bytes each bounds it, so m <= 11 is admitted.
+_MAX_PLAN_BYTES = 1 << 28
+
+
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; floats, bools and strings raise."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -52,13 +68,13 @@ class QaryArray:
             raise ValueError(f"q must be positive, got {self.q}")
         if self.m < 0:
             raise ValueError(f"m must be nonnegative, got {self.m}")
-        entries = tuple(int(v) for v in self.entries)
+        entries = tuple(map(int, self.entries))
         if len(entries) != 1 << self.m:
             raise ValueError(
                 f"expected {1 << self.m} entries for m={self.m}, got {len(entries)}"
             )
         q = self.q
-        if any(v < 0 or v >= q for v in entries):
+        if min(entries) < 0 or max(entries) >= q:
             raise ValueError(f"entries must lie in [0, {q})")
         object.__setattr__(self, "entries", entries)
 
@@ -123,7 +139,7 @@ class QaryArray:
 
     def __sub__(self, other: object) -> "QaryArray":
         if isinstance(other, (int, QaryArray)):
-            return self + (-other if isinstance(other, QaryArray) else -other)
+            return self + (-other)
         return NotImplemented
 
     def to_json_dict(self) -> dict:
@@ -132,9 +148,9 @@ class QaryArray:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QaryArray":
         try:
-            q = int(data["q"])
-            m = int(data["m"])
-            entries = tuple(int(v) for v in data["entries"])
+            q = _json_int(data["q"])
+            m = _json_int(data["m"])
+            entries = tuple(_json_int(v) for v in data["entries"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed array object: {exc}") from exc
         return cls(q, m, entries)
@@ -165,12 +181,7 @@ def half_shifts(m: int) -> tuple[tuple[int, ...], ...]:
     ``(3**m + 1) // 2 + h`` of :func:`all_shifts` and its negative is shift
     number ``(3**m - 3) // 2 - h``.
     """
-    kept = []
-    for tau in product((-1, 0, 1), repeat=m):
-        nz = next((t for t in tau if t), 0)
-        if nz == 1:
-            kept.append(tau)
-    return tuple(kept)
+    return tuple(all_shifts(m))[(3**m + 1) // 2 :]
 
 
 class _ShiftPlan(NamedTuple):
@@ -219,6 +230,10 @@ def _cube_plan(m: int) -> _ShiftPlan:
     antipodal pair; those 2**(m-1) shifts form the first batch, so a broken
     antipodal pair is found almost for free.
     """
+    if 32 * 4**m > _MAX_PLAN_BYTES:
+        raise BudgetExceededError(
+            f"the correlation plan at m={m} would exceed {_MAX_PLAN_BYTES >> 20} MiB"
+        )
     cell = np.min_scalar_type((1 << m) - 1)
     position = np.min_scalar_type(3**m - 1)
     later = earlier = np.zeros(1, dtype=cell)
@@ -231,7 +246,7 @@ def _cube_plan(m: int) -> _ShiftPlan:
     zero = (3**m - 1) // 2
     kept = index > zero
     half = index[kept] - (zero + 1)
-    counts = np.bincount(half, minlength=zero)
+    counts = np.unique(half, return_counts=True)[1]  # every shift overlaps
     shell = counts == 1
     order = np.concatenate((np.flatnonzero(shell), np.flatnonzero(~shell)))
     rank = np.empty(zero, dtype=np.min_scalar_type(max(zero - 1, 0)))
@@ -265,9 +280,9 @@ def _sequence_plan(length: int) -> _ShiftPlan:
 def _reduction(q: int, cells: int) -> np.ndarray:
     """``CycContext.reduction_rows()`` as a read-only int64 (q, phi(q)) matrix.
 
-    A kernel histogram over at most two rows of ``cells`` entries counts at
-    most 2 * cells pairs per shift, so its canonical coordinates stay below
-    2 * cells * max|reduction entry|.  Below 2**63 the int64 products and
+    A kernel histogram over a group of at most two rows of ``cells``
+    entries counts at most 2 * cells pairs per shift, so its canonical
+    coordinates stay below 2 * cells * max|reduction entry|.  Below 2**63 the int64 products and
     sums are exact; larger moduli are refused.
     """
     rows = get_context(q).reduction_rows()
@@ -282,30 +297,35 @@ def _reduction(q: int, cells: int) -> np.ndarray:
 
 
 def _histograms(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
-    """Exponent histograms of plan shifts lo .. hi-1, summed over the rows.
+    """Exponent histograms of plan shifts lo .. hi-1, one per row group.
 
-    Entry (d, s - lo) counts the pairs (i, j) of plan shift s and the rows r
-    with r[i] - r[j] = d mod q: the multiplicity of zeta**d in the summed
-    autocorrelations.  One bincount over d * (hi - lo) + s covers every
-    shift; its first lo bins are empty and dropped.
+    ``rows`` has shape (groups, rows per group, cells).  Entry (k, d, s - lo)
+    counts the pairs (i, j) of plan shift s and the rows r of group k with
+    r[i] - r[j] = d mod q: the multiplicity of zeta**d in the group's summed
+    autocorrelations.  One bincount over (k * q + d) * (hi - lo) + s covers
+    every group and shift; its first lo bins are empty and dropped.
     """
     a, b = plan.starts[lo], plan.starts[hi]
     n = hi - lo
-    keys = rows.take(plan.later[a:b], axis=1)
-    keys -= rows.take(plan.earlier[a:b], axis=1)
+    groups = len(rows)
+    keys = rows.take(plan.later[a:b], axis=2)
+    keys -= rows.take(plan.earlier[a:b], axis=2)
     keys %= q
+    keys += np.arange(0, groups * q, q).reshape(groups, 1, 1)
     keys *= n
     keys += plan.shift[a:b]
-    return np.bincount(keys.ravel(), minlength=q * n + lo)[lo:].reshape(q, n)
+    hist = np.bincount(keys.ravel(), minlength=groups * q * n + lo)[lo:]
+    return hist.reshape(groups, q, n)
 
 
 def _cancels(plan: _ShiftPlan, rows: np.ndarray, q: int) -> bool:
-    """Whether the rows' autocorrelations sum to zero at every plan shift.
+    """Whether the autocorrelations of one row group, shape (1, rows, cells),
+    sum to zero at every plan shift.
 
     Batches run in plan order and the first one with a nonzero canonical
     coordinate decides.
     """
-    red_t = _reduction(q, rows.shape[1]).T
+    red_t = _reduction(q, rows.shape[2]).T
     return not any(
         np.count_nonzero(red_t @ _histograms(plan, rows, q, lo, hi))
         for lo, hi in plan.batches
@@ -313,14 +333,14 @@ def _cancels(plan: _ShiftPlan, rows: np.ndarray, q: int) -> bool:
 
 
 def _element(ctx, hist: np.ndarray, conjugate: bool) -> CycElement:
-    """The single-shift histogram ``hist`` (shape (q, 1)) as a CycElement."""
-    value = CycElement(ctx, tuple(hist[:, 0].tolist()))
+    """The single-shift histogram ``hist`` (shape (1, q, 1)) as a CycElement."""
+    value = CycElement(ctx, tuple(hist[0, :, 0].tolist()))
     return value.conjugate() if conjugate else value
 
 
 def _rows(q: int, *seqs: Sequence[int]) -> np.ndarray:
-    """Sequences reduced mod q, one int64 row each."""
-    return np.array([[v % q for v in s] for s in seqs], dtype=np.int64)
+    """Sequences reduced mod q, one int64 row each, as one group."""
+    return np.array([[[v % q for v in s] for s in seqs]], dtype=np.int64)
 
 
 def autocorrelation(f: QaryArray, tau: Sequence[int]) -> CycElement:
@@ -340,7 +360,7 @@ def autocorrelation(f: QaryArray, tau: Sequence[int]) -> CycElement:
         return ctx.integer(1 << f.m)
     plan = _cube_plan(f.m)
     s = int(np.flatnonzero(plan.order == abs(index - zero) - 1)[0])
-    hist = _histograms(plan, np.array((f.entries,), dtype=np.int64), f.q, s, s + 1)
+    hist = _histograms(plan, np.array(((f.entries,),), dtype=np.int64), f.q, s, s + 1)
     return _element(ctx, hist, index < zero)
 
 
@@ -356,8 +376,8 @@ def correlation_spectrum(f: QaryArray) -> dict[tuple[int, ...], CycElement]:
     n = len(plan.order)
     hist = np.empty((q, n), dtype=np.int64)
     hist[:, plan.order] = _histograms(
-        plan, np.array((f.entries,), dtype=np.int64), q, 0, n
-    )
+        plan, np.array(((f.entries,),), dtype=np.int64), q, 0, n
+    )[0]
     half = [CycElement(ctx, tuple(c)) for c in hist.T.tolist()]
     mirror = hist[(-np.arange(q)) % q, ::-1]
     values = [CycElement(ctx, tuple(c)) for c in mirror.T.tolist()]
@@ -379,7 +399,7 @@ def is_gap(f: QaryArray, g: QaryArray) -> bool:
         raise ValueError("shape or modulus mismatch")
     if f.m == 0:
         return True
-    rows = np.array((f.entries, g.entries), dtype=np.int64)
+    rows = np.array(((f.entries, g.entries),), dtype=np.int64)
     return _cancels(_cube_plan(f.m), rows, f.q)
 
 
@@ -427,7 +447,7 @@ def restrict(f: QaryArray, vars_: Sequence[int]) -> QaryArray:
     is an array of dimension len(vars_) in the induced local coordinates.
     """
     vt = tuple(vars_)
-    if any(v < 1 or v > f.m for v in vt) or list(vt) != sorted(set(vt)):
+    if list(vt) != sorted(set(vt)) or vt and (vt[0] < 1 or vt[-1] > f.m):
         raise ValueError(f"bad variable subset {vt} for m={f.m}")
     ent = f.entries
     return QaryArray(f.q, len(vt), tuple(ent[s] for s in _spread_masks(vt)))

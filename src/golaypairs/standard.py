@@ -21,7 +21,7 @@ from typing import Mapping
 
 from .boolfun import Anf, from_anf
 from .errors import OddModulusError
-from .qarray import QaryArray
+from .qarray import QaryArray, _json_int
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,12 @@ class StandardParams:
     def from_json_dict(cls, data: Mapping) -> "StandardParams":
         try:
             return cls(
-                int(data["q"]),
-                int(data["m"]),
-                tuple(int(v) for v in data["pi"]),
-                tuple(int(v) for v in data["c"]),
-                int(data["c0"]),
-                int(data["c_prime"]),
+                _json_int(data["q"]),
+                _json_int(data["m"]),
+                tuple(_json_int(v) for v in data["pi"]),
+                tuple(_json_int(v) for v in data["c"]),
+                _json_int(data["c0"]),
+                _json_int(data["c_prime"]),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed parameter object: {exc}") from exc

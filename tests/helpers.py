@@ -124,6 +124,30 @@ def brute_finest_partition(q: int, m: int, entries) -> tuple[tuple[int, ...], ..
     return tuple(sorted(split(tuple(range(1, m + 1)))))
 
 
+def join_partitions(*partitions) -> tuple[tuple[int, ...], ...]:
+    """Finest partition coarser than every given one, by merging blocks that
+    share a variable until none do."""
+    merged: list[set] = []
+    for block in (set(b) for p in partitions for b in p):
+        for other in [o for o in merged if o & block]:
+            merged.remove(other)
+            block |= other
+        merged.append(block)
+    return tuple(sorted(tuple(sorted(b)) for b in merged))
+
+
+def block_sum(q: int, m: int, blocks) -> tuple[int, ...]:
+    """Entries of x -> sum of table[x restricted to vars] over (vars, table)."""
+    out = []
+    for x in range(1 << m):
+        total = 0
+        for vars_, table in blocks:
+            local = sum(1 << i for i, v in enumerate(vars_) if x >> (v - 1) & 1)
+            total += table[local]
+        out.append(total % q)
+    return tuple(out)
+
+
 def dict_star(poly: dict) -> dict:
     """Degree-reversal for small polynomials of arbitrary per-variable degree.
 

@@ -1,6 +1,7 @@
 """Command-line interface: formats, verdicts, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ PAIR = {
     "f": {"q": 2, "m": 2, "entries": [0, 0, 0, 1]},
     "g": {"q": 2, "m": 2, "entries": [0, 1, 0, 0]},
 }
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write(tmp_path, name, obj):
@@ -209,3 +213,67 @@ def test_written_files_read_back_without_loss(tmp_path, capsys):
     assert main(["construct", src2, "--output", str(pair2_path)]) == 0
     assert pair2_path.read_bytes() == pair_path.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, code, expected",
+    [
+        (["census", "4", "2"], 0, "census_4_2.json"),
+        (["census", "4", "2", "--format", "text"], 0, "census_4_2.txt"),
+        (["census", "3", "2"], 0, "census_3_2.json"),
+        (["decompose", GOLDEN / "pair_4_4.json"], 0, "decompose_pair_4_4.json"),
+        (["verify", GOLDEN / "pair_4_4.json", "--format", "json"], 0,
+         "verify_pair_4_4.json"),
+        (["verify", GOLDEN / "nonpair_4_4.json", "--format", "json"], 1,
+         "verify_nonpair_4_4.json"),
+    ],
+)
+def test_golden_output_bytes(argv, code, expected, capsys):
+    # expected stdout was recorded from an earlier release; it must not drift
+    assert main([str(a) for a in argv]) == code
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text()
+
+
+@pytest.mark.parametrize(
+    "number",
+    [
+        {"f": {"q": 2.9, "m": 1, "entries": [0, 1.7]},
+         "g": {"q": 2, "m": 1.5, "entries": [0, 0]}},
+        {"f": {"q": 2, "m": 1, "entries": [0, True]},
+         "g": {"q": 2, "m": 1, "entries": [0, 0]}},
+        {"f": {"q": 2, "m": 2, "entries": [0, 0, 0, 1]},
+         "g": {"q": 2, "m": "2", "entries": [0, 1, 0, 0]}},
+    ],
+    ids=["float", "bool", "string"],
+)
+def test_verify_rejects_non_integer_json_numbers(tmp_path, capsys, number):
+    assert main(["verify", write(tmp_path, "pair.json", number)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "field", [{"q": 4.5}, {"c0": True}, {"c_prime": "1"}], ids=["float", "bool", "string"]
+)
+def test_construct_rejects_non_integer_json_numbers(tmp_path, capsys, field):
+    src = write(tmp_path, "params.json", {**PARAMS, **field})
+    assert main(["construct", src]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_refuses_a_modulus_over_the_bound(tmp_path, capsys):
+    # the cyclotomic context for q = 100003 would hold 10^10 integers
+    pair = {
+        "f": {"q": 100003, "m": 1, "entries": [0, 1]},
+        "g": {"q": 100003, "m": 1, "entries": [0, 0]},
+    }
+    assert main(["verify", write(tmp_path, "pair.json", pair)]) == 2
+    err = capsys.readouterr().err
+    assert "4096" in err and "Traceback" not in err
+
+
+def test_verify_refuses_a_correlation_plan_over_the_memory_bound(tmp_path, capsys):
+    # at m = 14 the plan would hold 4^14 cell combinations, several GiB
+    zeros = {"q": 2, "m": 14, "entries": [0] * (1 << 14)}
+    assert main(["verify", write(tmp_path, "pair.json", {"f": zeros, "g": zeros})]) == 3
+    err = capsys.readouterr().err
+    assert "MiB" in err and "Traceback" not in err

@@ -193,3 +193,7 @@ def test_invalid_modulus_rejected():
         get_context(0)
     with pytest.raises(ValueError):
         cyclotomic_polynomial(-1)
+    # refused before the reduction table, q * phi(q) integers, is built
+    for q in (4097, 100003):
+        with pytest.raises(ValueError, match="4096"):
+            get_context(q)

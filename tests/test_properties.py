@@ -1,33 +1,53 @@
-"""Property tests of the exact correlation kernel against independent oracles.
+"""Property tests of the package against independent oracles.
 
 ``is_gap`` and ``correlation_spectrum`` run on a cached numpy plan; these
 properties compare them with the complex-float oracles of ``helpers`` and
 with the coefficient-space route of ``genfun``, on arrays Hypothesis draws.
+Interaction components, the common part of a restriction pair and the
+decomposition are checked against the brute-force partitions of ``helpers``
+and against the float complementarity test.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golaypairs import (
+    NotAGapError,
     QaryArray,
     StandardParams,
     construct_standard,
     correlation_spectrum,
     correlation_via_coefficients,
+    decompose,
     from_array,
+    gcd_normalized,
+    interaction_components,
     is_gap,
+    replay,
+    verify_certificate,
 )
 
-from helpers import cyc_to_complex, float_autocorrelation, float_is_gap
+from helpers import (
+    block_sum,
+    brute_finest_partition,
+    cyc_to_complex,
+    float_autocorrelation,
+    float_is_gap,
+    join_partitions,
+)
+
+EVEN = st.sampled_from((2, 4, 6, 8, 10, 12))
 
 
 @st.composite
-def array_pairs(draw):
+def array_pairs(draw, qs=st.integers(1, 12), max_m=5):
     """Random (q, m, f, g); for even q, g may be forced to cancel f on every
     antipodal pair, so the full-support shell passes and the remaining
     shifts decide."""
-    q = draw(st.integers(1, 12))
-    m = draw(st.integers(0, 5))
+    q = draw(qs)
+    m = draw(st.integers(0, max_m))
     cells = st.lists(st.integers(0, q - 1), min_size=1 << m, max_size=1 << m)
     f = draw(cells)
     g = draw(cells)
@@ -40,7 +60,7 @@ def array_pairs(draw):
 
 @st.composite
 def standard_params(draw, max_m=8):
-    q = draw(st.sampled_from((2, 4, 6, 8, 10, 12)))
+    q = draw(EVEN)
     m = draw(st.integers(0, max_m))
     pi = draw(st.permutations(range(1, m + 1)))
     c = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
@@ -90,3 +110,85 @@ def test_spectrum_agrees_with_float_and_coefficient_routes(q, m, data):
         assert value == coefficient[tau]
         approx = float_autocorrelation(q, m, f.entries, tau)
         assert abs(cyc_to_complex(value) - approx) < 1e-9
+
+
+@st.composite
+def block_functions(draw, max_m=10):
+    """Random (q, m, blocks, rng): a random block label per variable, so the
+    blocks partition 1..m, and a seeded generator for their tables.  m runs
+    on both sides of 7, where the subset transform switches to numpy."""
+    q = draw(st.integers(2, 12))
+    m = draw(st.one_of(st.integers(0, 6), st.integers(7, max_m)))
+    labels = draw(st.lists(st.integers(0, m), min_size=m, max_size=m))
+    blocks = [
+        tuple(v for v in range(1, m + 1) if labels[v - 1] == label)
+        for label in sorted(set(labels))
+    ]
+    return q, m, blocks, random.Random(draw(st.integers(0, 2**32)))
+
+
+def random_table(rng, q, vars_):
+    return [rng.randrange(q) for _ in range(1 << len(vars_))]
+
+
+@settings(max_examples=60)
+@given(block_functions())
+def test_interaction_components_agree_with_brute_force(case):
+    q, m, blocks, rng = case
+    entries = block_sum(q, m, [(b, random_table(rng, q, b)) for b in blocks])
+    got = interaction_components(QaryArray(q, m, entries)).blocks
+    assert got == brute_finest_partition(q, m, entries)
+
+
+@settings(max_examples=40)
+@given(block_functions(), st.data())
+def test_common_part_is_the_constant_difference_blocks_of_the_join(case, data):
+    # f0 = A + C and g0 = B + C + const: blocks flagged common share a table
+    q, m, blocks, rng = case
+    f_blocks, g_blocks = [], []
+    for b in blocks:
+        table = random_table(rng, q, b)
+        f_blocks.append((b, table))
+        if data.draw(st.booleans()):
+            shift = rng.randrange(q)
+            g_blocks.append((b, [v + shift for v in table]))
+        else:
+            g_blocks.append((b, random_table(rng, q, b)))
+    fe, ge = block_sum(q, m, f_blocks), block_sum(q, m, g_blocks)
+    joined = join_partitions(
+        brute_finest_partition(q, m, fe), brute_finest_partition(q, m, ge)
+    )
+    base = (ge[0] - fe[0]) % q
+    z2 = sorted(
+        v
+        for block in joined
+        if all(
+            (ge[t] - fe[t]) % q == base
+            for t in range(1 << m)
+            if not any(t >> (v - 1) & 1 for v in range(1, m + 1) if v not in block)
+        )
+        for v in block
+    )
+    split = gcd_normalized(QaryArray(q, m, fe), QaryArray(q, m, ge))
+    assert split.z2_vars == tuple(z2)
+    assert split.z1_vars == tuple(v for v in range(1, m + 1) if v not in z2)
+
+
+def _standard_case(params):
+    f, g = construct_standard(params)
+    return params.q, params.m, f.entries, g.entries
+
+
+@settings(max_examples=150)
+@given(st.one_of(array_pairs(EVEN, 4), standard_params(4).map(_standard_case)))
+def test_decompose_succeeds_exactly_on_pairs(case):
+    q, m, fe, ge = case
+    f, g = QaryArray(q, m, fe), QaryArray(q, m, ge)
+    try:
+        _, cert = decompose(f, g)
+    except NotAGapError:
+        assert not float_is_gap(q, m, fe, ge)
+        return
+    assert float_is_gap(q, m, fe, ge)
+    assert replay(cert) == (f, g)
+    verify_certificate(f, g, cert, max_corr_dim=m)

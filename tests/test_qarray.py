@@ -5,6 +5,7 @@ import random
 import pytest
 
 from golaypairs import (
+    BudgetExceededError,
     QaryArray,
     all_shifts,
     autocorrelation,
@@ -256,3 +257,15 @@ def test_json_round_trip():
         QaryArray.from_json_dict({"q": 2, "m": 1})
     with pytest.raises(ValueError):
         QaryArray.from_json_dict({"q": 2, "m": 1, "entries": "xy"})
+    for bad in ({"q": 2.0}, {"m": True}, {"m": "1"}, {"entries": [0, 1.0]}):
+        with pytest.raises(ValueError, match="integer"):
+            QaryArray.from_json_dict({"q": 2, "m": 1, "entries": [0, 1], **bad})
+
+
+def test_correlation_plan_over_memory_bound_is_refused():
+    # m = 12 needs a plan of 4^12 cell combinations; refused before any is built
+    f = QaryArray.constant(2, 0, 12)
+    with pytest.raises(BudgetExceededError):
+        correlation_spectrum(f)
+    with pytest.raises(BudgetExceededError):
+        is_gap(f, f)
