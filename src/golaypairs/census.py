@@ -36,7 +36,7 @@ from .errors import (
     OddModulusError,
     VerificationError,
 )
-from .qarray import QaryArray, _cube_plan, _histograms, _reduction, is_gap
+from .qarray import QaryArray, _cube_plan, _histograms, _reduction, _trusted, is_gap
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
@@ -49,7 +49,7 @@ def _array_from_id(q: int, m: int, ident: int) -> QaryArray:
     for _ in range(1 << m):
         ident, r = divmod(ident, q)
         entries.append(r)
-    return QaryArray(q, m, tuple(entries))
+    return _trusted(QaryArray, q, m, tuple(entries))
 
 
 def _id_from_entries(q: int, entries: tuple[int, ...]) -> int:
@@ -167,23 +167,19 @@ def enumerate_standard(q: int, m: int) -> list[tuple[QaryArray, QaryArray]]:
         raise OddModulusError(f"standard pairs require even q, got {q}")
     if m < 0:
         raise ValueError(f"dimension must be nonnegative, got {m}")
-    seen: set[tuple[int, int]] = set()
+    seen: dict[tuple[int, int], tuple[QaryArray, QaryArray]] = {}
     for pi in permutations(range(1, m + 1)):
         for c in product(range(q), repeat=m):
             for c0 in range(q):
                 for c_prime in range(q):
-                    f, g = construct_standard(
-                        StandardParams(q, m, pi, tuple(c), c0, c_prime)
-                    )
+                    params = _trusted(StandardParams, q, m, pi, c, c0, c_prime)
+                    f, g = construct_standard(params)
                     fid = _id_from_entries(q, f.entries)
                     gid = _id_from_entries(q, g.entries)
                     if gid < fid:
-                        fid, gid = gid, fid
-                    seen.add((fid, gid))
-    return [
-        (_array_from_id(q, m, fid), _array_from_id(q, m, gid))
-        for fid, gid in sorted(seen)
-    ]
+                        fid, gid, f, g = gid, fid, g, f
+                    seen.setdefault((fid, gid), (f, g))
+    return [seen[key] for key in sorted(seen)]
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from typing import Mapping
 from .boolfun import _components, _subset_transform, to_anf
 from .errors import NotAGapError, OddModulusError, VerificationError
 from .genfun import disjoint_product, embed, from_array, star
-from .qarray import QaryArray, _json_int, _spread_masks, is_gap, restrict
+from .qarray import QaryArray, _json_int, _spread_masks, _trusted, is_gap, restrict
 from .standard import StandardParams, construct_standard
 
 
@@ -42,8 +42,8 @@ def split_last(f: QaryArray) -> tuple[QaryArray, QaryArray]:
         raise ValueError("cannot split a dimension-0 array")
     half = 1 << (f.m - 1)
     return (
-        QaryArray(f.q, f.m - 1, f.entries[:half]),
-        QaryArray(f.q, f.m - 1, f.entries[half:]),
+        _trusted(QaryArray, f.q, f.m - 1, f.entries[:half]),
+        _trusted(QaryArray, f.q, f.m - 1, f.entries[half:]),
     )
 
 
@@ -51,7 +51,7 @@ def join_last(f0: QaryArray, f1: QaryArray) -> QaryArray:
     """Inverse of :func:`split_last`."""
     if f0.q != f1.q or f0.m != f1.m:
         raise ValueError("halves must share shape and modulus")
-    return QaryArray(f0.q, f0.m + 1, f0.entries + f1.entries)
+    return _trusted(QaryArray, f0.q, f0.m + 1, f0.entries + f1.entries)
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,8 @@ def _recombine(
     c_vars[m - 1] = (
         half * m1 - sum(left.c) - 2 * left.c0 + right.c_prime - left.c_prime
     ) % q
-    return StandardParams(
+    return _trusted(
+        StandardParams,
         q,
         m,
         tuple(path),
@@ -276,9 +277,8 @@ def _decompose_rec(
 ) -> tuple[StandardParams, DecompositionCertificate]:
     q, m = f.q, f.m
     if m == 0:
-        params = StandardParams(
-            q, 0, (), (), f.entries[0], (g.entries[0] - f.entries[0]) % q
-        )
+        f0, g0 = f.entries[0], g.entries[0]
+        params = _trusted(StandardParams, q, 0, (), (), f0, (g0 - f0) % q)
         return params, DecompositionCertificate(q, 0, params)
     f0, f1 = split_last(f)
     g0, g1 = split_last(g)
@@ -337,14 +337,14 @@ def decompose(
 
 def _rebuild(
     node: DecompositionCertificate, a: QaryArray, b: QaryArray, c: QaryArray, d: QaryArray
-) -> tuple[QaryArray, QaryArray, tuple[int, ...]]:
-    """The pair of an inner node from its sub-pairs, and the entries of f0 = a + c."""
-    q, m = node.q, node.m
+) -> tuple[QaryArray, QaryArray]:
+    """The pair of an inner node from its sub-pairs, which fix its q and m."""
+    q, m = a.q, a.m + c.m + 1
     z1, z2 = node.split.z1_vars, node.split.z2_vars
     f0 = _two_block_fill(q, m - 1, z1, a.entries, z2, c.entries)
     g0 = _two_block_fill(q, m - 1, z1, b.entries, z2, c.entries)
     f1, g1 = _forced_halves(q, m - 1, z1, z2, a, b, d)
-    return QaryArray(q, m, f0 + f1), QaryArray(q, m, g0 + g1), f0
+    return _trusted(QaryArray, q, m, f0 + f1), _trusted(QaryArray, q, m, g0 + g1)
 
 
 def replay(cert: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
@@ -356,8 +356,7 @@ def replay(cert: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
     """
     if cert.is_leaf:
         return construct_standard(cert.params)
-    ff, gg, _ = _rebuild(cert, *replay(cert.left), *replay(cert.right))
-    return ff, gg
+    return _rebuild(cert, *replay(cert.left), *replay(cert.right))
 
 
 def verify_certificate(
@@ -383,6 +382,8 @@ def verify_certificate(
 
     def walk(node: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
         q, m = node.q, node.m
+        if (node.params.q, node.params.m) != (q, m):
+            fail(f"node parameters do not have the node's q={q} and m={m}")
         if node.is_leaf:
             return construct_standard(node.params)
         if node.split_var != m:
@@ -392,6 +393,10 @@ def verify_certificate(
         split = node.split
         if sorted(split.z1_vars + split.z2_vars) != list(range(1, m)):
             fail("split variable sets do not partition the remaining variables")
+        if node.left.q != q or node.right.q != q:
+            fail("sub-certificates do not have the node's modulus")
+        if (node.left.m, node.right.m) != (len(split.z1_vars), len(split.z2_vars)):
+            fail("sub-certificate dimensions do not match the split variable sets")
         if (a, b) != (split.a, split.b) or c != split.c or d != node.d:
             fail("stored intermediate arrays disagree with sub-certificates")
         if split.f0_const != split.a.entries[0] or split.g0_const != split.b.entries[0]:
@@ -404,7 +409,7 @@ def verify_certificate(
             q, m, split.z1_vars, split.z2_vars, node.left.params, node.right.params
         ):
             fail("node parameters are not the recombination of the children")
-        ff, gg, f0 = _rebuild(node, a, b, c, d)
+        ff, gg = _rebuild(node, a, b, c, d)
         if m <= max_corr_dim:
             if not is_gap(ff, gg):
                 fail(f"node pair is not complementary at dimension {m}")
@@ -413,7 +418,7 @@ def verify_certificate(
             fa = embed(from_array(a), split.z1_vars, m - 1)
             fc = embed(from_array(c), split.z2_vars, m - 1)
             prod = disjoint_product(fa, fc)
-            if prod != from_array(QaryArray(q, m - 1, f0)):
+            if prod != from_array(split_last(ff)[0]):
                 fail("factor product does not rebuild the restriction")
             if star(prod) != disjoint_product(star(fa), star(fc)):
                 fail("degree reversal does not distribute over the factor product")
@@ -462,7 +467,7 @@ def recognize_standard(f: QaryArray, g: QaryArray) -> StandardParams | None:
             const = coeff
     delta = tuple((ge - fe) % q for fe, ge in zip(f.entries, g.entries))
     if m == 0:
-        return StandardParams(q, 0, (), (), const, delta[0])
+        return _trusted(StandardParams, q, 0, (), (), const, delta[0])
 
     if m == 1:
         orientations = [(1,)]
@@ -500,4 +505,4 @@ def recognize_standard(f: QaryArray, g: QaryArray) -> StandardParams | None:
             valid.append(pi)
     if not valid:
         return None
-    return StandardParams(q, m, min(valid), tuple(linear), const, cp)
+    return _trusted(StandardParams, q, m, min(valid), tuple(linear), const, cp)

@@ -29,10 +29,16 @@ two batches: first the 2**(m-1) full-support shifts, each of which overlaps
 in one antipodal pair of cells, then the rest.  A pair with one cell
 changed therefore fails after 2**(m-1) pair lookups, while a true pair
 pays for all (4**m - 2**m) / 2 of them.
+
+Validation happens at the boundary: public constructors and every
+``from_json_dict`` check their input.  Internal code builds a value
+unchecked through :func:`_trusted` only when its q and m come from validated
+objects and every entry is copied from one or reduced mod that q.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -55,6 +61,21 @@ def _json_int(value) -> int:
     return value
 
 
+def _integers(*values) -> tuple[int, ...]:
+    """``values`` as ints; numpy integers pass, floats and strings raise."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"expected integers: {exc}") from None
+
+
+def _trusted(cls, *values):
+    """``cls(*values)`` without ``__post_init__``; the module docstring says when."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
 @dataclass(frozen=True)
 class QaryArray:
     """Immutable q-ary array over the m-dimensional binary cube."""
@@ -64,19 +85,17 @@ class QaryArray:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be positive, got {self.q}")
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
-        entries = tuple(map(int, self.entries))
-        if len(entries) != 1 << self.m:
-            raise ValueError(
-                f"expected {1 << self.m} entries for m={self.m}, got {len(entries)}"
-            )
-        q = self.q
+        q, m = _integers(self.q, self.m)
+        if q < 1:
+            raise ValueError(f"q must be positive, got {q}")
+        if m < 0:
+            raise ValueError(f"m must be nonnegative, got {m}")
+        entries = _integers(*self.entries)
+        if len(entries) != 1 << m:
+            raise ValueError(f"expected {1 << m} entries for m={m}, got {len(entries)}")
         if min(entries) < 0 or max(entries) >= q:
             raise ValueError(f"entries must lie in [0, {q})")
-        object.__setattr__(self, "entries", entries)
+        self.__dict__.update(q=q, m=m, entries=entries)
 
     @classmethod
     def constant(cls, q: int, value: int, m: int = 0) -> "QaryArray":
@@ -107,7 +126,7 @@ class QaryArray:
         Complementing every coordinate maps index t to 2**m - 1 - t, so this
         is exactly the entry tuple reversed.
         """
-        return QaryArray(self.q, self.m, self.entries[::-1])
+        return _trusted(QaryArray, self.q, self.m, self.entries[::-1])
 
     def project_sequence(self) -> tuple[int, ...]:
         """Read the array out as a length-2**m sequence.
@@ -119,23 +138,22 @@ class QaryArray:
         return self.entries
 
     def __add__(self, other: object) -> "QaryArray":
+        q = self.q
         if isinstance(other, int):
-            q = self.q
-            return QaryArray(q, self.m, tuple((v + other) % q for v in self.entries))
-        if isinstance(other, QaryArray):
-            if other.q != self.q or other.m != self.m:
+            entries = tuple((v + other) % q for v in self.entries)
+        elif isinstance(other, QaryArray):
+            if other.q != q or other.m != self.m:
                 raise ValueError("shape or modulus mismatch")
-            q = self.q
-            return QaryArray(
-                q, self.m, tuple((a + b) % q for a, b in zip(self.entries, other.entries))
-            )
-        return NotImplemented
+            entries = tuple((a + b) % q for a, b in zip(self.entries, other.entries))
+        else:
+            return NotImplemented
+        return _trusted(QaryArray, q, self.m, entries)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QaryArray":
         q = self.q
-        return QaryArray(q, self.m, tuple((-v) % q for v in self.entries))
+        return _trusted(QaryArray, q, self.m, tuple((-v) % q for v in self.entries))
 
     def __sub__(self, other: object) -> "QaryArray":
         if isinstance(other, (int, QaryArray)):
@@ -449,8 +467,8 @@ def restrict(f: QaryArray, vars_: Sequence[int]) -> QaryArray:
     vt = tuple(vars_)
     if list(vt) != sorted(set(vt)) or vt and (vt[0] < 1 or vt[-1] > f.m):
         raise ValueError(f"bad variable subset {vt} for m={f.m}")
-    ent = f.entries
-    return QaryArray(f.q, len(vt), tuple(ent[s] for s in _spread_masks(vt)))
+    entries = tuple(f.entries[s] for s in _spread_masks(vt))
+    return _trusted(QaryArray, f.q, len(vt), entries)
 
 
 def combine(

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .boolfun import Anf, from_anf
+from .boolfun import _subset_transform
 from .errors import OddModulusError
-from .qarray import QaryArray, _json_int
+from .qarray import QaryArray, _integers, _json_int, _trusted
 
 
 @dataclass(frozen=True)
@@ -36,20 +36,18 @@ class StandardParams:
     c_prime: int
 
     def __post_init__(self):
-        if self.q < 2 or self.q % 2:
-            raise OddModulusError(f"standard pairs require even q, got {self.q}")
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
-        pi = tuple(int(v) for v in self.pi)
-        if sorted(pi) != list(range(1, self.m + 1)):
-            raise ValueError(f"pi={pi} is not a permutation of 1..{self.m}")
-        c = tuple(int(v) % self.q for v in self.c)
-        if len(c) != self.m:
-            raise ValueError(f"expected {self.m} linear constants, got {len(c)}")
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "c0", int(self.c0) % self.q)
-        object.__setattr__(self, "c_prime", int(self.c_prime) % self.q)
+        q, m, c0, c_prime = _integers(self.q, self.m, self.c0, self.c_prime)
+        if q < 2 or q % 2:
+            raise OddModulusError(f"standard pairs require even q, got {q}")
+        if m < 0:
+            raise ValueError(f"m must be nonnegative, got {m}")
+        pi = _integers(*self.pi)
+        if sorted(pi) != list(range(1, m + 1)):
+            raise ValueError(f"pi={pi} is not a permutation of 1..{m}")
+        c = tuple(v % q for v in _integers(*self.c))
+        if len(c) != m:
+            raise ValueError(f"expected {m} linear constants, got {len(c)}")
+        self.__dict__.update(q=q, m=m, pi=pi, c=c, c0=c0 % q, c_prime=c_prime % q)
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,21 +82,16 @@ def construct_standard(params: StandardParams) -> tuple[QaryArray, QaryArray]:
     """
     q, m, pi = params.q, params.m, params.pi
     half = q // 2
-    coeffs: dict[frozenset, int] = {frozenset(): params.c0}
+    anf = [0] * (1 << m)  # coefficient of the monomial on each variable mask
+    anf[0] = params.c0
     for k in range(m - 1):
-        coeffs[frozenset((pi[k], pi[k + 1]))] = half
-    for var in range(1, m + 1):
-        cv = params.c[var - 1]
-        if cv:
-            coeffs[frozenset((var,))] = cv
-    f = from_anf(Anf(q, m, coeffs))
-    if m == 0:
-        g = f + params.c_prime
-    else:
-        start_bit = 1 << (pi[0] - 1)
-        ge = tuple(
-            (v + (half if t & start_bit else 0) + params.c_prime) % q
-            for t, v in enumerate(f.entries)
-        )
-        g = QaryArray(q, m, ge)
-    return f, g
+        anf[(1 << (pi[k] - 1)) | (1 << (pi[k + 1] - 1))] = half
+    for k, cv in enumerate(params.c):
+        anf[1 << k] = cv
+    fe = _subset_transform(anf, m, q, 1)
+    start_bit = 1 << (pi[0] - 1) if m else 0
+    ge = [
+        (v + (half if t & start_bit else 0) + params.c_prime) % q
+        for t, v in enumerate(fe)
+    ]
+    return _trusted(QaryArray, q, m, tuple(fe)), _trusted(QaryArray, q, m, tuple(ge))

@@ -10,6 +10,7 @@ from golaypairs import (
     QaryArray,
     StandardParams,
     verify_certificate,
+    verify_theorem,
 )
 from golaypairs.cli import main
 
@@ -212,6 +213,24 @@ def test_written_files_read_back_without_loss(tmp_path, capsys):
     pair2_path = tmp_path / "pair2.json"
     assert main(["construct", src2, "--output", str(pair2_path)]) == 0
     assert pair2_path.read_bytes() == pair_path.read_bytes()
+    capsys.readouterr()
+
+
+def test_only_boundary_values_are_validated(monkeypatch, capsys):
+    # internal arrays are built unchecked; only the two loaded from JSON run
+    # the constructor's checks
+    calls = []
+    check = QaryArray.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(QaryArray, "__post_init__", counted)
+    verify_theorem(4, 2)
+    assert len(calls) == 0
+    assert main(["decompose", str(GOLDEN / "pair_4_4.json")]) == 0
+    assert len(calls) == 2
     capsys.readouterr()
 
 

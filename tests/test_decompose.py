@@ -6,6 +6,7 @@ import random
 import pytest
 
 from golaypairs import (
+    DecompositionCertificate,
     NotAGapError,
     OddModulusError,
     QaryArray,
@@ -258,8 +259,6 @@ def test_certificate_json_round_trip():
     for q, m in ((2, 0), (2, 3), (4, 4), (10, 2)):
         f, g = construct_standard(rand_params(rng, q, m))
         _, cert = decompose(f, g)
-        from golaypairs import DecompositionCertificate
-
         back = DecompositionCertificate.from_json_dict(cert.to_json_dict())
         assert back == cert
         assert replay(back) == (f, g)
@@ -317,6 +316,21 @@ def test_certificate_rejects_tampering():
         rebuilt = dataclasses.replace(parent, left=rebuilt)
     with pytest.raises(VerificationError):
         verify_certificate(f, g, rebuilt)
+
+
+def test_reloaded_certificate_with_a_malformed_tree_fails_verification():
+    # a root split of sizes 0 and 2, so swapping the variable sets breaks shapes
+    f, g = construct_standard(rand_params(random.Random(4), 4, 3))
+    _, cert = decompose(f, g)
+    data = cert.to_json_dict()
+    assert (data["z1_vars"], data["z2_vars"]) == ([], [1, 2])
+    for bad in (
+        {**data, "q": 0},
+        {**data, "z1_vars": data["z2_vars"], "z2_vars": data["z1_vars"]},
+        {**data, "left": {**data["left"], "q": 2}},
+    ):
+        with pytest.raises(VerificationError):
+            verify_certificate(f, g, DecompositionCertificate.from_json_dict(bad))
 
 
 def test_certificate_worked_example_structure():

@@ -5,9 +5,11 @@ properties compare them with the complex-float oracles of ``helpers`` and
 with the coefficient-space route of ``genfun``, on arrays Hypothesis draws.
 Interaction components, the common part of a restriction pair and the
 decomposition are checked against the brute-force partitions of ``helpers``
-and against the float complementarity test.
+and against the float complementarity test.  Values that internal code
+builds without validation are checked to be valid values.
 """
 
+import dataclasses
 import random
 
 from hypothesis import given, settings
@@ -21,11 +23,17 @@ from golaypairs import (
     correlation_spectrum,
     correlation_via_coefficients,
     decompose,
+    enumerate_all_gaps,
+    enumerate_standard,
     from_array,
     gcd_normalized,
     interaction_components,
     is_gap,
+    join_last,
+    recognize_standard,
     replay,
+    restrict,
+    split_last,
     verify_certificate,
 )
 
@@ -192,3 +200,51 @@ def test_decompose_succeeds_exactly_on_pairs(case):
     assert float_is_gap(q, m, fe, ge)
     assert replay(cert) == (f, g)
     verify_certificate(f, g, cert, max_corr_dim=m)
+
+
+def assert_valid(value):
+    """``value`` equals the validated value with the same fields, all ints."""
+    fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    assert type(value)(*fields) == value
+    numbers = [
+        v for field in fields for v in (field if type(field) is tuple else (field,))
+    ]
+    assert all(type(v) is int for v in numbers), value
+
+
+@settings(max_examples=150)
+@given(array_pairs(max_m=5), st.data())
+def test_unvalidated_array_results_are_valid_arrays(case, data):
+    q, m, fe, ge = case
+    f, g = QaryArray(q, m, fe), QaryArray(q, m, ge)
+    k = data.draw(st.integers(-3 * q, 3 * q))
+    subset = tuple(v for v in range(1, m + 1) if data.draw(st.booleans()))
+    results = [restrict(f, subset), f + g, f + k, k + f, f - g, f - k, -f, f.reverse()]
+    if m:
+        results += split_last(f)
+    results.append(join_last(f, g))
+    for value in results:
+        assert_valid(value)
+
+
+@settings(max_examples=60)
+@given(standard_params(max_m=6))
+def test_unvalidated_standard_results_are_valid(params):
+    f, g = construct_standard(params)
+    found, cert = decompose(f, g)
+    values = [f, g, found, recognize_standard(f, g), *replay(cert)]
+    nodes = [cert]
+    while nodes:
+        node = nodes.pop()
+        values.append(node.params)
+        if not node.is_leaf:
+            values += [node.split.a, node.split.b, node.split.c, node.d]
+            nodes += [node.left, node.right]
+    for value in values:
+        assert_valid(value)
+
+
+def test_census_arrays_are_valid_arrays():
+    for f, g in enumerate_standard(4, 2) + enumerate_all_gaps(2, 2):
+        assert_valid(f)
+        assert_valid(g)

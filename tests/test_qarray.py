@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from golaypairs import (
@@ -42,6 +43,14 @@ def test_validation():
     with pytest.raises(ValueError):
         QaryArray(0, 0, (0,))
     assert QaryArray(5, 0, (3,)).m == 0
+    # non-integers are refused rather than truncated
+    for args in ((2, 1, (0, 1.7)), (2.5, 1, (0, 1)), (2, 1.0, (0, 1)), (2, 0, ("1",))):
+        with pytest.raises(ValueError):
+            QaryArray(*args)
+    # numpy integers are accepted and stored as int
+    f = QaryArray(np.int64(4), np.int8(1), np.array([3, 1]))
+    assert f == QaryArray(4, 1, (3, 1))
+    assert all(type(v) is int for v in (f.q, f.m, *f.entries))
 
 
 def test_constant_and_arithmetic():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from golaypairs import (
@@ -97,6 +98,18 @@ def test_parameter_validation():
         StandardParams(2, 2, (1, 2), (0,), 0, 0)
     with pytest.raises(ValueError):
         StandardParams(2, 2, (1,), (0, 0), 0, 0)
+    # non-integers are refused rather than truncated
+    with pytest.raises(ValueError):
+        StandardParams(4, 2, (1, 2), (1.9, 0), 2.5, 0)
+    with pytest.raises(ValueError):
+        StandardParams(4.0, 1, (1,), (0,), 0, 0)
+    with pytest.raises(ValueError):
+        StandardParams(4, 2, (1.0, 2), (0, 0), 0, 0)
+    with pytest.raises(ValueError):
+        StandardParams(4, 1, (1,), (0,), 0, "1")
+    p = StandardParams(np.int64(4), 1, (np.int32(1),), (np.int64(7),), np.int8(5), 0)
+    assert p == StandardParams(4, 1, (1,), (3,), 1, 0)
+    assert all(type(v) is int for v in (p.q, p.m, *p.pi, *p.c, p.c0, p.c_prime))
 
 
 def test_constants_reduced_on_entry():
