@@ -1,26 +1,48 @@
 """Exhaustive census of complementary pairs over small array spaces.
 
-Every array over the space is fingerprinted by the exact canonical
-coordinates of its autocorrelation at the kept half of the nonzero shifts
-(the other half is determined by conjugate symmetry).  Two arrays form a
-complementary pair exactly when their fingerprints are negatives of each
-other, so matching is a hash join rather than a quadratic sweep.  The
-canonical coordinates are integers and the sweep is carried out in int64
-with a proven no-overflow bound, so the join is exact; every matched pair
-is nevertheless re-verified with the literal cyclotomic correlation sums.
-The sweep runs on the correlation kernel of :mod:`golaypairs.qarray` that
+Every array is fingerprinted by the exact canonical coordinates of its
+autocorrelation at the kept half of the nonzero shifts (the other half is
+determined by conjugate symmetry).  Two arrays form a complementary pair
+exactly when their fingerprints are negatives of each other.  The sweep
+runs on the correlation kernel of :mod:`golaypairs.qarray` that
 :func:`~golaypairs.qarray.is_gap` runs on, with one row group per array.
 
-Fingerprints are computed in chunks of ``CHUNK`` arrays.  The kernel holds
-a key per array and overlap pair, so a larger chunk raises peak memory:
-``census 4 3`` peaks at 85 MB with 16384 arrays and at 74 MB with 4096.  With
-``workers > 1`` the chunks are farmed out to a process pool and merged back
-in input order, so reports are byte-for-byte identical for every worker
-count.
+The sweep is quotiented by the additive constant.  An autocorrelation
+depends only on differences of entries, so f and f + c share a
+fingerprint, and only the q^(2^m - 1) representatives with f(0) = 0 are
+swept: representative r has entries (0, base-q digits of r).  Nothing is
+lost.  If (f, g) is a pair, then fp(f - f(0)) = fp(f) = -fp(g) =
+-fp(g - g(0)), so the representatives of f and g match, and expanding that
+match to (f0 + a, g0 + b) for all a, b in Z_q yields (f, g).  Every
+expanded pair is re-verified with the literal correlation sums.
+
+The join is a sorted search, not a hash table.  Fingerprint rows are held in
+one contiguous array in representative order.  A canonical coordinate is at
+most 2^m times the largest reduction entry in absolute value, so each row
+is stored in the narrowest signed dtype holding that bound (int8 for every
+space with m >= 2 inside ``DEFAULT_BUDGET``), where negation cannot
+overflow.  The rows are sorted once by a fixed-width byte view, in which
+equal views are equal rows.  The negated rows are then probed chunk by chunk
+with ``searchsorted``, so no full negated copy is ever held.  The join holds
+the rows twice (as swept and sorted) plus an int64 sort index, so a
+representative costs 2 * width * itemsize + 8 bytes: 112 at (8,3), whose
+2^21 representatives take 235 MB.
+A space whose estimate is over ``_MAX_JOIN_BYTES`` is refused with
+:class:`BudgetExceededError` before any work.
+
+Fingerprints are computed in chunks of ``CHUNK`` representatives.  Per
+chunk the kernel holds one int64 key per representative and overlap pair and
+one int64 count per representative, residue and half shift: 0.9 MB and
+3.4 MB at (8,3).  With ``workers > 1`` the chunks are farmed out to a
+process pool and merged back in order, so reports are byte-for-byte
+identical for every worker count.  Each call logs one DEBUG record with its
+counters and stage timings on the ``golaypairs`` logger, which is silent by
+default.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -41,15 +63,10 @@ from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
 CHUNK = 4096
+# Refuse joins whose estimate passes 1 GiB; (8,3) needs about 235 MB.
+_MAX_JOIN_BYTES = 1 << 30
 
-
-def _array_from_id(q: int, m: int, ident: int) -> QaryArray:
-    """Array whose entry list is the little-endian base-q digits of ident."""
-    entries = []
-    for _ in range(1 << m):
-        ident, r = divmod(ident, q)
-        entries.append(r)
-    return _trusted(QaryArray, q, m, tuple(entries))
+_log = logging.getLogger("golaypairs")
 
 
 def _id_from_entries(q: int, entries: tuple[int, ...]) -> int:
@@ -59,25 +76,102 @@ def _id_from_entries(q: int, entries: tuple[int, ...]) -> int:
     return ident
 
 
-def _chunk_signatures(
-    q: int, m: int, start: int, stop: int
-) -> tuple[list[bytes], list[bytes]]:
-    """Fingerprints (and their negatives) for ids start..stop-1, in id order."""
+def _row_layout(q: int, m: int) -> tuple[int, np.dtype]:
+    """Columns and dtype of one fingerprint row.
+
+    A row has phi(q) coordinates per half shift; at m = 0 it is padded to
+    one zero column so its byte view is never empty.  The dtype is the
+    narrowest signed one holding -bound - 1, so it holds +-bound for the
+    bound 2^m * max|reduction entry| and negating a row cannot overflow.
+    """
+    red = _reduction(q, 1 << m)
+    width = max(red.shape[1] * ((3**m - 1) // 2), 1)
+    bound = (1 << m) * int(np.abs(red).max())
+    return width, np.min_scalar_type(-bound - 1)
+
+
+def _chunk_rows(
+    q: int, m: int, start: int, stop: int, width: int, dtype: np.dtype
+) -> np.ndarray:
+    """Fingerprint rows of representatives start..stop-1, in order."""
     plan = _cube_plan(m)
     red_t = _reduction(q, 1 << m).T
     n = stop - start
-    table = np.empty((n, 1, 1 << m), dtype=np.int64)
+    table = np.zeros((n, 1, 1 << m), dtype=np.int64)
     work = np.arange(start, stop, dtype=np.int64)
-    for t in range(1 << m):
+    for t in range(1, 1 << m):
         table[:, 0, t] = work % q
         work //= q
     hist = _histograms(plan, table, q, 0, len(plan.order))
     sig = (red_t @ hist).reshape(n, red_t.shape[0] * len(plan.order))
-    neg = -sig
-    return (
-        [sig[r].tobytes() for r in range(n)],
-        [neg[r].tobytes() for r in range(n)],
-    )
+    if np.abs(sig).max(initial=0) > np.iinfo(dtype).max:
+        raise VerificationError(
+            "canonical coordinate outside its proven bound"
+        )  # pragma: no cover - internal guard
+    rows = np.zeros((n, width), dtype=dtype)
+    rows[:, : sig.shape[1]] = sig
+    return rows
+
+
+def _sweep(
+    q: int, m: int, reps: int, width: int, dtype: np.dtype, workers: int
+) -> np.ndarray:
+    """Fingerprint rows of every representative, in representative order."""
+    starts = range(0, reps, CHUNK)
+    tasks = [(q, m, a, min(a + CHUNK, reps), width, dtype) for a in starts]
+    rows = np.empty((reps, width), dtype=dtype)
+    workers = _pool_size(workers, len(tasks))
+    if workers == 1:
+        for task in tasks:
+            rows[task[2] : task[3]] = _chunk_rows(*task)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for task, chunk in zip(tasks, pool.map(_chunk_rows, *zip(*tasks))):
+                rows[task[2] : task[3]] = chunk
+    return rows
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One fixed-width byte string per row; equal keys are equal rows."""
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
+def _matches(rows: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Representative pairs (r, s) with fp(s) = -fp(r), and the number of
+    distinct fingerprints.
+
+    ``rows`` are sorted by key and row i is representative ``order[i]``.
+    Each chunk of rows is negated and probed for its run of equal keys.
+    """
+    keys = _keys(rows)
+    f_parts, g_parts = [], []
+    distinct = 1
+    for start in range(0, len(rows), CHUNK):
+        stop = min(start + CHUNK, len(rows))
+        first = max(start, 1)
+        distinct += int(np.count_nonzero(keys[first:stop] != keys[first - 1 : stop - 1]))
+        probe = _keys(-rows[start:stop])
+        lo = np.searchsorted(keys, probe, "left")
+        counts = np.searchsorted(keys, probe, "right") - lo
+        hit = np.flatnonzero(counts)
+        c = counts[hit]
+        offsets = np.repeat(lo[hit] - (np.cumsum(c) - c), c)
+        f_parts.append(order[np.repeat(start + hit, c)])
+        g_parts.append(order[offsets + np.arange(c.sum())])
+    return np.concatenate(f_parts), np.concatenate(g_parts), distinct
+
+
+def _class_members(q: int, m: int, rep: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(id, entries) of f0 + a for every a in Z_q, f0 representative ``rep``."""
+    base = [0]
+    for _ in range((1 << m) - 1):
+        rep, r = divmod(rep, q)
+        base.append(r)
+    members = []
+    for a in range(q):
+        entries = tuple((v + a) % q for v in base)
+        members.append((_id_from_entries(q, entries), entries))
+    return members
 
 
 def _space_size(q: int, m: int, budget: int) -> int | None:
@@ -108,7 +202,8 @@ def enumerate_all_gaps(
     an array and itself) and the list sorted by id pair, independent of the
     worker count, which is clamped to the number of chunks and CPUs.  Raises
     :class:`BudgetExceededError` before any work if the space holds more
-    than ``budget`` arrays.
+    than ``budget`` arrays or its join would need more than
+    ``_MAX_JOIN_BYTES``.
     """
     if q < 2:
         raise ValueError(f"modulus must be at least 2, got {q}")
@@ -121,38 +216,50 @@ def enumerate_all_gaps(
         raise BudgetExceededError(
             f"space holds q^(2^m) = {q}^(2^{m}) arrays, over the budget of {budget}"
         )
-    tasks = [
-        (q, m, start, min(start + CHUNK, n_total))
-        for start in range(0, n_total, CHUNK)
+    reps = n_total // q
+    width, dtype = _row_layout(q, m)
+    join_bytes = reps * (2 * width * dtype.itemsize + 8)
+    if join_bytes > _MAX_JOIN_BYTES:
+        raise BudgetExceededError(
+            f"the census join at q={q}, m={m} would need about {join_bytes >> 20} MiB,"
+            f" over the memory budget of {_MAX_JOIN_BYTES >> 20} MiB"
+        )
+
+    t0 = time.perf_counter()
+    rows = _sweep(q, m, reps, width, dtype, workers)
+    t1 = time.perf_counter()
+    order = np.argsort(_keys(rows))
+    rows = rows[order]
+    f_reps, g_reps, distinct = _matches(rows, order)
+    del rows
+    t2 = time.perf_counter()
+
+    f_list, g_list = f_reps.tolist(), g_reps.tolist()
+    members = {r: _class_members(q, m, r) for r in {*f_list, *g_list}}
+    found = [
+        (fid, gid, fe, ge)
+        for r, s in zip(f_list, g_list)
+        for fid, fe in members[r]
+        for gid, ge in members[s]
+        if fid <= gid
     ]
-    workers = _pool_size(workers, len(tasks))
-    if workers == 1:
-        results = [_chunk_signatures(*task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_chunk_signatures, *zip(*tasks)))
-    sigs: list[bytes] = []
-    negs: list[bytes] = []
-    for sig_chunk, neg_chunk in results:
-        sigs.extend(sig_chunk)
-        negs.extend(neg_chunk)
-
-    index: dict[bytes, list[int]] = {}
-    for ident, sig in enumerate(sigs):
-        index.setdefault(sig, []).append(ident)
-
+    found.sort(key=lambda item: item[:2])
     pairs: list[tuple[QaryArray, QaryArray]] = []
-    for fid, neg in enumerate(negs):
-        for gid in index.get(neg, ()):
-            if gid < fid:
-                continue
-            f = _array_from_id(q, m, fid)
-            g = _array_from_id(q, m, gid)
-            if not is_gap(f, g):
-                raise VerificationError(
-                    "fingerprint match not confirmed by direct correlation sums"
-                )  # pragma: no cover - internal guard
-            pairs.append((f, g))
+    for _, _, fe, ge in found:
+        f = _trusted(QaryArray, q, m, fe)
+        g = _trusted(QaryArray, q, m, ge)
+        if not is_gap(f, g):
+            raise VerificationError(
+                "fingerprint match not confirmed by direct correlation sums"
+            )  # pragma: no cover - internal guard
+        pairs.append((f, g))
+    _log.debug(
+        "census q=%d m=%d: %d representatives swept, %d distinct fingerprints,"
+        " %d matched representative pairs, %d pairs re-verified;"
+        " sweep %.3f s, join %.3f s, expansion %.3f s",
+        q, m, reps, distinct, len(f_reps), len(pairs),
+        t1 - t0, t2 - t1, time.perf_counter() - t2,
+    )
     return pairs
 
 

@@ -25,11 +25,17 @@ def ids_of(pairs, q):
     return out
 
 
-def test_gap_enumeration_matches_quadratic_oracle():
-    for q, m in ((2, 1), (3, 1), (4, 1), (2, 2), (5, 1)):
-        fast = ids_of(enumerate_all_gaps(q, m), q)
-        slow = quadratic_all_gaps(q, m)
-        assert fast == sorted(slow), (q, m)
+def test_gap_enumeration_matches_quadratic_oracle(monkeypatch):
+    # CHUNK = 7 divides none of the representative counts q^(2^m - 1) here
+    import golaypairs.census as census
+
+    spaces = ((2, 1), (3, 1), (4, 1), (2, 2), (5, 1), (6, 1), (3, 2), (4, 2), (2, 3))
+    for q, m in spaces:
+        slow = sorted(quadratic_all_gaps(q, m))
+        assert ids_of(enumerate_all_gaps(q, m), q) == slow, (q, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(census, "CHUNK", 7)
+            assert ids_of(enumerate_all_gaps(q, m), q) == slow, (q, m, 7)
 
 
 def test_known_small_counts():
@@ -103,6 +109,10 @@ def test_budget_refusal():
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceededError):
         enumerate_all_gaps(12, 10, budget=1000)
+    # 2^32 arrays pass this budget, but the join of 2^31 representatives x
+    # 121 columns would need over 500 GB
+    with pytest.raises(BudgetExceededError, match="memory budget"):
+        enumerate_all_gaps(2, 5, budget=10_000_000_000)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -137,19 +147,42 @@ def test_worker_counts_do_not_change_reports():
     assert blobs[0] == blobs[1] == blobs[2]
 
 
-def test_multichunk_spaces_merge_in_order():
-    # 6^4 = 1296 fits in one chunk; force several chunks via monkeypatching
+def test_multichunk_spaces_merge_in_order(monkeypatch):
+    # (4,2) has 4^3 = 64 representatives: one default chunk, or ten of at most 7
     import golaypairs.census as census
 
-    pairs_one = enumerate_all_gaps(6, 1)
-    old = census.CHUNK
-    try:
-        census.CHUNK = 7
-        pairs_many = enumerate_all_gaps(6, 1)
-        pairs_pool = enumerate_all_gaps(6, 1, workers=2)
-    finally:
-        census.CHUNK = old
+    pairs_one = enumerate_all_gaps(4, 2)
+    monkeypatch.setattr(census, "CHUNK", 7)
+    pairs_many = enumerate_all_gaps(4, 2)
+    pairs_pool = enumerate_all_gaps(4, 2, workers=2)
+    assert len(pairs_one) == 256
     assert pairs_one == pairs_many == pairs_pool
+
+
+def test_census_logs_counters_and_stage_timings(caplog):
+    import logging
+
+    with caplog.at_level(logging.DEBUG, logger="golaypairs"):
+        assert len(enumerate_all_gaps(4, 2)) == 256
+    (record,) = [r for r in caplog.records if r.name == "golaypairs"]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert "q=4 m=2: 64 representatives swept" in message
+    assert "256 pairs re-verified" in message
+    for stage in ("sweep", "join", "expansion"):
+        assert f"{stage} " in message
+
+
+def test_fingerprint_rows_are_narrow():
+    import numpy as np
+
+    from golaypairs.census import _row_layout
+
+    # phi(8) = 4 coordinates per half shift, each within +-2^3
+    assert _row_layout(8, 3) == (4 * 13, np.dtype(np.int8))
+    assert _row_layout(2, 5) == (121, np.dtype(np.int8))
+    # a dimension-0 row is padded to one column
+    assert _row_layout(5, 0) == (1, np.dtype(np.int8))
 
 
 def test_report_serialization():

@@ -1,6 +1,7 @@
 """Command-line interface: formats, verdicts, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -147,6 +148,16 @@ def test_census_budget_refusal_never_builds_the_space_size(capsys):
     assert main(["census", "2", "40"]) == 3
     err = capsys.readouterr().err
     assert "budget" in err
+    assert "Traceback" not in err
+
+
+def test_census_memory_refusal_exits_three_at_once(capsys):
+    # 2^32 arrays pass the array budget; the join's memory estimate does not
+    t0 = time.perf_counter()
+    assert main(["census", "2", "5", "--budget", "10000000000"]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "memory budget" in err
     assert "Traceback" not in err
 
 
