@@ -38,6 +38,17 @@ process pool and merged back in order, so reports are byte-for-byte
 identical for every worker count.  Each call logs one DEBUG record with its
 counters and stage timings on the ``golaypairs`` logger, which is silent by
 default.
+
+:func:`verify_theorem` then certifies every censused pair of an even-q
+space: it decomposes the pair and walks its certificate at
+``max_corr_dim = m``.  The walks gather each certificate's correlation rows
+(three per inner node, so at most 3m) instead of correlating them one by
+one, and a batch of ``CHUNK // (3 * m)`` pairs is correlated with one
+kernel call per dimension, so a call holds at most ``CHUNK`` rows.  A
+failing row is mapped back to its pair, which becomes a witness.  The
+batches run in census order, on a process pool like the sweep's when
+``workers > 1``, and their witnesses are merged into one sorted set, so
+reports are again identical for every worker count.
 """
 
 from __future__ import annotations
@@ -45,20 +56,29 @@ from __future__ import annotations
 import logging
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
 
-from .decompose import decompose, verify_certificate
+from .decompose import _certificate_rows, decompose
 from .errors import (
     BudgetExceededError,
     NotAGapError,
     OddModulusError,
     VerificationError,
 )
-from .qarray import QaryArray, _cube_plan, _histograms, _reduction, _trusted, is_gap
+from .qarray import (
+    QaryArray,
+    _cube_plan,
+    _gaps,
+    _histograms,
+    _reduction,
+    _trusted,
+    is_gap,
+)
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
@@ -120,14 +140,10 @@ def _sweep(
     starts = range(0, reps, CHUNK)
     tasks = [(q, m, a, min(a + CHUNK, reps), width, dtype) for a in starts]
     rows = np.empty((reps, width), dtype=dtype)
-    workers = _pool_size(workers, len(tasks))
-    if workers == 1:
-        for task in tasks:
-            rows[task[2] : task[3]] = _chunk_rows(*task)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for task, chunk in zip(tasks, pool.map(_chunk_rows, *zip(*tasks))):
-                rows[task[2] : task[3]] = chunk
+    chunks = _run(_chunk_rows, tasks, workers)
+    for task in tasks:
+        # unnamed, so each chunk is freed before the next one is built
+        rows[task[2] : task[3]] = next(chunks)
     return rows
 
 
@@ -191,6 +207,18 @@ def _space_size(q: int, m: int, budget: int) -> int | None:
 def _pool_size(workers: int, chunks: int) -> int:
     """Worker processes worth starting: at most one per chunk and per CPU."""
     return max(1, min(workers, chunks, os.cpu_count() or 1))
+
+
+def _run(fn, tasks: list[tuple], workers: int):
+    """``fn(*task)`` for every task, yielded in task order; on a process
+    pool of ``_pool_size(workers, len(tasks))`` processes when that is over
+    one."""
+    workers = _pool_size(workers, len(tasks))
+    if workers == 1:
+        yield from (fn(*task) for task in tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(fn, *zip(*tasks))
 
 
 def enumerate_all_gaps(
@@ -322,6 +350,44 @@ class CensusReport:
         return out
 
 
+def _certify(
+    q: int, m: int, pairs: list[tuple[QaryArray, QaryArray]]
+) -> tuple[list, dict[int, int], float, float]:
+    """Certify one batch of censused pairs.
+
+    Every pair is decomposed and its certificate walked at
+    ``max_corr_dim = m``; the correlation rows of the whole batch are then
+    checked with one ``_gaps`` call per dimension, and each failing row is
+    mapped back to its pair.  Rows wait for that call as one flat list of
+    entries per dimension, not as row tuples, which keeps the batch's
+    memory small.  Returns the entry tuples of the failing pairs, the rows
+    per dimension, and the seconds spent walking and correlating.
+    """
+    t0 = time.perf_counter()
+    failed: set[int] = set()
+    stacks: dict[int, tuple[list[int], list[int]]] = {}
+    for i, (f, g) in enumerate(pairs):
+        try:
+            rows = _certificate_rows(f, g, decompose(f, g)[1], max_corr_dim=m)
+        except (NotAGapError, VerificationError):
+            failed.add(i)
+            continue
+        for dim, dim_rows in rows.items():
+            owners, flat = stacks.setdefault(dim, ([], []))
+            owners += [i] * len(dim_rows)
+            for x, y in dim_rows:
+                flat += x
+                flat += y
+    t1 = time.perf_counter()
+    for dim, (owners, flat) in stacks.items():
+        stack = np.array(flat, dtype=np.int64).reshape(len(owners), 2, 1 << dim)
+        verdicts = _gaps(_cube_plan(dim), q, stack)
+        failed.update(owners[j] for j in np.flatnonzero(~verdicts))
+    counts = {dim: len(owners) for dim, (owners, _) in stacks.items()}
+    witnesses = [(pairs[i][0].entries, pairs[i][1].entries) for i in failed]
+    return witnesses, counts, t1 - t0, time.perf_counter() - t1
+
+
 def verify_theorem(
     q: int, m: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> CensusReport:
@@ -329,18 +395,29 @@ def verify_theorem(
 
     For even q the census set is compared against the standard sweep, and
     every censused pair is additionally decomposed and its certificate
-    re-verified with literal correlation checks at every node.  A standard
-    pair missing from the census would mean the sweep itself is broken and
+    re-verified with literal correlation checks at every node.  The pairs
+    are certified in batches of ``CHUNK // (3 * m)`` in census order, so
+    one kernel call holds at most ``CHUNK`` correlation rows (a certificate
+    has three per inner node); with ``workers > 1`` the batches run on a
+    process pool and their witnesses are merged.  A standard pair
+    missing from the census would mean the sweep itself is broken and
     raises :class:`VerificationError`.  For odd q the standard construction
     is empty in positive dimension, so every censused pair is a witness;
-    in dimension 0 all pairs are degenerate and counted as standard.
+    in dimension 0 all pairs are degenerate and counted as standard.  One
+    DEBUG record on the ``golaypairs`` logger gives the stage timings, the
+    correlation rows per dimension and the peak RSS.
     """
     t0 = time.perf_counter()
     gaps = enumerate_all_gaps(q, m, budget=budget, workers=workers)
     total = q ** (1 << m)
     gap_keys = {(f.entries, g.entries) for f, g in gaps}
+    std_s = walk_s = corr_s = 0.0
+    certified = 0
+    rows: Counter[int] = Counter()
     if q % 2 == 0:
+        t_std = time.perf_counter()
         std = enumerate_standard(q, m)
+        std_s = time.perf_counter() - t_std
         std_keys = {(f.entries, g.entries) for f, g in std}
         missing = std_keys - gap_keys
         if missing:
@@ -348,13 +425,15 @@ def verify_theorem(
                 f"{len(missing)} standard pairs missed by the census sweep"
             )  # pragma: no cover - internal guard
         witness_keys = gap_keys - std_keys
-        for f, g in gaps:
-            try:
-                _, cert = decompose(f, g)
-                verify_certificate(f, g, cert, max_corr_dim=m)
-            except (NotAGapError, VerificationError):
-                witness_keys.add((f.entries, g.entries))
+        size = CHUNK // max(3 * m, 1)
+        tasks = [(q, m, gaps[a : a + size]) for a in range(0, len(gaps), size)]
+        for failed, counts, walk, corr in _run(_certify, tasks, workers):
+            witness_keys.update(failed)
+            rows.update(counts)
+            walk_s += walk
+            corr_s += corr
         standard_count = len(std_keys)
+        certified = len(gaps)
     elif m == 0:
         witness_keys = set()
         standard_count = len(gap_keys)
@@ -362,6 +441,17 @@ def verify_theorem(
         witness_keys = set(gap_keys)
         standard_count = 0
     witnesses = tuple(sorted(witness_keys))
+    if _log.isEnabledFor(logging.DEBUG):
+        import resource  # POSIX only, so imported only for this record
+
+        _log.debug(
+            "verify_theorem q=%d m=%d: %d pairs certified, correlation rows"
+            " per dimension %s; standard sweep %.3f s, decomposition and"
+            " certificate walks %.3f s, batched correlation %.3f s (summed"
+            " over batches); peak RSS %.1f MB (this process, so far)",
+            q, m, certified, dict(sorted(rows.items())), std_s, walk_s, corr_s,
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        )
     return CensusReport(
         q=q,
         m=m,

@@ -245,7 +245,7 @@ class CycElement:
         if isinstance(other, CycElement):
             if other.ctx.q != self.ctx.q:
                 return False
-            return (self - other).is_zero()
+            return self.counts == other.counts or (self - other).is_zero()
         return NotImplemented
 
     def __hash__(self) -> int:

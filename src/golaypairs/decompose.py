@@ -32,7 +32,15 @@ from typing import Mapping
 from .boolfun import _components, _subset_transform, to_anf
 from .errors import NotAGapError, OddModulusError, VerificationError
 from .genfun import disjoint_product, embed, from_array, star
-from .qarray import QaryArray, _json_int, _spread_masks, _trusted, is_gap, restrict
+from .qarray import (
+    QaryArray,
+    _cube_plan,
+    _gaps,
+    _json_int,
+    _spread_masks,
+    _trusted,
+    restrict,
+)
 from .standard import StandardParams, construct_standard
 
 
@@ -359,26 +367,24 @@ def replay(cert: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
     return _rebuild(cert, *replay(cert.left), *replay(cert.right))
 
 
-def verify_certificate(
+def _certificate_rows(
     f: QaryArray,
     g: QaryArray,
     cert: DecompositionCertificate,
     max_corr_dim: int = 3,
-) -> None:
-    """Independently re-check a certificate against the pair it claims to prove.
+) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """Every check of :func:`verify_certificate` except the correlation sums.
 
-    Replays the tree bottom-up, confirms every stored intermediate array and
-    offset, re-derives each node's parameters from its children, and compares
-    the root against (f, g) and against the expansion of the root parameters.
-    On nodes of dimension at most ``max_corr_dim`` the complementarity of the
-    node pair and of both sub-pairs is additionally rechecked by literal
-    correlation sums, and the degree-reversal of the recovered factor product
-    is compared against the product of the reversed factors.  Raises
-    :class:`VerificationError` on any mismatch.
+    Returns the entry pairs whose complementarity is still to be checked,
+    keyed by dimension: for every node of dimension at most
+    ``max_corr_dim``, its pair and both sub-pairs: three rows per such
+    node.  Raises :class:`VerificationError` on any other mismatch.
     """
 
     def fail(msg: str) -> None:
         raise VerificationError(f"certificate verification failed: {msg}")
+
+    rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
 
     def walk(node: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
         q, m = node.q, node.m
@@ -411,10 +417,8 @@ def verify_certificate(
             fail("node parameters are not the recombination of the children")
         ff, gg = _rebuild(node, a, b, c, d)
         if m <= max_corr_dim:
-            if not is_gap(ff, gg):
-                fail(f"node pair is not complementary at dimension {m}")
-            if not is_gap(a, b) or not is_gap(c, d):
-                fail(f"sub-pairs are not complementary at dimension {m}")
+            for x, y in ((ff, gg), (a, b), (c, d)):
+                rows.setdefault(x.m, []).append((x.entries, y.entries))
             fa = embed(from_array(a), split.z1_vars, m - 1)
             fc = embed(from_array(c), split.z2_vars, m - 1)
             prod = disjoint_product(fa, fc)
@@ -430,6 +434,33 @@ def verify_certificate(
     ff, gg = construct_standard(cert.params)
     if (ff, gg) != (f, g):
         fail("root parameters do not regenerate the claimed pair")
+    return rows
+
+
+def verify_certificate(
+    f: QaryArray,
+    g: QaryArray,
+    cert: DecompositionCertificate,
+    max_corr_dim: int = 3,
+) -> None:
+    """Independently re-check a certificate against the pair it claims to prove.
+
+    Replays the tree bottom-up, confirms every stored intermediate array and
+    offset, re-derives each node's parameters from its children, and compares
+    the root against (f, g) and against the expansion of the root parameters.
+    On nodes of dimension at most ``max_corr_dim`` the degree-reversal of the
+    recovered factor product is compared against the product of the
+    reversed factors, and the complementarity of the node pair and of both
+    sub-pairs is rechecked by literal correlation sums.  Those pairs are
+    gathered from the whole tree first and correlated in one stack per
+    dimension.  Raises :class:`VerificationError` on any mismatch.
+    """
+    for dim, pairs in _certificate_rows(f, g, cert, max_corr_dim).items():
+        if not _gaps(_cube_plan(dim), f.q, pairs).all():
+            raise VerificationError(
+                f"certificate verification failed: a node pair or sub-pair of"
+                f" dimension {dim} is not complementary"
+            )
 
 
 def recognize_standard(f: QaryArray, g: QaryArray) -> StandardParams | None:

@@ -11,6 +11,10 @@ variable space, and products of factors with disjoint supports are the only
 polynomial products this module provides.  There is deliberately no general
 multivariate multiplication or gcd here; structural factor recovery is done
 combinatorially in :mod:`golaypairs.decompose`.
+
+The public ``GenFun(...)`` constructor validates its fields.  The functions
+below derive their results from validated values and build them unchecked,
+under the rule stated in :mod:`golaypairs.qarray`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cyclotomic import CycElement, get_context
-from .qarray import QaryArray, all_shifts
+from .qarray import QaryArray, _trusted, all_shifts
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,8 @@ class GenFun:
 def from_array(f: QaryArray) -> GenFun:
     """Generating function of an array; every coefficient is a root of unity."""
     ctx = get_context(f.q)
-    return GenFun(
+    return _trusted(
+        GenFun,
         f.q,
         f.m,
         frozenset(range(1, f.m + 1)),
@@ -88,7 +93,8 @@ def embed(fun: GenFun, vars_: Sequence[int], m: int) -> GenFun:
             if t >> j & 1:
                 gmask |= 1 << (vt[j] - 1)
         out[gmask] = c
-    return GenFun(fun.q, m, frozenset(vt[v - 1] for v in fun.support), tuple(out))
+    support = frozenset(vt[v - 1] for v in fun.support)
+    return _trusted(GenFun, fun.q, m, support, tuple(out))
 
 
 def star(fun: GenFun, vars_: Sequence[int] | None = None) -> GenFun:
@@ -113,7 +119,7 @@ def star(fun: GenFun, vars_: Sequence[int] | None = None) -> GenFun:
     out = [zero] * (1 << fun.m)
     for t, c in enumerate(fun.coeffs):
         out[mask ^ t] = c
-    return GenFun(fun.q, fun.m, frozenset(vt), tuple(out))
+    return _trusted(GenFun, fun.q, fun.m, frozenset(vt), tuple(out))
 
 
 def disjoint_product(a: GenFun, b: GenFun) -> GenFun:
@@ -134,12 +140,10 @@ def disjoint_product(a: GenFun, b: GenFun) -> GenFun:
     for s in sa:
         ca = a.coeffs[s]
         if ca.is_zero():
-            continue
+            continue  # one check saves a row of products
         for t in sb:
-            cb = b.coeffs[t]
-            if not cb.is_zero():
-                out[s | t] = ca * cb
-    return GenFun(a.q, a.m, a.support | b.support, tuple(out))
+            out[s | t] = ca * b.coeffs[t]
+    return _trusted(GenFun, a.q, a.m, a.support | b.support, tuple(out))
 
 
 def _submasks(mask: int) -> list[int]:

@@ -24,16 +24,25 @@ passes one group per array.  Multiplying the histograms by the cyclotomic
 reduction matrix gives canonical coordinates.  That product is exact in
 int64 because 2**m times the largest reduction entry must stay below 2**62,
 which holds for every practical q; larger moduli are refused with
-``ValueError``.  :func:`is_gap` checks the plan in
-two batches: first the 2**(m-1) full-support shifts, each of which overlaps
-in one antipodal pair of cells, then the rest.  A pair with one cell
-changed therefore fails after 2**(m-1) pair lookups, while a true pair
-pays for all (4**m - 2**m) / 2 of them.
+``ValueError``.
+
+Complementarity verdicts come from one kernel, :func:`_gaps`, which takes
+a stack of pairs and returns one verdict per pair; :func:`is_gap` and
+:func:`is_gcp` pass a stack of one, and the census and certificate checks
+pass one stack per dimension.  The cube plan has two batches: first the
+2**(m-1) full-support shifts, each of which overlaps in one antipodal pair
+of cells, then the rest.  Only the pairs that cancel on the first batch are
+correlated on the second, so a pair with one cell changed fails after
+2**(m-1) pair lookups, while a true pair pays for all (4**m - 2**m) / 2 of
+them.
 
 Validation happens at the boundary: public constructors and every
 ``from_json_dict`` check their input.  Internal code builds a value
 unchecked through :func:`_trusted` only when its q and m come from validated
-objects and every entry is copied from one or reduced mod that q.
+objects and every entry is copied from one or reduced mod that q.  For a
+:class:`~golaypairs.genfun.GenFun` the entries are its coefficients, which
+must be built in the context of that q and vanish outside its support,
+itself a frozenset of ints.
 """
 
 from __future__ import annotations
@@ -336,18 +345,28 @@ def _histograms(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) ->
     return hist.reshape(groups, q, n)
 
 
-def _cancels(plan: _ShiftPlan, rows: np.ndarray, q: int) -> bool:
-    """Whether the autocorrelations of one row group, shape (1, rows, cells),
-    sum to zero at every plan shift.
+def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:
+    """Whether the autocorrelations of each row group sum to zero at every
+    plan shift, as one bool per group.
 
-    Batches run in plan order and the first one with a nonzero canonical
-    coordinate decides.
+    ``rows`` is array-like of shape (groups, rows per group, cells), entries
+    in 0..q-1.  Batches run in plan order, and only the groups that cancel
+    on one batch are passed into the next.  A batch on which every group
+    cancels, the common case in a census, costs one count of its
+    coordinates and no indexing.
     """
-    red_t = _reduction(q, rows.shape[2]).T
-    return not any(
-        np.count_nonzero(red_t @ _histograms(plan, rows, q, lo, hi))
-        for lo, hi in plan.batches
-    )
+    rows = np.asarray(rows, dtype=np.int64)
+    verdicts = np.zeros(len(rows), dtype=bool)
+    alive = np.arange(len(rows))
+    for lo, hi in plan.batches:
+        if not len(alive):
+            break
+        coords = _reduction(q, rows.shape[2]).T @ _histograms(plan, rows, q, lo, hi)
+        if np.count_nonzero(coords):
+            cancel = ~coords.any(axis=(1, 2))
+            alive, rows = alive[cancel], rows[cancel]
+    verdicts[alive] = True
+    return verdicts
 
 
 def _element(ctx, hist: np.ndarray, conjugate: bool) -> CycElement:
@@ -415,10 +434,7 @@ def is_gap(f: QaryArray, g: QaryArray) -> bool:
     """
     if f.q != g.q or f.m != g.m:
         raise ValueError("shape or modulus mismatch")
-    if f.m == 0:
-        return True
-    rows = np.array(((f.entries, g.entries),), dtype=np.int64)
-    return _cancels(_cube_plan(f.m), rows, f.q)
+    return bool(_gaps(_cube_plan(f.m), f.q, ((f.entries, g.entries),))[0])
 
 
 def sequence_autocorrelation(q: int, s: Sequence[int], tau: int) -> CycElement:
@@ -442,7 +458,7 @@ def is_gcp(q: int, s1: Sequence[int], s2: Sequence[int]) -> bool:
     if len(s1) != len(s2):
         raise ValueError("sequences must have equal length")
     get_context(q)  # rejects q < 1 before residues mod q are taken
-    return _cancels(_sequence_plan(len(s1)), _rows(q, s1, s2), q)
+    return bool(_gaps(_sequence_plan(len(s1)), q, _rows(q, s1, s2))[0])
 
 
 def _spread_masks(vars_: tuple[int, ...]) -> list[int]:

@@ -1,6 +1,8 @@
 """Exhaustive sweeps: signature matching against the quadratic oracle."""
 
+import dataclasses
 import json
+import logging
 
 import pytest
 
@@ -160,8 +162,6 @@ def test_multichunk_spaces_merge_in_order(monkeypatch):
 
 
 def test_census_logs_counters_and_stage_timings(caplog):
-    import logging
-
     with caplog.at_level(logging.DEBUG, logger="golaypairs"):
         assert len(enumerate_all_gaps(4, 2)) == 256
     (record,) = [r for r in caplog.records if r.name == "golaypairs"]
@@ -171,6 +171,58 @@ def test_census_logs_counters_and_stage_timings(caplog):
     assert "256 pairs re-verified" in message
     for stage in ("sweep", "join", "expansion"):
         assert f"{stage} " in message
+
+
+def test_verify_theorem_logs_certification_statistics(caplog):
+    with caplog.at_level(logging.DEBUG, logger="golaypairs"):
+        assert verify_theorem(4, 2).all_standard
+    _, theorem = [r for r in caplog.records if r.name == "golaypairs"]
+    assert theorem.levelno == logging.DEBUG
+    message = theorem.getMessage()
+    # per pair: the root pair, one sub-pair of dimension 1 and one of 0, then
+    # the dimension-1 node's pair and its two dimension-0 sub-pairs
+    assert "q=4 m=2: 256 pairs certified" in message
+    assert "rows per dimension {0: 768, 1: 512, 2: 256}" in message
+    for stage in ("standard sweep", "certificate walks", "batched correlation", "peak RSS"):
+        assert f"{stage} " in message
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("broken", ("certificate", "correlation row"))
+def test_witness_is_the_one_pair_whose_certification_fails(monkeypatch, workers, broken):
+    # CHUNK = 24 certifies (4,2) in 64 batches of 24 // (3 * 2) = 4 pairs
+    import golaypairs.census as census
+
+    monkeypatch.setattr(census, "CHUNK", 24)
+    f, g = enumerate_all_gaps(4, 2)[129]
+    target = (f.entries, g.entries)
+    if broken == "certificate":
+        decompose = census.decompose
+
+        def tampered(ff, gg):
+            params, cert = decompose(ff, gg)
+            if (ff.entries, gg.entries) == target:
+                cert = dataclasses.replace(cert, e=(cert.e + 1) % 4)
+            return params, cert
+
+        monkeypatch.setattr(census, "decompose", tampered)
+    else:
+        certificate_rows = census._certificate_rows
+
+        def tampered(ff, gg, cert, max_corr_dim):
+            rows = certificate_rows(ff, gg, cert, max_corr_dim=max_corr_dim)
+            if (ff.entries, gg.entries) == target:
+                # two rows per pair at dimension 1, so row and pair numbers
+                # differ; (e, e) is never a pair in positive dimension
+                e = rows[1][-1][0]
+                rows[1][-1] = (e, e)
+            return rows
+
+        monkeypatch.setattr(census, "_certificate_rows", tampered)
+    report = verify_theorem(4, 2, workers=workers)
+    assert report.nonstandard_witnesses == (target,)
+    assert not report.all_standard
+    assert report.gap_pair_count == report.standard_pair_count == 256
 
 
 def test_fingerprint_rows_are_narrow():

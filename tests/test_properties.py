@@ -1,8 +1,10 @@
 """Property tests of the package against independent oracles.
 
-``is_gap`` and ``correlation_spectrum`` run on a cached numpy plan; these
-properties compare them with the complex-float oracles of ``helpers`` and
-with the coefficient-space route of ``genfun``, on arrays Hypothesis draws.
+``is_gap``, the batched verdict kernel ``_gaps`` and
+``correlation_spectrum`` run on a cached numpy plan; these properties
+compare them with the complex-float oracles of ``helpers`` and with the
+coefficient-space route of ``genfun``, on arrays Hypothesis draws.
+Cyclotomic equality is compared with the complex value of each side.
 Interaction components, the common part of a restriction pair and the
 decomposition are checked against the brute-force partitions of ``helpers``
 and against the float complementarity test.  Values that internal code
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golaypairs import (
+    GenFun,
     NotAGapError,
     QaryArray,
     StandardParams,
@@ -23,10 +26,13 @@ from golaypairs import (
     correlation_spectrum,
     correlation_via_coefficients,
     decompose,
+    disjoint_product,
+    embed,
     enumerate_all_gaps,
     enumerate_standard,
     from_array,
     gcd_normalized,
+    get_context,
     interaction_components,
     is_gap,
     join_last,
@@ -34,8 +40,10 @@ from golaypairs import (
     replay,
     restrict,
     split_last,
+    star,
     verify_certificate,
 )
+from golaypairs.qarray import _cube_plan, _gaps
 
 from helpers import (
     block_sum,
@@ -44,6 +52,8 @@ from helpers import (
     float_autocorrelation,
     float_is_gap,
     join_partitions,
+    random_entries,
+    random_params_tuple,
 )
 
 EVEN = st.sampled_from((2, 4, 6, 8, 10, 12))
@@ -60,10 +70,17 @@ def array_pairs(draw, qs=st.integers(1, 12), max_m=5):
     f = draw(cells)
     g = draw(cells)
     if q % 2 == 0 and draw(st.booleans()):
-        top = (1 << m) - 1
-        for x in range(1 << (m - 1) if m else 0):
-            g[top - x] = (g[x] + f[top - x] - f[x] + q // 2) % q
+        g = cancel_shell(q, m, f, g)
     return q, m, tuple(f), tuple(g)
+
+
+def cancel_shell(q, m, f, g):
+    """g changed so that (f, g) cancels on every antipodal pair of cells."""
+    g = list(g)
+    top = (1 << m) - 1
+    for x in range(1 << (m - 1) if m else 0):
+        g[top - x] = (g[x] + f[top - x] - f[x] + q // 2) % q
+    return tuple(g)
 
 
 @st.composite
@@ -118,6 +135,76 @@ def test_spectrum_agrees_with_float_and_coefficient_routes(q, m, data):
         assert value == coefficient[tau]
         approx = float_autocorrelation(q, m, f.entries, tau)
         assert abs(cyc_to_complex(value) - approx) < 1e-9
+
+
+def standard_row(rng, q, m):
+    f, g = construct_standard(StandardParams(*random_params_tuple(rng, q, m)))
+    return f.entries, g.entries
+
+
+def moved_row(rng, q, m, row):
+    """``row`` with one cell of one side moved by 1: never a pair for m >= 1."""
+    side, cell = rng.randrange(2), rng.randrange(1 << m)
+    moved = list(row[side])
+    moved[cell] = (moved[cell] + 1) % q
+    return (tuple(moved), row[1]) if side == 0 else (row[0], tuple(moved))
+
+
+@st.composite
+def pair_stacks(draw):
+    """(q, m, rows): standard pairs, one-cell-moved non-pairs and random pairs
+    of one space, the random ones half the time cancelling on the shell.
+    For even q, half the stacks are standard pairs with exactly one moved
+    pair at a drawn position.  Odd q has no standard pairs, so its stacks
+    are random pairs only."""
+    q = draw(st.integers(2, 12))
+    m = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if q % 2 == 0 and draw(st.booleans()):
+        kinds = ["standard"] * draw(st.integers(1, 8))
+        kinds[draw(st.integers(0, len(kinds) - 1))] = "moved"
+    else:
+        choices = ("standard", "moved", "random") if q % 2 == 0 else ("random",)
+        kinds = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=8))
+    rows = []
+    for kind in kinds:
+        if kind == "random":
+            f, g = random_entries(rng, q, m), random_entries(rng, q, m)
+            if q % 2 == 0 and rng.randrange(2):
+                g = cancel_shell(q, m, f, g)
+            rows.append((f, g))
+        elif kind == "standard":
+            rows.append(standard_row(rng, q, m))
+        else:
+            rows.append(moved_row(rng, q, m, standard_row(rng, q, m)))
+    return q, m, rows
+
+
+@settings(max_examples=200)
+@given(pair_stacks())
+def test_batched_verdicts_agree_with_float_oracle_row_by_row(case):
+    q, m, rows = case
+    expected = [float_is_gap(q, m, f, g) for f, g in rows]
+    assert _gaps(_cube_plan(m), q, rows).tolist() == expected
+
+
+@settings(max_examples=300)
+@given(st.integers(2, 12), st.data())
+def test_cyclotomic_equality_agrees_with_complex_values(q, data):
+    # half the draws add a vanishing sum of roots, such as 1 + zeta**2 at
+    # q = 4: an equal value with other counts
+    ctx = get_context(q)
+    a = ctx.element(data.draw(st.lists(st.integers(-3, 3), min_size=q, max_size=q)))
+    if data.draw(st.booleans()):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        j = data.draw(st.integers(0, q // p - 1))
+        r = data.draw(st.integers(-2, 2).filter(bool))
+        b = a + ctx.element(r if d % (q // p) == j else 0 for d in range(q))
+        assert b.counts != a.counts
+    else:
+        b = ctx.element(data.draw(st.lists(st.integers(-3, 3), min_size=q, max_size=q)))
+    close = abs(cyc_to_complex(a) - cyc_to_complex(b)) < 1e-9
+    assert (a == b) == (b == a) == close
 
 
 @st.composite
@@ -242,6 +329,25 @@ def test_unvalidated_standard_results_are_valid(params):
             nodes += [node.left, node.right]
     for value in values:
         assert_valid(value)
+
+
+@settings(max_examples=100)
+@given(array_pairs(max_m=4), st.integers(0, 2), st.data())
+def test_derived_generating_functions_are_valid(case, extra, data):
+    # each equals its rebuild through the validating constructor
+    q, m, fe, ge = case
+    big = m + extra
+    slots = data.draw(st.permutations(range(1, big + 1)))
+    fun = from_array(QaryArray(q, m, fe))
+    placed = embed(fun, slots[:m], big)
+    k = data.draw(st.integers(0, min(m, extra)))
+    other = embed(from_array(QaryArray(q, k, ge[: 1 << k])), slots[m : m + k], big)
+    product = disjoint_product(placed, other)
+    results = [fun, placed, other, product, star(fun), star(product)]
+    results.append(star(placed, range(1, big + 1)))
+    for value in results:
+        assert GenFun(value.q, value.m, value.support, value.coeffs) == value
+        assert all(type(v) is int for v in value.support), value.support
 
 
 def test_census_arrays_are_valid_arrays():
