@@ -280,6 +280,25 @@ def _recombine(
     )
 
 
+def _forced_form_break(
+    f1: QaryArray, g1: QaryArray, split: GcdSplit, d: QaryArray
+) -> str:
+    """The first cell of f1 or g1 that breaks its forced form, f1 first.
+
+    Only called once :func:`extract_d` has reported a break.
+    """
+    z1, z2 = split.z1_vars, split.z2_vars
+    forced = _forced_halves(f1.q, f1.m, z1, z2, split.a, split.b, d)
+    for cell, (want_f1, want_g1) in enumerate(zip(*forced)):
+        if f1.entries[cell] != want_f1:
+            return f"f1 differs from -b* + d at cell {cell}"
+        if g1.entries[cell] != want_g1:
+            return f"g1 differs from -a* + q/2 + d at cell {cell}"
+    raise VerificationError(
+        "no cell breaks the forced form"
+    )  # pragma: no cover - internal guard
+
+
 def _decompose_rec(
     f: QaryArray, g: QaryArray
 ) -> tuple[StandardParams, DecompositionCertificate]:
@@ -295,7 +314,7 @@ def _decompose_rec(
     if not ok:
         raise NotAGapError(
             f"not a complementary pair: residual halves violate the forced form "
-            f"at dimension {m}"
+            f"at dimension {m}: {_forced_form_break(f1, g1, split, d)}"
         )
     left_params, left_cert = _decompose_rec(split.a, split.b)
     right_params, right_cert = _decompose_rec(split.c, d)

@@ -16,25 +16,32 @@ driven by a shift plan that is cached per dimension (per length for
 sequences).  The plan lists the overlapping cell pairs of every kept half
 shift, grouped by shift, in the smallest unsigned dtypes; plans over
 ``_MAX_PLAN_BYTES`` are refused with ``BudgetExceededError``.  The kernel
-takes rows grouped as (groups, rows per group, cells), gathers the entry
-differences mod q for a range of plan shifts, and counts them with one
-bincount into one histogram of root-of-unity multiplicities per group and
-shift.  A correlation is one group of one or two rows; the census
-passes one group per array.  Multiplying the histograms by the cyclotomic
-reduction matrix gives canonical coordinates.  That product is exact in
-int64 because 2**m times the largest reduction entry must stay below 2**62,
-which holds for every practical q; larger moduli are refused with
-``ValueError``.
+takes rows grouped as (groups, rows per group, cells) and, for a range of
+plan shifts, gathers the entry differences with the later cell offset by
+q, so every difference lies in 1 .. 2q-1.  One gather through a cached
+2q-entry table turns a difference into its residue times the number of
+shifts, so no key is ever reduced mod q, and one bincount counts the keys
+into one histogram of root-of-unity multiplicities per group and shift.  A
+correlation is one group of one or two rows; the census passes one group
+per array.  The plan cuts its batches into runs of whole shifts of at most
+``_SLICE`` (shift, cell) combinations, and the correlations pass one batch
+per kernel call, so a call's temporaries hold at most
+groups * rows * ``_SLICE`` keys (more only for a single longer shift): for
+a pair, about 1 MiB each, which stays in cache.  Multiplying the
+histograms by the cyclotomic reduction matrix gives canonical coordinates.
+That product is exact in int64 because 2**m times the largest reduction
+entry must stay below 2**62, which holds for every practical q; larger
+moduli are refused with ``ValueError``.
 
 Complementarity verdicts come from one kernel, :func:`_gaps`, which takes
 a stack of pairs and returns one verdict per pair; :func:`is_gap` and
 :func:`is_gcp` pass a stack of one, and the census and certificate checks
-pass one stack per dimension.  The cube plan has two batches: first the
+pass one stack per dimension.  The cube plan's first batch holds the
 2**(m-1) full-support shifts, each of which overlaps in one antipodal pair
-of cells, then the rest.  Only the pairs that cancel on the first batch are
-correlated on the second, so a pair with one cell changed fails after
-2**(m-1) pair lookups, while a true pair pays for all (4**m - 2**m) / 2 of
-them.
+of cells, and the batches after it hold the rest.  Only the pairs that
+cancel on one batch are correlated on the next, so a pair with one cell
+changed fails after 2**(m-1) pair lookups, while a true pair pays for all
+(4**m - 2**m) / 2 of them.
 
 Validation happens at the boundary: public constructors and every
 ``from_json_dict`` check their input.  Internal code builds a value
@@ -48,6 +55,7 @@ itself a frozenset of ints.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -61,6 +69,13 @@ from .errors import BudgetExceededError
 # A cube plan build peaks at about 26 bytes per (shift, overlap cell)
 # combination at m = 11; 32 bytes each bounds it, so m <= 11 is admitted.
 _MAX_PLAN_BYTES = 1 << 28
+
+# Most (shift, overlap cell) combinations in one plan batch unless the batch
+# is a single shift.  Timed on one true pair at m = 8, 9, 10 and q = 2, 10
+# (2-core Xeon, 2 MiB L2 per core): 2**14 to 2**16 ran within 3% of each
+# other and 2**17, 2**18 up to 9% slower.  2**16 makes the fewest kernel
+# calls of the fast sizes: nine batches at m = 10, none cut up to m = 8.
+_SLICE = 1 << 16
 
 
 def _json_int(value) -> int:
@@ -79,9 +94,13 @@ def _integers(*values) -> tuple[int, ...]:
 
 
 def _trusted(cls, *values):
-    """``cls(*values)`` without ``__post_init__``; the module docstring says when."""
+    """``cls(*values)`` without ``__post_init__``; the module docstring says when.
+
+    The values fill ``cls.__match_args__``, the positional field names that
+    the dataclass decorator fixes once per class.
+    """
     obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, values))
+    obj.__dict__.update(zip(cls.__match_args__, values))
     return obj
 
 
@@ -219,7 +238,9 @@ class _ShiftPlan(NamedTuple):
     ``shift[p]``.  Plan shift s owns pairs ``starts[s]`` to
     ``starts[s + 1] - 1`` and is entry ``order[s]`` of the caller's shift
     list.  ``batches`` are the ranges of plan shifts that a complementarity
-    test checks one after another.  All arrays are read-only.
+    test checks one after another; they are contiguous, cover every plan
+    shift, and each holds at most ``_SLICE`` pairs unless it is one shift.
+    All arrays are read-only.
     """
 
     later: np.ndarray
@@ -231,18 +252,29 @@ class _ShiftPlan(NamedTuple):
 
 
 def _make_plan(later, earlier, shift, counts, order, batches, cells) -> _ShiftPlan:
-    """Freeze a plan, storing indices in the smallest unsigned dtypes."""
+    """Freeze a plan, storing indices in the smallest unsigned dtypes.
+
+    Each of ``batches`` is cut, in order, into runs of whole shifts of at
+    most ``_SLICE`` pairs; a shift with more pairs is a run of its own.
+    """
     cell_dtype = np.min_scalar_type(max(cells - 1, 0))
+    starts = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
     arrays = (
         later.astype(cell_dtype),
         earlier.astype(cell_dtype),
         shift.astype(np.min_scalar_type(max(len(counts) - 1, 0))),
-        np.concatenate(([0], np.cumsum(counts))).astype(np.intp),
+        starts,
         order.astype(np.intp),
     )
     for arr in arrays:
         arr.flags.writeable = False
-    return _ShiftPlan(*arrays, tuple((lo, hi) for lo, hi in batches if hi > lo))
+    runs = []
+    for lo, hi in batches:
+        while lo < hi:
+            end = min(max(bisect_right(starts, starts[lo] + _SLICE) - 1, lo + 1), hi)
+            runs.append((lo, end))
+            lo = end
+    return _ShiftPlan(*arrays, tuple(runs))
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +287,8 @@ def _cube_plan(m: int) -> _ShiftPlan:
     :func:`all_shifts` follows from the digits.  A stable sort groups the
     combinations by plan shift.  A shift in {-1, 1}**m overlaps in one
     antipodal pair; those 2**(m-1) shifts form the first batch, so a broken
-    antipodal pair is found almost for free.
+    antipodal pair is found almost for free.  The rest follow in slices of
+    at most ``_SLICE`` combinations: one slice up to m = 8, eight at m = 10.
     """
     if 32 * 4**m > _MAX_PLAN_BYTES:
         raise BudgetExceededError(
@@ -323,26 +356,39 @@ def _reduction(q: int, cells: int) -> np.ndarray:
     return red
 
 
+@lru_cache(maxsize=256)
+def _residues(q: int, n: int) -> np.ndarray:
+    """Read-only int64 table of length 2q whose entry v is (v mod q) * n."""
+    table = np.tile(np.arange(q, dtype=np.int64) * n, 2)
+    table.flags.writeable = False
+    return table
+
+
 def _histograms(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
     """Exponent histograms of plan shifts lo .. hi-1, one per row group.
 
-    ``rows`` has shape (groups, rows per group, cells).  Entry (k, d, s - lo)
-    counts the pairs (i, j) of plan shift s and the rows r of group k with
-    r[i] - r[j] = d mod q: the multiplicity of zeta**d in the group's summed
-    autocorrelations.  One bincount over (k * q + d) * (hi - lo) + s covers
-    every group and shift; its first lo bins are empty and dropped.
+    ``rows`` is an int64 array of shape (groups, rows per group, cells),
+    entries in 0..q-1.  Entry (k, d, s - lo) counts the pairs (i, j) of plan
+    shift s and the rows r of group k with r[i] - r[j] = d mod q: the
+    multiplicity of zeta**d in the group's summed autocorrelations.  One
+    bincount over (k * q + d) * (hi - lo) + s - lo covers every group and
+    shift.  The differences q + r[i] - r[j] lie in 1 .. 2q-1, so one gather
+    through :func:`_residues` gives d * (hi - lo) without a remainder.  The
+    gather writes over the keys; clip mode, which never clips a key in
+    range, is what lets numpy do that without a buffer.  Besides the result,
+    the call allocates rows + q and two arrays of one key per row and pair.
     """
-    a, b = plan.starts[lo], plan.starts[hi]
     n = hi - lo
     groups = len(rows)
-    keys = rows.take(plan.later[a:b], axis=2)
+    if not n:
+        return np.zeros((groups, q, 0), dtype=np.int64)
+    a, b = plan.starts[lo], plan.starts[hi]
+    keys = (rows + q).take(plan.later[a:b], axis=2)
     keys -= rows.take(plan.earlier[a:b], axis=2)
-    keys %= q
-    keys += np.arange(0, groups * q, q).reshape(groups, 1, 1)
-    keys *= n
+    _residues(q, n).take(keys, out=keys, mode="clip")
+    keys += np.arange(-lo, groups * q * n - lo, q * n).reshape(groups, 1, 1)
     keys += plan.shift[a:b]
-    hist = np.bincount(keys.ravel(), minlength=groups * q * n + lo)[lo:]
-    return hist.reshape(groups, q, n)
+    return np.bincount(keys.ravel(), minlength=groups * q * n).reshape(groups, q, n)
 
 
 def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:
@@ -404,17 +450,16 @@ def autocorrelation(f: QaryArray, tau: Sequence[int]) -> CycElement:
 def correlation_spectrum(f: QaryArray) -> dict[tuple[int, ...], CycElement]:
     """Autocorrelation at every shift in {-1,0,1}**m, keyed by shift vector.
 
-    One kernel pass computes the half shifts; the negative half is their
-    conjugates in reverse order and the zero shift is 2**m.
+    One kernel call per plan batch computes the half shifts; the negative
+    half is their conjugates in reverse order and the zero shift is 2**m.
     """
     q = f.q
     ctx = get_context(q)
     plan = _cube_plan(f.m)
-    n = len(plan.order)
-    hist = np.empty((q, n), dtype=np.int64)
-    hist[:, plan.order] = _histograms(
-        plan, np.array(((f.entries,),), dtype=np.int64), q, 0, n
-    )[0]
+    rows = np.array(((f.entries,),), dtype=np.int64)
+    hist = np.empty((q, len(plan.order)), dtype=np.int64)
+    for lo, hi in plan.batches:
+        hist[:, plan.order[lo:hi]] = _histograms(plan, rows, q, lo, hi)[0]
     half = [CycElement(ctx, tuple(c)) for c in hist.T.tolist()]
     mirror = hist[(-np.arange(q)) % q, ::-1]
     values = [CycElement(ctx, tuple(c)) for c in mirror.T.tolist()]

@@ -44,6 +44,37 @@ def float_autocorrelation(q: int, m: int, entries, tau) -> complex:
     return acc
 
 
+def brute_histograms(q: int, rows, shifts) -> list[list[list[int]]]:
+    """Exponent counts by direct loops over cells, as [group][d][shift].
+
+    ``rows`` holds groups of equally long entry rows.  A shift is a tuple
+    in {-1, 0, 1}**m over an array of 2**m cells, or a positive int over a
+    sequence.  Entry [k][d][j] counts the cells x of every row r of group k
+    whose shift by ``shifts[j]`` stays inside, with r[x + tau] - r[x] = d
+    mod q.
+    """
+    out = []
+    for group in rows:
+        hist = [[0] * len(shifts) for _ in range(q)]
+        for j, tau in enumerate(shifts):
+            for row in group:
+                for x in range(len(row)):
+                    if isinstance(tau, int):
+                        y = x + tau if x + tau < len(row) else None
+                    else:
+                        y = 0
+                        for k, t in enumerate(tau):
+                            yk = (x >> k & 1) + t
+                            if yk not in (0, 1):
+                                y = None
+                                break
+                            y |= yk << k
+                    if y is not None:
+                        hist[(row[y] - row[x]) % q][j] += 1
+        out.append(hist)
+    return out
+
+
 def float_is_gap(q: int, m: int, e1, e2, tol: float = 1e-9) -> bool:
     for tau in product((-1, 0, 1), repeat=m):
         if not any(tau):

@@ -222,6 +222,24 @@ def test_decompose_rejects_non_pairs():
     assert rejected == 30
 
 
+def test_not_a_gap_error_names_the_half_and_the_cell():
+    # moving one cell of g's x_m = 1 half leaves f0, g0 and d alone, so only
+    # g1 breaks its forced form, at the moved cell, at the top node
+    rng = random.Random(163)
+    for _ in range(20):
+        q = rng.choice((2, 4, 6))
+        m = rng.randrange(1, 6)
+        f, g = construct_standard(rand_params(rng, q, m))
+        cell = rng.randrange(1 << (m - 1))
+        moved = list(g.entries)
+        moved[(1 << (m - 1)) + cell] = (moved[(1 << (m - 1)) + cell] + 1) % q
+        with pytest.raises(NotAGapError) as exc:
+            decompose(f, QaryArray(q, m, tuple(moved)))
+        assert str(exc.value).endswith(
+            f"at dimension {m}: g1 differs from -a* + q/2 + d at cell {cell}"
+        )
+
+
 def test_decompose_rejection_matches_direct_check():
     # on a dense random sample, decompose succeeds exactly when is_gap holds
     rng = random.Random(157)

@@ -3,7 +3,9 @@
 ``is_gap``, the batched verdict kernel ``_gaps`` and
 ``correlation_spectrum`` run on a cached numpy plan; these properties
 compare them with the complex-float oracles of ``helpers`` and with the
-coefficient-space route of ``genfun``, on arrays Hypothesis draws.
+coefficient-space route of ``genfun``, on arrays Hypothesis draws.  The
+kernel's histograms are compared count for count with the cell loops of
+``helpers``, and the verdicts again with plans cut into tiny slices.
 Cyclotomic equality is compared with the complex value of each side.
 Interaction components, the common part of a restriction pair and the
 decomposition are checked against the brute-force partitions of ``helpers``
@@ -13,7 +15,10 @@ builds without validation are checked to be valid values.
 
 import dataclasses
 import random
+from contextlib import contextmanager
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +38,7 @@ from golaypairs import (
     from_array,
     gcd_normalized,
     get_context,
+    half_shifts,
     interaction_components,
     is_gap,
     join_last,
@@ -43,11 +49,13 @@ from golaypairs import (
     star,
     verify_certificate,
 )
-from golaypairs.qarray import _cube_plan, _gaps
+from golaypairs import qarray
+from golaypairs.qarray import _cube_plan, _gaps, _histograms, _sequence_plan
 
 from helpers import (
     block_sum,
     brute_finest_partition,
+    brute_histograms,
     cyc_to_complex,
     float_autocorrelation,
     float_is_gap,
@@ -186,6 +194,99 @@ def test_batched_verdicts_agree_with_float_oracle_row_by_row(case):
     q, m, rows = case
     expected = [float_is_gap(q, m, f, g) for f, g in rows]
     assert _gaps(_cube_plan(m), q, rows).tolist() == expected
+
+
+@st.composite
+def kernel_cases(draw):
+    """(q, plan, shifts, rows): a cube plan with m <= 6 or a sequence plan of
+    length 1 to 20, its shifts in plan order, and 1 to 5 groups of 1 or 2
+    rows.  Entries lean on 0 and q - 1, and the first and last rows are
+    pinned to them at both ends, so differences of +-(q - 1) occur."""
+    q = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        m = draw(st.sampled_from(range(7)))
+        plan, cells = _cube_plan(m), 1 << m
+        shifts = [half_shifts(m)[h] for h in plan.order]
+    else:
+        cells = draw(st.integers(1, 20))
+        plan = _sequence_plan(cells)
+        shifts = [int(h) + 1 for h in plan.order]
+    entry = st.one_of(st.sampled_from((0, q - 1)), st.integers(0, q - 1))
+    row = st.lists(entry, min_size=cells, max_size=cells)
+    per = draw(st.integers(1, 2))
+    group = st.lists(row, min_size=per, max_size=per)
+    rows = draw(st.lists(group, min_size=1, max_size=5))
+    rows[0][0][0], rows[0][0][-1] = 0, q - 1
+    rows[-1][-1][0], rows[-1][-1][-1] = q - 1, 0
+    return q, plan, shifts, rows
+
+
+@settings(max_examples=150)
+@given(kernel_cases(), st.data())
+def test_histograms_match_the_brute_oracle(case, data):
+    q, plan, shifts, rows = case
+    n = len(shifts)
+    expected = np.array(brute_histograms(q, rows, shifts), dtype=np.int64)
+    expected = expected.reshape(len(rows), q, n)
+    ranges = [(n, n), *plan.batches]
+    for _ in range(2 if n else 0):
+        lo = data.draw(st.integers(0, n - 1))
+        ranges.append((lo, data.draw(st.integers(lo + 1, n))))
+    table = np.array(rows, dtype=np.int64)
+    for lo, hi in ranges:
+        assert (_histograms(plan, table, q, lo, hi) == expected[:, :, lo:hi]).all()
+
+
+@contextmanager
+def sliced_plans(size):
+    """Plans rebuilt with ``_SLICE`` = size; cached plans are dropped before
+    and after, so no other test sees them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qarray, "_SLICE", size)
+        _cube_plan.cache_clear()
+        _sequence_plan.cache_clear()
+        try:
+            yield
+        finally:
+            _cube_plan.cache_clear()
+            _sequence_plan.cache_clear()
+
+
+@st.composite
+def sliced_stacks(draw):
+    """(q, m, rows): standard pairs, one-cell-moved pairs, and pairs whose f
+    has both cells of one antipodal pair moved by the same amount.  Those
+    still cancel on the shell, so only a later slice can reject them."""
+    q = draw(EVEN)
+    m = draw(st.sampled_from(range(2, 7)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = st.sampled_from(("standard", "moved", "antipodal"))
+    rows = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        row = standard_row(rng, q, m)
+        if kind == "moved":
+            row = moved_row(rng, q, m, row)
+        elif kind == "antipodal":
+            f, step = list(row[0]), rng.randrange(1, q)
+            t = rng.randrange(1 << (m - 1))
+            for cell in (t, (1 << m) - 1 - t):
+                f[cell] = (f[cell] + step) % q
+            row = (tuple(f), row[1])
+        rows.append(row)
+    return q, m, rows
+
+
+@settings(max_examples=60)
+@given(sliced_stacks(), st.sampled_from((1, 5, 17)))
+def test_sliced_plans_agree_with_float_oracle_row_by_row(case, size):
+    q, m, rows = case
+    expected = [float_is_gap(q, m, f, g) for f, g in rows]
+    with sliced_plans(size):
+        plan = _cube_plan(m)
+        starts = plan.starts
+        for lo, hi in plan.batches[1:]:
+            assert hi - lo == 1 or starts[hi] - starts[lo] <= size
+        assert _gaps(plan, q, rows).tolist() == expected
 
 
 @settings(max_examples=300)

@@ -20,6 +20,8 @@ from golaypairs import (
     sequence_autocorrelation,
 )
 
+from golaypairs.qarray import _SLICE, _cube_plan
+
 from helpers import float_autocorrelation, random_entries
 
 X1X2 = QaryArray(2, 2, (0, 0, 0, 1))
@@ -278,3 +280,16 @@ def test_correlation_plan_over_memory_bound_is_refused():
         correlation_spectrum(f)
     with pytest.raises(BudgetExceededError):
         is_gap(f, f)
+
+
+def test_cube_plan_batches_slice_whole_shifts_after_the_shell():
+    plan = _cube_plan(10)
+    counts = np.diff(plan.starts)
+    assert plan.batches[0] == (0, 512)
+    assert (counts[:512] == 1).all()
+    assert len(plan.batches) > 2
+    ends = [hi for _, hi in plan.batches]
+    assert [lo for lo, _ in plan.batches] == [0] + ends[:-1]
+    assert ends[-1] == len(plan.order) == (3**10 - 1) // 2
+    for lo, hi in plan.batches[1:]:
+        assert hi - lo == 1 or plan.starts[hi] - plan.starts[lo] <= _SLICE
