@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import PartitionTooFineError, VerificationError
+from .errors import PartitionTooFineError
 from .qarray import QaryArray, combine, restrict
 
 _NUMPY_MIN = 128
@@ -112,12 +112,6 @@ class VarPartition:
             raise ValueError(f"blocks {norm} do not partition 1..{self.m}")
         object.__setattr__(self, "blocks", norm)
 
-    def block_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise ValueError(f"variable {v} not in partition")
-
 
 def _components(m: int, *lams: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """Sorted blocks of 1..m joined by a nonzero monomial of any dense ANF."""
@@ -157,27 +151,23 @@ def interaction_components(f: QaryArray) -> VarPartition:
 def separate(f: QaryArray, p: VarPartition) -> tuple[list[QaryArray], int]:
     """Split f into per-block components along partition p, plus a constant.
 
-    Each returned component is defined on its block's local coordinates and
-    normalised to vanish at the origin; the constant is f(0).  p must be at
-    least as coarse as :func:`interaction_components`, otherwise the split
-    would break a genuine interaction and :class:`PartitionTooFineError` is
-    raised.  The reconstruction is verified exactly before returning.
+    Each returned component is f restricted to its block, in the block's local
+    coordinates, minus f(0), so it vanishes at the origin; the constant is
+    f(0).  Their block sum is separable along p, so it equals f exactly when no
+    monomial of f's normal form meets two blocks of p, i.e. when p is at least
+    as coarse as :func:`interaction_components`.  Otherwise the split would
+    break a genuine interaction and :class:`PartitionTooFineError` names the
+    first cell where the block sum differs from f.
     """
     if p.m != f.m:
         raise ValueError("partition does not match array dimension")
-    comps = interaction_components(f)
-    for block in comps.blocks:
-        owners = {p.block_of(v) for v in block}
-        if len(owners) > 1:
-            raise PartitionTooFineError(
-                f"partition splits interacting variables {block}"
-            )
     const = f.entries[0]
-    parts = []
-    for block in p.blocks:
-        r = restrict(f, block)
-        parts.append(r + (-const))
-    rebuilt = combine(f.q, f.m, list(zip(p.blocks, parts)), const)
-    if rebuilt.entries != f.entries:  # pragma: no cover - internal guard
-        raise VerificationError("block separation failed to reconstruct input")
+    parts = [restrict(f, block) + (-const) for block in p.blocks]
+    rebuilt = combine(f.q, f.m, list(zip(p.blocks, parts)), const).entries
+    if rebuilt != f.entries:
+        cell = next(t for t, (r, v) in enumerate(zip(rebuilt, f.entries)) if r != v)
+        raise PartitionTooFineError(
+            f"partition {p.blocks} splits interacting variables: the block sum"
+            f" differs from f at cell {cell}"
+        )
     return parts, const

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .boolfun import _components, _subset_transform, to_anf
+from .boolfun import _components, _subset_transform
 from .errors import NotAGapError, OddModulusError, VerificationError
 from .genfun import disjoint_product, embed, from_array, star
 from .qarray import (
@@ -483,76 +483,41 @@ def verify_certificate(
 
 
 def recognize_standard(f: QaryArray, g: QaryArray) -> StandardParams | None:
-    """Syntactic test for standard form, independent of the decomposition.
+    """Standard parameters of (f, g) read off the pair, or None.
 
-    Reads the normal form of f: the degree must be at most 2, every quadratic
-    coefficient must equal q/2, and the quadratic monomials must trace a
-    Hamiltonian path over all variables.  g - f must equal (q/2) x_e + c' for
-    a path endpoint e, which fixes the orientation.  If both orientations
-    qualify the lexicographically smaller one is returned.  Returns None for
-    pairs not of this shape.
+    The one candidate is built by construction and kept only if
+    :func:`construct_standard` regenerates (f, g) from it.  c' = g(0) - f(0);
+    the path starts at the only variable e with g - f = q/2 + c' on e's unit
+    cell, then steps to the only unvisited variable that shares a nonzero
+    quadratic coefficient of f's normal form with the current one; c and c0
+    are that form's linear and constant coefficients.  A standard pair has
+    exactly one such start and step, and its parameters are unique (the other
+    orientation would need q/2 = 0 mod q); a pair without them is rejected
+    early, as the comparison would reject it.  Independent of the
+    decomposition.
     """
     if f.q != g.q or f.m != g.m:
         raise ValueError("shape or modulus mismatch")
     q, m = f.q, f.m
     if q % 2:
         raise OddModulusError(f"standard form requires even q, got {q}")
-    half = q // 2
-    anf = to_anf(f)
-    edges = []
-    linear = [0] * m
-    const = 0
-    for subset, coeff in anf.coeffs.items():
-        k = len(subset)
-        if k > 2:
-            return None
-        if k == 2:
-            if coeff != half:
-                return None
-            edges.append(tuple(sorted(subset)))
-        elif k == 1:
-            (v,) = subset
-            linear[v - 1] = coeff
-        else:
-            const = coeff
-    delta = tuple((ge - fe) % q for fe, ge in zip(f.entries, g.entries))
-    if m == 0:
-        return _trusted(StandardParams, q, 0, (), (), const, delta[0])
-
-    if m == 1:
-        orientations = [(1,)]
-    else:
-        if len(edges) != m - 1:
-            return None
-        adj: dict[int, list[int]] = {v: [] for v in range(1, m + 1)}
-        for u, v in edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        if any(len(nb) > 2 for nb in adj.values()):
-            return None
-        endpoints = sorted(v for v, nb in adj.items() if len(nb) == 1)
-        if len(endpoints) != 2:
-            return None
-        path = [endpoints[0]]
-        prev = None
-        while True:
-            nxt = [w for w in adj[path[-1]] if w != prev]
-            if not nxt:
-                break
-            prev = path[-1]
-            path.append(nxt[0])
-        if len(path) != m:
-            return None
-        orientations = [tuple(path), tuple(reversed(path))]
-
-    valid = []
-    cp = delta[0]
-    for pi in orientations:
-        bit = 1 << (pi[0] - 1)
-        if all(
-            dv == (cp + (half if t & bit else 0)) % q for t, dv in enumerate(delta)
-        ):
-            valid.append(pi)
-    if not valid:
+    fe, ge = f.entries, g.entries
+    cp = (ge[0] - fe[0]) % q
+    starts = [
+        v
+        for v in range(1, m + 1)
+        if (ge[1 << (v - 1)] - fe[1 << (v - 1)]) % q == (q // 2 + cp) % q
+    ]
+    if len(starts) != min(m, 1):
         return None
-    return _trusted(StandardParams, q, m, min(valid), tuple(linear), const, cp)
+    lam = _subset_transform(list(fe), m, q, -1)
+    path = starts
+    while len(path) < m:
+        bit = 1 << (path[-1] - 1)
+        nxt = [w for w in range(1, m + 1) if w not in path and lam[bit | 1 << (w - 1)]]
+        if len(nxt) != 1:
+            return None
+        path += nxt
+    linear = tuple(lam[1 << k] for k in range(m))
+    params = _trusted(StandardParams, q, m, tuple(path), linear, lam[0], cp)
+    return params if construct_standard(params) == (f, g) else None

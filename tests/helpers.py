@@ -8,7 +8,7 @@ package internals it is checking, so agreement is meaningful.
 import cmath
 import random
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 
 @lru_cache(maxsize=None)
@@ -177,6 +177,37 @@ def block_sum(q: int, m: int, blocks) -> tuple[int, ...]:
             total += table[local]
         out.append(total % q)
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def standard_table(q: int, m: int) -> dict:
+    """Every standard pair of even q and dimension m, keyed by entries.
+
+    Maps (f entries, g entries) to (q, m, pi, c, c0, c') for every parameter
+    set, evaluating f = (q/2) sum x_pi(k) x_pi(k+1) + sum c_k x_k + c0 and
+    g = f + (q/2) x_pi(1) + c' cell by cell.  Asserts that no pair arises
+    from two parameter sets.
+    """
+    half = q // 2
+    cells = [tuple(x >> k & 1 for k in range(m)) for x in range(1 << m)]
+    table: dict = {}
+    for pi in permutations(range(1, m + 1)):
+        path = [(pi[k] - 1, pi[k + 1] - 1) for k in range(m - 1)]
+        for c in product(range(q), repeat=m):
+            for c0 in range(q):
+                f = tuple(
+                    (half * sum(x[u] * x[v] for u, v in path)
+                     + sum(ck * xk for ck, xk in zip(c, x)) + c0) % q
+                    for x in cells
+                )
+                for cp in range(q):
+                    g = tuple(
+                        (fv + (half * x[pi[0] - 1] if m else 0) + cp) % q
+                        for fv, x in zip(f, cells)
+                    )
+                    params = (q, m, pi, c, c0, cp)
+                    assert table.setdefault((f, g), params) == params, (f, g)
+    return table
 
 
 def dict_star(poly: dict) -> dict:

@@ -146,6 +146,13 @@ def test_separate_rejects_partitions_finer_than_interactions():
         separate(f, VarPartition(2, ((1,), (2,))))
 
 
+def test_separate_refusal_names_the_partition_and_first_differing_cell():
+    # both origin-pinned parts of x1*x2 vanish, so the block sum misses cell 3
+    f = QaryArray.from_function(2, 2, lambda x: x[0] * x[1])
+    with pytest.raises(PartitionTooFineError, match=r"\(\(1,\), \(2,\)\).* cell 3$"):
+        separate(f, VarPartition(2, ((1,), (2,))))
+
+
 def test_separate_accepts_coarser_partitions():
     f = QaryArray.from_function(2, 3, lambda x: x[0] + x[1])
     parts, const = separate(f, VarPartition(3, ((1, 2), (3,))))

@@ -7,10 +7,11 @@ coefficient-space route of ``genfun``, on arrays Hypothesis draws.  The
 kernel's histograms are compared count for count with the cell loops of
 ``helpers``, and the verdicts again with plans cut into tiny slices.
 Cyclotomic equality is compared with the complex value of each side.
-Interaction components, the common part of a restriction pair and the
-decomposition are checked against the brute-force partitions of ``helpers``
-and against the float complementarity test.  Values that internal code
-builds without validation are checked to be valid values.
+Interaction components, block separation, the common part of a restriction
+pair and the decomposition are checked against the brute-force partitions of
+``helpers`` and against the float complementarity test, and standard-form
+recognition against the cell-by-cell table of every standard pair.  Values
+that internal code builds without validation are checked to be valid values.
 """
 
 import dataclasses
@@ -25,8 +26,10 @@ from hypothesis import strategies as st
 from golaypairs import (
     GenFun,
     NotAGapError,
+    PartitionTooFineError,
     QaryArray,
     StandardParams,
+    VarPartition,
     construct_standard,
     correlation_spectrum,
     correlation_via_coefficients,
@@ -45,6 +48,7 @@ from golaypairs import (
     recognize_standard,
     replay,
     restrict,
+    separate,
     split_last,
     star,
     verify_certificate,
@@ -62,6 +66,7 @@ from helpers import (
     join_partitions,
     random_entries,
     random_params_tuple,
+    standard_table,
 )
 
 EVEN = st.sampled_from((2, 4, 6, 8, 10, 12))
@@ -368,6 +373,99 @@ def test_common_part_is_the_constant_difference_blocks_of_the_join(case, data):
     split = gcd_normalized(QaryArray(q, m, fe), QaryArray(q, m, ge))
     assert split.z2_vars == tuple(z2)
     assert split.z1_vars == tuple(v for v in range(1, m + 1) if v not in z2)
+
+
+@st.composite
+def separation_cases(draw):
+    """Random (q, m, entries, blocks of a partition p): a random array, or a
+    block sum along p or along another random partition, the block sum
+    with or without one monomial that crosses two blocks of p."""
+    q = draw(st.integers(2, 6))
+    m = draw(st.integers(0, 5))
+
+    def partition():
+        labels = draw(st.lists(st.integers(0, m), min_size=m, max_size=m))
+        return [
+            tuple(v for v in range(1, m + 1) if labels[v - 1] == label)
+            for label in sorted(set(labels))
+        ]
+
+    blocks = partition()
+    kind = draw(st.sampled_from(("random", "block sum", "crossing")))
+    if kind == "random":
+        cells = st.lists(st.integers(0, q - 1), min_size=1 << m, max_size=1 << m)
+        return q, m, tuple(draw(cells)), blocks
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    summed = blocks if draw(st.booleans()) else partition()
+    entries = block_sum(q, m, [(b, random_table(rng, q, b)) for b in summed])
+    if kind == "crossing" and len(blocks) > 1:
+        i, j = draw(st.permutations(range(len(blocks))))[:2]
+        u, w = draw(st.sampled_from(blocks[i])), draw(st.sampled_from(blocks[j]))
+        mask = 1 << (u - 1) | 1 << (w - 1)
+        coeff = draw(st.integers(1, q - 1))
+        entries = tuple(
+            (e + (coeff if t & mask == mask else 0)) % q for t, e in enumerate(entries)
+        )
+    return q, m, entries, blocks
+
+
+@settings(max_examples=200)
+@given(separation_cases())
+def test_separate_refuses_exactly_partitions_that_split_an_interaction(case):
+    q, m, entries, blocks = case
+    p = VarPartition(m, blocks)
+    owner = {v: i for i, b in enumerate(p.blocks) for v in b}
+    finest = brute_finest_partition(q, m, entries)
+    f = QaryArray(q, m, entries)
+    if any(len({owner[v] for v in b}) > 1 for b in finest):
+        with pytest.raises(PartitionTooFineError):
+            separate(f, p)
+        return
+    parts, const = separate(f, p)
+    assert all(part.entries[0] == 0 for part in parts)
+    pieces = [(b, part.entries) for b, part in zip(p.blocks, parts)]
+    assert block_sum(q, m, [((), (const,))] + pieces) == entries
+
+
+RECOGNITION_SPACES = [
+    (q, m) for q, top in ((2, 3), (4, 3), (6, 2)) for m in range(top + 1)
+]
+
+
+@st.composite
+def recognition_cases(draw):
+    """(q, m, f entries, g entries): a standard pair of the table, the same
+    with one cell moved, with one monomial of degree 2 or 3 added to f, g or
+    both, or a random pair."""
+    q, m = draw(st.sampled_from(RECOGNITION_SPACES))
+    kinds = ["standard", "moved", "random"] + (["monomial"] if m >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "random":
+        cells = st.lists(st.integers(0, q - 1), min_size=1 << m, max_size=1 << m)
+        return q, m, tuple(draw(cells)), tuple(draw(cells))
+    pair = [list(e) for e in draw(st.sampled_from(sorted(standard_table(q, m))))]
+    if kind == "moved":
+        target = pair[draw(st.integers(0, 1))]
+        cell = draw(st.integers(0, (1 << m) - 1))
+        target[cell] = (target[cell] + draw(st.integers(1, q - 1))) % q
+    elif kind == "monomial":
+        masks = [s for s in range(1 << m) if 2 <= bin(s).count("1") <= 3]
+        monomial = draw(st.sampled_from(masks))
+        coeff = draw(st.integers(1, q - 1))
+        for target in draw(st.sampled_from(([pair[0]], [pair[1]], pair))):
+            for t in range(1 << m):
+                if t & monomial == monomial:
+                    target[t] = (target[t] + coeff) % q
+    return q, m, tuple(pair[0]), tuple(pair[1])
+
+
+@settings(max_examples=300)
+@given(recognition_cases())
+def test_recognize_standard_agrees_with_the_standard_table(case):
+    q, m, fe, ge = case
+    got = recognize_standard(QaryArray(q, m, fe), QaryArray(q, m, ge))
+    want = standard_table(q, m).get((fe, ge))
+    assert (None if got is None else dataclasses.astuple(got)) == want
 
 
 def _standard_case(params):
