@@ -37,7 +37,10 @@ def _read_json(path: str):
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _write_output(text: str, path: str | None) -> None:

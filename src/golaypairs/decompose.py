@@ -15,12 +15,14 @@ dimension and are decomposed recursively; their standard parameters are then
 recombined into parameters for (f, g), splicing the two quadratic paths
 together through x_m.
 
-Every arrow in the diagram above is verified pointwise during the descent,
-and the recursion bottoms out at dimension 0 where every pair of constants
-is vacuously complementary.  Passing all verifications is not merely
-necessary but sufficient for the input to be a complementary pair, so a
-completed recursion doubles as an exact complementarity certificate and a
-failed pointwise check is reported as not-a-pair.  The final parameters are
+The left column of the diagram holds by construction of the split (see
+:func:`gcd_normalized`); the right column, the forced form of the x_m = 1
+halves, is checked pointwise at every node of the descent, and the
+recursion bottoms out at dimension 0 where every pair of constants is
+vacuously complementary.  Passing all checks is not merely necessary but
+sufficient for the input to be a complementary pair, so a completed
+recursion doubles as an exact complementarity certificate and a failed
+pointwise check is reported as not-a-pair.  The final parameters are
 re-expanded and compared with the input bit for bit before returning.
 """
 
@@ -39,6 +41,7 @@ from .qarray import (
     _json_int,
     _spread_masks,
     _trusted,
+    _two_block_fill,
     restrict,
 )
 from .standard import StandardParams, construct_standard
@@ -80,23 +83,6 @@ class GcdSplit:
     g0_const: int
 
 
-def _two_block_fill(
-    q: int,
-    m: int,
-    z1: tuple[int, ...],
-    vals1: tuple[int, ...],
-    z2: tuple[int, ...],
-    vals2: tuple[int, ...],
-) -> tuple[int, ...]:
-    """Entries of x -> vals1[x|z1] + vals2[x|z2] over m variables."""
-    out = [0] * (1 << m)
-    sp2 = _spread_masks(z2)
-    for m1, v1 in zip(_spread_masks(z1), vals1):
-        for m2, v2 in zip(sp2, vals2):
-            out[m1 | m2] = (v1 + v2) % q
-    return tuple(out)
-
-
 def _forced_halves(
     q: int, m: int, z1: tuple, z2: tuple, a: QaryArray, b: QaryArray, d: QaryArray
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -116,8 +102,10 @@ def gcd_normalized(f0: QaryArray, g0: QaryArray) -> GcdSplit:
     A candidate block is a union of interaction components of both arrays on
     which their origin-pinned restrictions agree up to an additive constant;
     z2 is the union of all such blocks (blockwise greediness is exact because
-    distinct blocks never interact).  The returned split is verified to
-    reproduce both inputs pointwise.
+    distinct blocks never interact).  The split rebuilds both inputs by
+    construction, so it is not re-filled here: no monomial of f0 or g0
+    crosses z1 and z2, which gives f0 = a + c, and g0 - f0 is constant on
+    the subcube of z2, which gives g0 = b + c.
     """
     if f0.q != g0.q or f0.m != g0.m:
         raise ValueError("shape or modulus mismatch")
@@ -137,11 +125,6 @@ def gcd_normalized(f0: QaryArray, g0: QaryArray) -> GcdSplit:
     a = restrict(f0, z1_vars)
     b = restrict(g0, z1_vars)
     c = restrict(f0, z2_vars) + (-fe[0])
-
-    if _two_block_fill(q, m, z1_vars, a.entries, z2_vars, c.entries) != fe:
-        raise VerificationError("common-part split failed to rebuild f0")
-    if _two_block_fill(q, m, z1_vars, b.entries, z2_vars, c.entries) != ge:
-        raise VerificationError("common-part split failed to rebuild g0")
     return GcdSplit(z1_vars, z2_vars, a, b, c, fe[0], ge[0])
 
 

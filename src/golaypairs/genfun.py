@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cyclotomic import CycElement, get_context
-from .qarray import QaryArray, _trusted, all_shifts
+from .qarray import QaryArray, _spread_masks, _trusted, all_shifts
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,7 @@ def embed(fun: GenFun, vars_: Sequence[int], m: int) -> GenFun:
     ctx = get_context(fun.q)
     zero = ctx.zero()
     out = [zero] * (1 << m)
-    for t, c in enumerate(fun.coeffs):
-        gmask = 0
-        for j in range(fun.m):
-            if t >> j & 1:
-                gmask |= 1 << (vt[j] - 1)
+    for gmask, c in zip(_spread_masks(vt), fun.coeffs):
         out[gmask] = c
     support = frozenset(vt[v - 1] for v in fun.support)
     return _trusted(GenFun, fun.q, m, support, tuple(out))
@@ -133,27 +129,14 @@ def disjoint_product(a: GenFun, b: GenFun) -> GenFun:
     ctx = get_context(a.q)
     zero = ctx.zero()
     out = [zero] * (1 << a.m)
-    amask = a.support_mask
-    bmask = b.support_mask
-    sa = _submasks(amask)
-    sb = _submasks(bmask)
-    for s in sa:
+    sb = _spread_masks(sorted(b.support))
+    for s in _spread_masks(sorted(a.support)):
         ca = a.coeffs[s]
         if ca.is_zero():
             continue  # one check saves a row of products
         for t in sb:
             out[s | t] = ca * b.coeffs[t]
     return _trusted(GenFun, a.q, a.m, a.support | b.support, tuple(out))
-
-
-def _submasks(mask: int) -> list[int]:
-    subs = [0]
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        subs += [s | bit for s in subs]
-        rest ^= bit
-    return subs
 
 
 @lru_cache(maxsize=None)

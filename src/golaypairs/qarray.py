@@ -119,8 +119,9 @@ class QaryArray:
         if m < 0:
             raise ValueError(f"m must be nonnegative, got {m}")
         entries = _integers(*self.entries)
-        if len(entries) != 1 << m:
-            raise ValueError(f"expected {1 << m} entries for m={m}, got {len(entries)}")
+        if len(entries) != 1 << min(m, 63):  # no tuple holds 2**63 entries
+            count = 1 << m if m < 63 else f"2**{m}"
+            raise ValueError(f"expected {count} entries for m={m}, got {len(entries)}")
         if min(entries) < 0 or max(entries) >= q:
             raise ValueError(f"entries must lie in [0, {q})")
         self.__dict__.update(q=q, m=m, entries=entries)
@@ -519,6 +520,23 @@ def _spread_masks(vars_: tuple[int, ...]) -> list[int]:
     return masks
 
 
+def _two_block_fill(
+    q: int,
+    m: int,
+    z1: tuple[int, ...],
+    vals1: Sequence[int],
+    z2: tuple[int, ...],
+    vals2: Sequence[int],
+) -> tuple[int, ...]:
+    """Entries of x -> vals1[x|z1] + vals2[x|z2] mod q; z1, z2 partition 1..m."""
+    out = [0] * (1 << m)
+    sp2 = _spread_masks(z2)
+    for m1, v1 in zip(_spread_masks(z1), vals1):
+        for m2, v2 in zip(sp2, vals2):
+            out[m1 | m2] = (v1 + v2) % q
+    return tuple(out)
+
+
 def restrict(f: QaryArray, vars_: Sequence[int]) -> QaryArray:
     """Restriction of f to the listed variables, all others pinned to 0.
 
@@ -542,26 +560,19 @@ def combine(
 
     Inverse of block separation: each (vars, array) contributes its value at
     the projection of the global point onto ``vars``.  Blocks must be disjoint
-    but need not cover all m variables.
+    but need not cover all m variables.  The constant and the blocks fold
+    into one block, which :func:`_two_block_fill` adds to zero on the rest.
     """
-    seen: set[int] = set()
-    resolved = []
-    for vars_, arr in blocks:
-        vt = tuple(vars_)
+    vars_: tuple[int, ...] = ()
+    vals = [constant]
+    for block_vars, arr in blocks:
+        vt = tuple(block_vars)
         if arr.q != q or arr.m != len(vt):
             raise ValueError("block array does not match its variable list")
-        if any(v < 1 or v > m for v in vt) or set(vt) & seen or len(set(vt)) != len(vt):
+        vars_ += vt
+        if any(v < 1 or v > m for v in vt) or len(set(vars_)) != len(vars_):
             raise ValueError(f"bad or overlapping block variables {vt}")
-        seen |= set(vt)
-        resolved.append((vt, arr.entries))
-    total = [constant % q] * (1 << m)
-    for vt, ent in resolved:
-        others = tuple(v for v in range(1, m + 1) if v not in vt)
-        complement = _spread_masks(others)
-        for i, mask in enumerate(_spread_masks(vt)):
-            v = ent[i]
-            if v:
-                for o in complement:
-                    t = mask | o
-                    total[t] = (total[t] + v) % q
-    return QaryArray(q, m, tuple(total))
+        vals = [a + b for b in arr.entries for a in vals]
+    rest = tuple(v for v in range(1, m + 1) if v not in vars_)
+    zeros = (0,) * (1 << len(rest))
+    return QaryArray(q, m, _two_block_fill(q, m, vars_, vals, rest, zeros))

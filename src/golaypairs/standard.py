@@ -42,7 +42,7 @@ class StandardParams:
         if m < 0:
             raise ValueError(f"m must be nonnegative, got {m}")
         pi = _integers(*self.pi)
-        if sorted(pi) != list(range(1, m + 1)):
+        if len(pi) != m or sorted(pi) != list(range(1, m + 1)):
             raise ValueError(f"pi={pi} is not a permutation of 1..{m}")
         c = tuple(v % q for v in _integers(*self.c))
         if len(c) != m:

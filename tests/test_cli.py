@@ -307,3 +307,32 @@ def test_verify_refuses_a_correlation_plan_over_the_memory_bound(tmp_path, capsy
     assert main(["verify", write(tmp_path, "pair.json", {"f": zeros, "g": zeros})]) == 3
     err = capsys.readouterr().err
     assert "MiB" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("m", [2**40, 2**70], ids=["2**40", "2**70"])
+def test_a_huge_dimension_exits_two_before_anything_is_built(tmp_path, capsys, m):
+    # 2**m entries or an m-long list would not fit in memory
+    array = {"q": 2, "m": m, "entries": [0]}
+    params = {"q": 2, "m": m, "pi": [1], "c": [0], "c0": 0, "c_prime": 0}
+    for command, obj in [
+        ("verify", {"f": array, "g": array}),
+        ("decompose", {"f": array, "g": array}),
+        ("project", array),
+        ("construct", params),
+    ]:
+        assert main([command, write(tmp_path, "in.json", obj)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_two(tmp_path, capsys, monkeypatch):
+    import io
+
+    text = "[" * 200_000
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    assert main(["verify", str(p)]) == 2
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["verify", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 2 and "Traceback" not in err

@@ -10,8 +10,11 @@ Cyclotomic equality is compared with the complex value of each side.
 Interaction components, block separation, the common part of a restriction
 pair and the decomposition are checked against the brute-force partitions of
 ``helpers`` and against the float complementarity test, and standard-form
-recognition against the cell-by-cell table of every standard pair.  Values
-that internal code builds without validation are checked to be valid values.
+recognition against the cell-by-cell table of every standard pair.  Block
+sums (``combine``, the common-part split) and the cell placement of
+generating functions (``embed``, ``disjoint_product``) are checked against
+``helpers.block_sum`` and ``helpers._spread``.  Values that internal code
+builds without validation are checked to be valid values.
 """
 
 import dataclasses
@@ -30,6 +33,7 @@ from golaypairs import (
     QaryArray,
     StandardParams,
     VarPartition,
+    combine,
     construct_standard,
     correlation_spectrum,
     correlation_via_coefficients,
@@ -57,6 +61,7 @@ from golaypairs import qarray
 from golaypairs.qarray import _cube_plan, _gaps, _histograms, _sequence_plan
 
 from helpers import (
+    _spread,
     block_sum,
     brute_finest_partition,
     brute_histograms,
@@ -553,3 +558,73 @@ def test_census_arrays_are_valid_arrays():
     for f, g in enumerate_standard(4, 2) + enumerate_all_gaps(2, 2):
         assert_valid(f)
         assert_valid(g)
+
+
+@st.composite
+def combine_cases(draw):
+    """Random (q, m, blocks, constant): tables on disjoint, unsorted variable
+    tuples in random order, some variables covered by no block."""
+    q = draw(st.integers(1, 7))
+    m = draw(st.integers(0, 8))
+    order = draw(st.permutations(range(1, m + 1)))
+    labels = draw(st.lists(st.integers(-1, m), min_size=m, max_size=m))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    blocks = []
+    for label in sorted(set(labels) - {-1}):
+        vt = tuple(v for v in order if labels[v - 1] == label)
+        blocks.append((vt, random_table(rng, q, vt)))
+    blocks = draw(st.permutations(blocks))
+    return q, m, blocks, draw(st.integers(-3 * q, 3 * q))
+
+
+@settings(max_examples=200)
+@given(combine_cases())
+def test_combine_is_the_block_sum_plus_the_constant(case):
+    q, m, blocks, constant = case
+    arrays = [(vt, QaryArray(q, len(vt), tuple(table))) for vt, table in blocks]
+    want = tuple((v + constant) % q for v in block_sum(q, m, blocks))
+    assert combine(q, m, arrays, constant).entries == want
+
+
+@settings(max_examples=60)
+@given(block_functions(), st.data())
+def test_common_part_split_rebuilds_both_restrictions(case, data):
+    # f0 = A + C and g0 = B + C + const on a random share of the blocks
+    q, m, blocks, rng = case
+    f_blocks, g_blocks = [], []
+    for b in blocks:
+        table = random_table(rng, q, b)
+        f_blocks.append((b, table))
+        if data.draw(st.booleans()):
+            shift = rng.randrange(q)
+            g_blocks.append((b, [v + shift for v in table]))
+        else:
+            g_blocks.append((b, random_table(rng, q, b)))
+    fe, ge = block_sum(q, m, f_blocks), block_sum(q, m, g_blocks)
+    split = gcd_normalized(QaryArray(q, m, fe), QaryArray(q, m, ge))
+    z1, z2 = split.z1_vars, split.z2_vars
+    assert block_sum(q, m, [(z1, split.a.entries), (z2, split.c.entries)]) == fe
+    assert block_sum(q, m, [(z1, split.b.entries), (z2, split.c.entries)]) == ge
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 8), st.integers(0, 7), st.data())
+def test_embed_and_disjoint_product_place_coefficients_by_the_oracle_map(q, m, data):
+    # factor a on the unsorted variables va, factor b on vb, disjoint from va
+    ctx = get_context(q)
+    slots = data.draw(st.permutations(range(1, m + 1)))
+    k = data.draw(st.integers(0, m))
+    va, vb = slots[:k], slots[k : data.draw(st.integers(k, m))]
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a, b = random_table(rng, q, va), random_table(rng, q, vb)
+    fa = embed(from_array(QaryArray(q, len(va), tuple(a))), va, m)
+    fb = embed(from_array(QaryArray(q, len(vb), tuple(b))), vb, m)
+    want = [ctx.zero()] * (1 << m)
+    for t, cell in enumerate(_spread(va)):
+        want[cell] = ctx.root(a[t])
+    assert list(fa.coeffs) == want
+    want = [ctx.zero()] * (1 << m)
+    for s, cell_a in enumerate(_spread(va)):
+        for t, cell_b in enumerate(_spread(vb)):
+            want[cell_a | cell_b] = ctx.root(a[s]) * ctx.root(b[t])
+    assert list(disjoint_product(fa, fb).coeffs) == want
