@@ -373,14 +373,15 @@ def _certificate_rows(
     f: QaryArray,
     g: QaryArray,
     cert: DecompositionCertificate,
-    max_corr_dim: int = 3,
+    max_corr_dim: int,
 ) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Every check of :func:`verify_certificate` except the correlation sums.
 
     Returns the entry pairs whose complementarity is still to be checked,
-    keyed by dimension: for every node of dimension at most
-    ``max_corr_dim``, its pair and both sub-pairs: three rows per such
-    node.  Raises :class:`VerificationError` on any other mismatch.
+    keyed by dimension: the pair of each inner node of dimension at most
+    ``max_corr_dim``.  Sub-pairs get no rows: each is a child's node pair,
+    a row of its own, or of dimension 0, with no shift to check.  Raises
+    :class:`VerificationError` on any other mismatch.
     """
 
     def fail(msg: str) -> None:
@@ -419,8 +420,7 @@ def _certificate_rows(
             fail("node parameters are not the recombination of the children")
         ff, gg = _rebuild(node, a, b, c, d)
         if m <= max_corr_dim:
-            for x, y in ((ff, gg), (a, b), (c, d)):
-                rows.setdefault(x.m, []).append((x.entries, y.entries))
+            rows.setdefault(m, []).append((ff.entries, gg.entries))
             fa = embed(from_array(a), split.z1_vars, m - 1)
             fc = embed(from_array(c), split.z2_vars, m - 1)
             prod = disjoint_product(fa, fc)
@@ -450,18 +450,19 @@ def verify_certificate(
     Replays the tree bottom-up, confirms every stored intermediate array and
     offset, re-derives each node's parameters from its children, and compares
     the root against (f, g) and against the expansion of the root parameters.
-    On nodes of dimension at most ``max_corr_dim`` the degree-reversal of the
-    recovered factor product is compared against the product of the
-    reversed factors, and the complementarity of the node pair and of both
-    sub-pairs is rechecked by literal correlation sums.  Those pairs are
-    gathered from the whole tree first and correlated in one stack per
-    dimension.  Raises :class:`VerificationError` on any mismatch.
+    On inner nodes of dimension at most ``max_corr_dim`` the degree-reversal
+    of the recovered factor product is compared against the product of the
+    reversed factors, and the node pair's complementarity is rechecked by
+    literal correlation sums, which covers the sub-pairs (see
+    :func:`_certificate_rows`).  The node pairs are gathered from the whole
+    tree first and correlated in one stack per dimension.  Raises
+    :class:`VerificationError` on any mismatch.
     """
     for dim, pairs in _certificate_rows(f, g, cert, max_corr_dim).items():
         if not _gaps(_cube_plan(dim), f.q, pairs).all():
             raise VerificationError(
-                f"certificate verification failed: a node pair or sub-pair of"
-                f" dimension {dim} is not complementary"
+                f"certificate verification failed: a node pair of dimension"
+                f" {dim} is not complementary"
             )
 
 

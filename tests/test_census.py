@@ -9,6 +9,7 @@ import pytest
 from golaypairs import (
     BudgetExceededError,
     OddModulusError,
+    decompose,
     enumerate_all_gaps,
     enumerate_standard,
     is_gap,
@@ -75,6 +76,15 @@ def test_standard_set_equals_gap_set_on_small_even_spaces():
         assert gaps == std, (q, m)
 
 
+def test_standard_pairs_come_in_census_order():
+    # same intra-pair order and list order as the census, which the quadratic
+    # oracle test pins to ascending ids
+    for q, m in ((2, 2), (4, 1), (2, 3), (4, 2)):
+        std = [(f.entries, g.entries) for f, g in enumerate_standard(q, m)]
+        gaps = [(f.entries, g.entries) for f, g in enumerate_all_gaps(q, m)]
+        assert std == gaps, (q, m)
+
+
 def test_verify_theorem_even_q():
     r = verify_theorem(2, 3)
     assert r.all_standard
@@ -125,6 +135,13 @@ def test_input_validation():
         enumerate_all_gaps(2, -1)
     with pytest.raises(ValueError):
         enumerate_all_gaps(2, 1, workers=0)
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_all_gaps(2, 1, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        verify_theorem(2, 1, budget=-1)
+    # a zero budget is valid and refuses every space
+    with pytest.raises(BudgetExceededError):
+        enumerate_all_gaps(2, 0, budget=0)
     with pytest.raises(ValueError):
         enumerate_standard(2, -1)
 
@@ -179,30 +196,30 @@ def test_verify_theorem_logs_certification_statistics(caplog):
     _, theorem = [r for r in caplog.records if r.name == "golaypairs"]
     assert theorem.levelno == logging.DEBUG
     message = theorem.getMessage()
-    # per pair: the root pair, one sub-pair of dimension 1 and one of 0, then
-    # the dimension-1 node's pair and its two dimension-0 sub-pairs
+    # one row per inner node: the root pair and its dimension-1 child's pair;
+    # the dimension-0 sub-pairs have no shift to check
     assert "q=4 m=2: 256 pairs certified" in message
-    assert "rows per dimension {0: 768, 1: 512, 2: 256}" in message
+    assert "rows per dimension {1: 256, 2: 256}" in message
     for stage in ("standard sweep", "certificate walks", "batched correlation", "peak RSS"):
         assert f"{stage} " in message
 
 
-@pytest.mark.parametrize("workers", (1, 2))
-@pytest.mark.parametrize("broken", ("certificate", "correlation row"))
-def test_witness_is_the_one_pair_whose_certification_fails(monkeypatch, workers, broken):
-    # CHUNK = 24 certifies (4,2) in 64 batches of 24 // (3 * 2) = 4 pairs
+def certify_with_one_broken_pair(monkeypatch, q, m, index, workers, broken):
+    """``verify_theorem(q, m)`` with the certification of census pair
+    ``index`` broken, and that pair's entries; certification runs in
+    batches of 24 // (3 * m) pairs."""
     import golaypairs.census as census
 
     monkeypatch.setattr(census, "CHUNK", 24)
-    f, g = enumerate_all_gaps(4, 2)[129]
+    f, g = enumerate_all_gaps(q, m)[index]
     target = (f.entries, g.entries)
     if broken == "certificate":
-        decompose = census.decompose
+        real_decompose = census.decompose
 
         def tampered(ff, gg):
-            params, cert = decompose(ff, gg)
+            params, cert = real_decompose(ff, gg)
             if (ff.entries, gg.entries) == target:
-                cert = dataclasses.replace(cert, e=(cert.e + 1) % 4)
+                cert = dataclasses.replace(cert, e=(cert.e + 1) % q)
             return params, cert
 
         monkeypatch.setattr(census, "decompose", tampered)
@@ -212,17 +229,45 @@ def test_witness_is_the_one_pair_whose_certification_fails(monkeypatch, workers,
         def tampered(ff, gg, cert, max_corr_dim):
             rows = certificate_rows(ff, gg, cert, max_corr_dim=max_corr_dim)
             if (ff.entries, gg.entries) == target:
-                # two rows per pair at dimension 1, so row and pair numbers
-                # differ; (e, e) is never a pair in positive dimension
+                # the last row of dimension 1; (e, e) is never a pair in
+                # positive dimension
                 e = rows[1][-1][0]
                 rows[1][-1] = (e, e)
             return rows
 
         monkeypatch.setattr(census, "_certificate_rows", tampered)
-    report = verify_theorem(4, 2, workers=workers)
+    return verify_theorem(q, m, workers=workers), target
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("broken", ("certificate", "correlation row"))
+def test_witness_is_the_one_pair_whose_certification_fails(monkeypatch, workers, broken):
+    # batches of 4 pairs; a (4,2) pair has one row of each dimension 1 and 2,
+    # so here rows and pairs line up
+    report, target = certify_with_one_broken_pair(
+        monkeypatch, 4, 2, 129, workers, broken
+    )
     assert report.nonstandard_witnesses == (target,)
     assert not report.all_standard
     assert report.gap_pair_count == report.standard_pair_count == 256
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_witness_when_rows_and_pairs_do_not_line_up(monkeypatch, workers):
+    # batches of 2 pairs; 32 of the 96 (2,3) certificates have two nodes of
+    # dimension 1, among them pairs 52 and 53, so the broken row is row 3 of
+    # its batch and belongs to pair 1
+    from golaypairs.census import _certificate_rows
+
+    for f, g in enumerate_all_gaps(2, 3)[52:54]:
+        rows = _certificate_rows(f, g, decompose(f, g)[1], max_corr_dim=3)
+        assert len(rows[1]) == 2
+    report, target = certify_with_one_broken_pair(
+        monkeypatch, 2, 3, 53, workers, "correlation row"
+    )
+    assert report.nonstandard_witnesses == (target,)
+    assert not report.all_standard
+    assert report.gap_pair_count == report.standard_pair_count == 96
 
 
 def test_fingerprint_rows_are_narrow():

@@ -151,6 +151,14 @@ def test_census_budget_refusal_never_builds_the_space_size(capsys):
     assert "Traceback" not in err
 
 
+def test_census_negative_budget_is_malformed_input(capsys):
+    assert main(["census", "4", "1", "--budget", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and len(err.splitlines()) == 1
+    assert "budget must be nonnegative" in err
+    assert main(["census", "4", "1", "--budget", "0"]) == 3
+
+
 def test_census_memory_refusal_exits_three_at_once(capsys):
     # 2^32 arrays pass the array budget; the join's memory estimate does not
     t0 = time.perf_counter()

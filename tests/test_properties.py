@@ -9,16 +9,18 @@ kernel's histograms are compared count for count with the cell loops of
 Cyclotomic equality is compared with the complex value of each side.
 Interaction components, block separation, the common part of a restriction
 pair and the decomposition are checked against the brute-force partitions of
-``helpers`` and against the float complementarity test, and standard-form
-recognition against the cell-by-cell table of every standard pair.  Block
-sums (``combine``, the common-part split) and the cell placement of
-generating functions (``embed``, ``disjoint_product``) are checked against
-``helpers.block_sum`` and ``helpers._spread``.  Values that internal code
-builds without validation are checked to be valid values.
+``helpers`` and against the float complementarity test, a certificate's
+correlation rows against the replayed pairs of its inner nodes, and
+standard-form recognition against the cell-by-cell table of every standard
+pair.  Block sums (``combine``, the common-part split) and the cell
+placement of generating functions (``embed``, ``disjoint_product``) are
+checked against ``helpers.block_sum`` and ``helpers._spread``.  Values that
+internal code builds without validation are checked to be valid values.
 """
 
 import dataclasses
 import random
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -58,6 +60,7 @@ from golaypairs import (
     verify_certificate,
 )
 from golaypairs import qarray
+from golaypairs.decompose import _certificate_rows
 from golaypairs.qarray import _cube_plan, _gaps, _histograms, _sequence_plan
 
 from helpers import (
@@ -102,8 +105,8 @@ def cancel_shell(q, m, f, g):
 
 
 @st.composite
-def standard_params(draw, max_m=8):
-    q = draw(EVEN)
+def standard_params(draw, max_m=8, qs=EVEN):
+    q = draw(qs)
     m = draw(st.integers(0, max_m))
     pi = draw(st.permutations(range(1, m + 1)))
     c = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
@@ -491,6 +494,41 @@ def test_decompose_succeeds_exactly_on_pairs(case):
     assert float_is_gap(q, m, fe, ge)
     assert replay(cert) == (f, g)
     verify_certificate(f, g, cert, max_corr_dim=m)
+
+
+def inner_nodes(cert):
+    """Every inner node of a certificate tree, parents before children."""
+    if cert.is_leaf:
+        return []
+    return [cert, *inner_nodes(cert.left), *inner_nodes(cert.right)]
+
+
+def replayed_entries(cert):
+    f, g = replay(cert)
+    return f.entries, g.entries
+
+
+@settings(max_examples=100)
+@given(standard_params(6, st.sampled_from((2, 4, 6, 8, 10))))
+def test_certificate_rows_are_the_inner_node_pairs(params):
+    # the rows are each inner node's pair, rebuilt here by replaying its
+    # subtree: one row per node, none of dimension 0
+    f, g = construct_standard(params)
+    _, cert = decompose(f, g)
+    nodes = inner_nodes(cert)
+    assert len(nodes) == params.m
+    for max_corr_dim in range(params.m + 2):
+        rows = _certificate_rows(f, g, cert, max_corr_dim)
+        want: dict[int, Counter] = {}
+        for node in nodes:
+            if node.m <= max_corr_dim:
+                want.setdefault(node.m, Counter())[replayed_entries(node)] += 1
+        assert {dim: Counter(r) for dim, r in rows.items()} == want
+        for node in nodes:
+            if node.m <= max_corr_dim:
+                for child in (node.left, node.right):
+                    if child.m:
+                        assert replayed_entries(child) in rows[child.m]
 
 
 def assert_valid(value):
