@@ -44,11 +44,16 @@ space: it decomposes the pair and walks its certificate at
 ``max_corr_dim = m``, which gathers one correlation row per inner node, m
 per pair.  A batch of ``CHUNK // (3 * m)`` pairs is correlated with one
 kernel call per dimension; batches of ``CHUNK // m`` raised the peak RSS
-of ``census 4 3`` from 36.2 to 37.4 MB.  A failing row is mapped back to
-its pair, which becomes a witness.  The batches run in census order, on a
-process pool like the sweep's when ``workers > 1``, and their witnesses
-are merged into one sorted set, so reports are again identical for every
-worker count.
+of ``census 4 3`` from 36.2 to 37.4 MB.  A batch is also the scope of a
+:class:`~golaypairs.decompose._BatchMemo`, in which each distinct sub-pair
+is decomposed once and each shared sub-certificate walked once, so the
+batch size sets the memo's hit rate as well as its memory: the first
+(4,3) batch, 455 pairs with 1,365 inner nodes, has 277 distinct sub-pairs,
+dimension 0 included.  A failing row is mapped back to its pair, which
+becomes a witness.  The batches run in census order, on a process pool
+like the sweep's when ``workers > 1``, and their witnesses are merged
+into one sorted set, so reports are again identical for every worker
+count.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .decompose import _certificate_rows, decompose
+from .decompose import _BatchMemo, _certificate_rows, decompose
 from .errors import (
     BudgetExceededError,
     NotAGapError,
@@ -358,25 +363,29 @@ def _certify(
     the rows of the whole batch are then checked with one ``_gaps`` call
     per dimension, and each failing row is mapped back to its pair.  Rows
     wait for that call as one flat list of entries per dimension, not as
-    row tuples, which keeps the batch's memory small.  Returns the entry
-    tuples of the failing pairs, the rows per dimension, and the seconds
-    spent walking and correlating.
+    row tuples, which keeps the batch's memory small.  The decompositions
+    and walks run inside one :class:`~golaypairs.decompose._BatchMemo`,
+    closed before the correlation.  Returns the entry tuples of the failing
+    pairs, the rows per dimension, the memo's (distinct sub-pairs
+    decomposed, sub-certificate walks reused), and the seconds spent
+    walking and correlating.
     """
     t0 = time.perf_counter()
     failed: set[int] = set()
     stacks: dict[int, tuple[list[int], list[int]]] = {}
-    for i, (f, g) in enumerate(pairs):
-        try:
-            rows = _certificate_rows(f, g, decompose(f, g)[1], max_corr_dim=m)
-        except (NotAGapError, VerificationError):
-            failed.add(i)
-            continue
-        for dim, dim_rows in rows.items():
-            owners, flat = stacks.setdefault(dim, ([], []))
-            owners += [i] * len(dim_rows)
-            for x, y in dim_rows:
-                flat += x
-                flat += y
+    with _BatchMemo() as memo:
+        for i, (f, g) in enumerate(pairs):
+            try:
+                rows = _certificate_rows(f, g, decompose(f, g)[1], max_corr_dim=m)
+            except (NotAGapError, VerificationError):
+                failed.add(i)
+                continue
+            for dim, dim_rows in rows.items():
+                owners, flat = stacks.setdefault(dim, ([], []))
+                owners += [i] * len(dim_rows)
+                for x, y in dim_rows:
+                    flat += x
+                    flat += y
     t1 = time.perf_counter()
     for dim, (owners, flat) in stacks.items():
         stack = np.array(flat, dtype=np.int64).reshape(len(owners), 2, 1 << dim)
@@ -384,7 +393,8 @@ def _certify(
         failed.update(owners[j] for j in np.flatnonzero(~verdicts))
     counts = {dim: len(owners) for dim, (owners, _) in stacks.items()}
     witnesses = [(pairs[i][0].entries, pairs[i][1].entries) for i in failed]
-    return witnesses, counts, t1 - t0, time.perf_counter() - t1
+    shared = memo.decomposed, memo.reused
+    return witnesses, counts, shared, t1 - t0, time.perf_counter() - t1
 
 
 def verify_theorem(
@@ -396,14 +406,17 @@ def verify_theorem(
     every censused pair is additionally decomposed and its certificate
     re-verified with literal correlation checks at every inner node.  The
     pairs are certified in batches of ``CHUNK // (3 * m)`` in census order
-    (a size chosen for memory, see the module docstring); with
+    (a size chosen for memory, see the module docstring); a batch shares
+    its sub-certificates, so its size also sets how often a sub-pair is
+    decomposed and walked again rather than reused; with
     ``workers > 1`` the batches run on a process pool and their witnesses
     are merged.  A standard pair missing from the census would mean the
     sweep itself is broken and raises :class:`VerificationError`.  For odd
     q the standard construction is empty in positive dimension, so every
     censused pair is a witness; in dimension 0 all pairs are degenerate and
     counted as standard.  One DEBUG record on the ``golaypairs`` logger
-    gives the stage timings, the correlation rows per dimension and the
+    gives the stage timings, the correlation rows per dimension, the
+    distinct sub-pairs decomposed and sub-certificate walks reused, and the
     peak RSS.
     """
     t0 = time.perf_counter()
@@ -411,7 +424,7 @@ def verify_theorem(
     total = q ** (1 << m)
     gap_keys = {(f.entries, g.entries) for f, g in gaps}
     std_s = walk_s = corr_s = 0.0
-    certified = 0
+    certified = decomposed = reused = 0
     rows: Counter[int] = Counter()
     if q % 2 == 0:
         t_std = time.perf_counter()
@@ -426,9 +439,11 @@ def verify_theorem(
         witness_keys = gap_keys - std_keys
         size = CHUNK // max(3 * m, 1)
         tasks = [(q, m, gaps[a : a + size]) for a in range(0, len(gaps), size)]
-        for failed, counts, walk, corr in _run(_certify, tasks, workers):
+        for failed, counts, shared, walk, corr in _run(_certify, tasks, workers):
             witness_keys.update(failed)
             rows.update(counts)
+            decomposed += shared[0]
+            reused += shared[1]
             walk_s += walk
             corr_s += corr
         standard_count = len(std_keys)
@@ -445,10 +460,13 @@ def verify_theorem(
 
         _log.debug(
             "verify_theorem q=%d m=%d: %d pairs certified, correlation rows"
-            " per dimension %s; standard sweep %.3f s, decomposition and"
-            " certificate walks %.3f s, batched correlation %.3f s (summed"
-            " over batches); peak RSS %.1f MB (this process, so far)",
-            q, m, certified, dict(sorted(rows.items())), std_s, walk_s, corr_s,
+            " per dimension %s, %d distinct sub-pairs decomposed, %d"
+            " sub-certificate walks reused; standard sweep %.3f s,"
+            " decomposition and certificate walks %.3f s, batched correlation"
+            " %.3f s (summed over batches); peak RSS %.1f MB (this process,"
+            " so far)",
+            q, m, certified, dict(sorted(rows.items())), decomposed, reused,
+            std_s, walk_s, corr_s,
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         )
     return CensusReport(

@@ -24,6 +24,14 @@ sufficient for the input to be a complementary pair, so a completed
 recursion doubles as an exact complementarity certificate and a failed
 pointwise check is reported as not-a-pair.  The final parameters are
 re-expanded and compared with the input bit for bit before returning.
+
+A census certifies many pairs whose sub-pairs repeat: they are built from
+a small set of lower-dimensional standard pairs.  While a
+:class:`_BatchMemo` is open, each distinct sub-pair is decomposed once and
+each shared sub-certificate walked once, and the results are reused for
+every pair of the batch; no check is skipped, and a failure is never
+stored, so it is raised again for every pair that meets it.  Outside a
+batch nothing is shared.
 """
 
 from __future__ import annotations
@@ -282,6 +290,58 @@ def _forced_form_break(
     )  # pragma: no cover - internal guard
 
 
+class _BatchMemo:
+    """Sub-certificates shared by the pairs of one batch, while it is open.
+
+    Entered as a context manager, it is the memo that :func:`decompose` and
+    :func:`_certificate_rows` consult; outside one, they share nothing.
+    ``pairs`` maps a sub-pair's (q, f entries, g entries) to its
+    decomposition, so equal sub-pairs get the same certificate objects, and
+    ``walks`` maps (id(node), max_corr_dim) of such an inner node to its
+    walk (see :func:`_walk_shared`).  Both are cleared on exit; the
+    counters ``decomposed`` (distinct sub-pairs decomposed) and ``reused``
+    (sub-certificate walks reused) stay.  Root pairs are not stored.
+    """
+
+    def __init__(self) -> None:
+        self.pairs: dict = {}
+        self.walks: dict = {}
+        self.decomposed = 0
+        self.reused = 0
+
+    def __enter__(self) -> "_BatchMemo":
+        global _memo
+        _memo = self
+        return self
+
+    def __exit__(self, *exc) -> None:
+        global _memo
+        _memo = None
+        self.pairs.clear()
+        self.walks.clear()
+
+
+_memo: _BatchMemo | None = None
+
+
+def _decompose_shared(
+    f: QaryArray, g: QaryArray
+) -> tuple[StandardParams, DecompositionCertificate]:
+    """:func:`_decompose_rec` of a sub-pair, done once per open batch memo.
+
+    A sub-pair that raises is not stored and raises again on its next call.
+    """
+    memo = _memo
+    if memo is None:
+        return _decompose_rec(f, g)
+    key = (f.q, f.entries, g.entries)
+    hit = memo.pairs.get(key)
+    if hit is None:
+        hit = memo.pairs[key] = _decompose_rec(f, g)
+        memo.decomposed += 1
+    return hit
+
+
 def _decompose_rec(
     f: QaryArray, g: QaryArray
 ) -> tuple[StandardParams, DecompositionCertificate]:
@@ -299,8 +359,8 @@ def _decompose_rec(
             f"not a complementary pair: residual halves violate the forced form "
             f"at dimension {m}: {_forced_form_break(f1, g1, split, d)}"
         )
-    left_params, left_cert = _decompose_rec(split.a, split.b)
-    right_params, right_cert = _decompose_rec(split.c, d)
+    left_params, left_cert = _decompose_shared(split.a, split.b)
+    right_params, right_cert = _decompose_shared(split.c, d)
     params = _recombine(q, m, split.z1_vars, split.z2_vars, left_params, right_params)
     cert = DecompositionCertificate(
         q,
@@ -369,6 +429,95 @@ def replay(cert: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
     return _rebuild(cert, *replay(cert.left), *replay(cert.right))
 
 
+def _fail(msg: str) -> None:
+    raise VerificationError(f"certificate verification failed: {msg}")
+
+
+def _walk(
+    node: DecompositionCertificate,
+    max_corr_dim: int,
+    rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]],
+) -> tuple[QaryArray, QaryArray]:
+    """Check one node against its subtree and return the node's pair.
+
+    Appends the pair of each inner node of the subtree of dimension at most
+    ``max_corr_dim`` to ``rows``, children before parents.
+    """
+    q, m = node.q, node.m
+    if (node.params.q, node.params.m) != (q, m):
+        _fail(f"node parameters do not have the node's q={q} and m={m}")
+    if node.is_leaf:
+        return construct_standard(node.params)
+    if node.split_var != m:
+        _fail(f"split variable {node.split_var} is not the highest ({m})")
+    a, b = _walk_shared(node.left, max_corr_dim, rows)
+    c, d = _walk_shared(node.right, max_corr_dim, rows)
+    split = node.split
+    if sorted(split.z1_vars + split.z2_vars) != list(range(1, m)):
+        _fail("split variable sets do not partition the remaining variables")
+    if node.left.q != q or node.right.q != q:
+        _fail("sub-certificates do not have the node's modulus")
+    if (node.left.m, node.right.m) != (len(split.z1_vars), len(split.z2_vars)):
+        _fail("sub-certificate dimensions do not match the split variable sets")
+    if (a, b) != (split.a, split.b) or c != split.c or d != node.d:
+        _fail("stored intermediate arrays disagree with sub-certificates")
+    if split.f0_const != split.a.entries[0] or split.g0_const != split.b.entries[0]:
+        _fail("stored normalisation constants are inconsistent")
+    if split.c.entries[0] != 0:
+        _fail("common part is not origin-normalised")
+    if node.e != node.left.params.c_prime or node.e_prime != node.right.params.c_prime:
+        _fail("stored offsets disagree with sub-parameters")
+    if node.params != _recombine(
+        q, m, split.z1_vars, split.z2_vars, node.left.params, node.right.params
+    ):
+        _fail("node parameters are not the recombination of the children")
+    ff, gg = _rebuild(node, a, b, c, d)
+    if m <= max_corr_dim:
+        rows.setdefault(m, []).append((ff.entries, gg.entries))
+        fa = embed(from_array(a), split.z1_vars, m - 1)
+        fc = embed(from_array(c), split.z2_vars, m - 1)
+        prod = disjoint_product(fa, fc)
+        if prod != from_array(split_last(ff)[0]):
+            _fail("factor product does not rebuild the restriction")
+        if star(prod) != disjoint_product(star(fa), star(fc)):
+            _fail("degree reversal does not distribute over the factor product")
+    return ff, gg
+
+
+def _walk_shared(
+    node: DecompositionCertificate,
+    max_corr_dim: int,
+    rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]],
+) -> tuple[QaryArray, QaryArray]:
+    """:func:`_walk` of a sub-certificate, done once per open batch memo.
+
+    A walked inner node is stored with its pair and the rows its subtree
+    appended; a later walk of the same node object appends those rows
+    again, so ``rows`` comes out as a fresh walk leaves it.  A subtree that
+    raises is not stored and raises again on its next walk.
+    """
+    memo = _memo
+    if memo is None or node.is_leaf:
+        return _walk(node, max_corr_dim, rows)
+    key = (id(node), max_corr_dim)
+    hit = memo.walks.get(key)
+    if hit is not None:
+        memo.reused += 1
+        for dim, dim_rows in hit[2]:
+            rows.setdefault(dim, []).extend(dim_rows)
+        return hit[1]
+    marks = {dim: len(dim_rows) for dim, dim_rows in rows.items()}
+    pair = _walk(node, max_corr_dim, rows)
+    added = [
+        (dim, dim_rows[marks.get(dim, 0) :])
+        for dim, dim_rows in rows.items()
+        if len(dim_rows) > marks.get(dim, 0)
+    ]
+    # the node is kept so that its id is not reused while the entry lives
+    memo.walks[key] = (node, pair, added)
+    return pair
+
+
 def _certificate_rows(
     f: QaryArray,
     g: QaryArray,
@@ -381,61 +530,14 @@ def _certificate_rows(
     keyed by dimension: the pair of each inner node of dimension at most
     ``max_corr_dim``.  Sub-pairs get no rows: each is a child's node pair,
     a row of its own, or of dimension 0, with no shift to check.  Raises
-    :class:`VerificationError` on any other mismatch.
+    :class:`VerificationError` on any other mismatch.  Inside a
+    :class:`_BatchMemo`, each shared sub-certificate is walked once.
     """
-
-    def fail(msg: str) -> None:
-        raise VerificationError(f"certificate verification failed: {msg}")
-
     rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-
-    def walk(node: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
-        q, m = node.q, node.m
-        if (node.params.q, node.params.m) != (q, m):
-            fail(f"node parameters do not have the node's q={q} and m={m}")
-        if node.is_leaf:
-            return construct_standard(node.params)
-        if node.split_var != m:
-            fail(f"split variable {node.split_var} is not the highest ({m})")
-        a, b = walk(node.left)
-        c, d = walk(node.right)
-        split = node.split
-        if sorted(split.z1_vars + split.z2_vars) != list(range(1, m)):
-            fail("split variable sets do not partition the remaining variables")
-        if node.left.q != q or node.right.q != q:
-            fail("sub-certificates do not have the node's modulus")
-        if (node.left.m, node.right.m) != (len(split.z1_vars), len(split.z2_vars)):
-            fail("sub-certificate dimensions do not match the split variable sets")
-        if (a, b) != (split.a, split.b) or c != split.c or d != node.d:
-            fail("stored intermediate arrays disagree with sub-certificates")
-        if split.f0_const != split.a.entries[0] or split.g0_const != split.b.entries[0]:
-            fail("stored normalisation constants are inconsistent")
-        if split.c.entries[0] != 0:
-            fail("common part is not origin-normalised")
-        if node.e != node.left.params.c_prime or node.e_prime != node.right.params.c_prime:
-            fail("stored offsets disagree with sub-parameters")
-        if node.params != _recombine(
-            q, m, split.z1_vars, split.z2_vars, node.left.params, node.right.params
-        ):
-            fail("node parameters are not the recombination of the children")
-        ff, gg = _rebuild(node, a, b, c, d)
-        if m <= max_corr_dim:
-            rows.setdefault(m, []).append((ff.entries, gg.entries))
-            fa = embed(from_array(a), split.z1_vars, m - 1)
-            fc = embed(from_array(c), split.z2_vars, m - 1)
-            prod = disjoint_product(fa, fc)
-            if prod != from_array(split_last(ff)[0]):
-                fail("factor product does not rebuild the restriction")
-            if star(prod) != disjoint_product(star(fa), star(fc)):
-                fail("degree reversal does not distribute over the factor product")
-        return ff, gg
-
-    top = walk(cert)
-    if top != (f, g):
-        fail("replayed pair differs from the claimed pair")
-    ff, gg = construct_standard(cert.params)
-    if (ff, gg) != (f, g):
-        fail("root parameters do not regenerate the claimed pair")
+    if _walk(cert, max_corr_dim, rows) != (f, g):
+        _fail("replayed pair differs from the claimed pair")
+    if construct_standard(cert.params) != (f, g):
+        _fail("root parameters do not regenerate the claimed pair")
     return rows
 
 

@@ -303,3 +303,86 @@ def test_report_is_deterministic_across_runs():
     a = verify_theorem(4, 1).to_json_dict()
     b = verify_theorem(4, 1).to_json_dict()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_certification_leaves_no_reference_cycles():
+    import gc
+
+    from golaypairs import QaryArray, verify_certificate
+    from golaypairs.census import _certify
+
+    pairs = enumerate_all_gaps(4, 3)[:100]
+    f, g = pairs[5]
+    moved = QaryArray(4, 3, ((f.entries[0] + 1) % 4,) + f.entries[1:])
+    pairs.append((moved, g))
+    _, cert = decompose(f, g)
+    # warm the plan and table caches, so that only the calls themselves count
+    verify_certificate(f, g, cert, max_corr_dim=3)
+    assert _certify(4, 3, pairs)[0] == [(moved.entries, g.entries)]
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            verify_certificate(f, g, cert, max_corr_dim=3)
+        assert gc.collect() == 0
+        _certify(4, 3, pairs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def shared_counters(pairs):
+    """Distinct sub-pairs and reused inner sub-certificate walks of one
+    batch, counted on certificates decomposed one pair at a time.
+
+    Equal sub-pairs share one certificate in a batch, so a walk is reused
+    at each inner child whose pair an earlier walk of the batch met."""
+    from golaypairs import replay
+
+    def key(node):
+        f, g = replay(node)
+        return f.entries, g.entries
+
+    below, walked, reused = set(), set(), 0
+
+    def collect(node):
+        below.add(key(node))
+        for child in (node.left, node.right) if node.m else ():
+            collect(child)
+
+    def walk_children(node):
+        nonlocal reused
+        for child in (node.left, node.right):
+            if not child.m:
+                continue
+            if key(child) in walked:
+                reused += 1
+                continue
+            walk_children(child)
+            walked.add(key(child))
+
+    for f, g in pairs:
+        _, cert = decompose(f, g)
+        collect(cert.left)
+        collect(cert.right)
+        walk_children(cert)
+    return len(below), reused
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_verify_theorem_logs_shared_subcertificate_counters(monkeypatch, caplog, workers):
+    import golaypairs.census as census
+
+    # batches of 60 // 9 = 6 pairs
+    monkeypatch.setattr(census, "CHUNK", 60)
+    pairs = enumerate_all_gaps(2, 3)
+    totals = [shared_counters(pairs[a : a + 6]) for a in range(0, len(pairs), 6)]
+    decomposed, reused = (sum(column) for column in zip(*totals))
+    assert reused > 0
+    with caplog.at_level(logging.DEBUG, logger="golaypairs"):
+        assert verify_theorem(2, 3, workers=workers).all_standard
+    message = caplog.records[-1].getMessage()
+    assert (
+        f"{decomposed} distinct sub-pairs decomposed,"
+        f" {reused} sub-certificate walks reused" in message
+    )

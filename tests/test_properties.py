@@ -10,7 +10,9 @@ Cyclotomic equality is compared with the complex value of each side.
 Interaction components, block separation, the common part of a restriction
 pair and the decomposition are checked against the brute-force partitions of
 ``helpers`` and against the float complementarity test, a certificate's
-correlation rows against the replayed pairs of its inner nodes, and
+correlation rows against the replayed pairs of its inner nodes, the
+certification of a batch that shares its sub-certificates against fresh
+per-pair calls, and
 standard-form recognition against the cell-by-cell table of every standard
 pair.  Block sums (``combine``, the common-part split) and the cell
 placement of generating functions (``embed``, ``disjoint_product``) are
@@ -35,6 +37,7 @@ from golaypairs import (
     QaryArray,
     StandardParams,
     VarPartition,
+    VerificationError,
     combine,
     construct_standard,
     correlation_spectrum,
@@ -60,7 +63,8 @@ from golaypairs import (
     verify_certificate,
 )
 from golaypairs import qarray
-from golaypairs.decompose import _certificate_rows
+from golaypairs.census import _certify
+from golaypairs.decompose import _BatchMemo, _certificate_rows
 from golaypairs.qarray import _cube_plan, _gaps, _histograms, _sequence_plan
 
 from helpers import (
@@ -529,6 +533,61 @@ def test_certificate_rows_are_the_inner_node_pairs(params):
                 for child in (node.left, node.right):
                     if child.m:
                         assert replayed_entries(child) in rows[child.m]
+
+
+@st.composite
+def certification_batches(draw):
+    """(q, m, rows): one census batch of standard pairs, earlier rows met
+    again, and one-cell-moved non-pairs, in drawn order."""
+    q = draw(st.sampled_from((2, 4, 6, 8)))
+    m = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = draw(
+        st.lists(st.sampled_from(("standard", "again", "moved")), min_size=1, max_size=12)
+    )
+    rows = []
+    for kind in kinds:
+        if kind == "again" and rows:
+            rows.append(rng.choice(rows))
+        elif kind == "moved":
+            rows.append(moved_row(rng, q, m, standard_row(rng, q, m)))
+        else:
+            rows.append(standard_row(rng, q, m))
+    return q, m, rows
+
+
+def certification(q, m, fe, ge):
+    """(certificate JSON, rows) of one pair at ``max_corr_dim = m``, or the
+    type and message of the error that rejects it."""
+    f, g = QaryArray(q, m, fe), QaryArray(q, m, ge)
+    try:
+        cert = decompose(f, g)[1]
+        return cert.to_json_dict(), _certificate_rows(f, g, cert, m)
+    except (NotAGapError, VerificationError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80)
+@given(certification_batches())
+def test_batch_shared_certification_equals_fresh_per_pair_calls(case):
+    q, m, rows = case
+    fresh = [certification(q, m, f, g) for f, g in rows]
+    with _BatchMemo():
+        shared = [certification(q, m, f, g) for f, g in rows]
+    assert shared == fresh
+    want_witnesses, want_counts = set(), Counter()
+    for row, (_, result) in zip(rows, fresh):
+        if isinstance(result, str):
+            want_witnesses.add(row)
+            continue
+        for dim, dim_rows in result.items():
+            want_counts[dim] += len(dim_rows)
+            if not all(float_is_gap(q, dim, *pair) for pair in dim_rows):
+                want_witnesses.add(row)
+    pairs = [(QaryArray(q, m, f), QaryArray(q, m, g)) for f, g in rows]
+    witnesses, counts, *_ = _certify(q, m, pairs)
+    assert set(witnesses) == want_witnesses
+    assert counts == want_counts
 
 
 def assert_valid(value):
