@@ -31,10 +31,11 @@ _NUMPY_MIN = 128
 def _subset_transform(vals: list[int], m: int, q: int, sign: int) -> list[int]:
     """Subset Moebius (sign -1: values to ANF) or zeta (sign 1) transform mod q.
 
-    Small inputs are transformed in place.
+    Small inputs are transformed in place, and so is any input with q above
+    2**62, where an int64 sum of two residues could overflow.
     """
     n = len(vals)
-    if n >= _NUMPY_MIN:
+    if n >= _NUMPY_MIN and q <= 1 << 62:
         a = np.array(vals, dtype=np.int64)
         for k in range(m):
             b = a.reshape(-1, 2, 1 << k)

@@ -433,25 +433,26 @@ def _fail(msg: str) -> None:
     raise VerificationError(f"certificate verification failed: {msg}")
 
 
-def _walk(
-    node: DecompositionCertificate,
-    max_corr_dim: int,
-    rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]],
-) -> tuple[QaryArray, QaryArray]:
-    """Check one node against its subtree and return the node's pair.
+_Rows = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
-    Appends the pair of each inner node of the subtree of dimension at most
-    ``max_corr_dim`` to ``rows``, children before parents.
+
+def _walk(
+    node: DecompositionCertificate, max_corr_dim: int
+) -> tuple[QaryArray, QaryArray, _Rows]:
+    """Check one node against its subtree; return the node's pair and rows.
+
+    The rows are (dimension, f entries, g entries) of each inner node of the
+    subtree of dimension at most ``max_corr_dim``, children before parents.
     """
     q, m = node.q, node.m
     if (node.params.q, node.params.m) != (q, m):
         _fail(f"node parameters do not have the node's q={q} and m={m}")
     if node.is_leaf:
-        return construct_standard(node.params)
+        return (*construct_standard(node.params), ())
     if node.split_var != m:
         _fail(f"split variable {node.split_var} is not the highest ({m})")
-    a, b = _walk_shared(node.left, max_corr_dim, rows)
-    c, d = _walk_shared(node.right, max_corr_dim, rows)
+    a, b, left_rows = _walk_shared(node.left, max_corr_dim)
+    c, d, right_rows = _walk_shared(node.right, max_corr_dim)
     split = node.split
     if sorted(split.z1_vars + split.z2_vars) != list(range(1, m)):
         _fail("split variable sets do not partition the remaining variables")
@@ -472,8 +473,9 @@ def _walk(
     ):
         _fail("node parameters are not the recombination of the children")
     ff, gg = _rebuild(node, a, b, c, d)
+    rows = left_rows + right_rows
     if m <= max_corr_dim:
-        rows.setdefault(m, []).append((ff.entries, gg.entries))
+        rows += ((m, ff.entries, gg.entries),)
         fa = embed(from_array(a), split.z1_vars, m - 1)
         fc = embed(from_array(c), split.z2_vars, m - 1)
         prod = disjoint_product(fa, fc)
@@ -481,41 +483,28 @@ def _walk(
             _fail("factor product does not rebuild the restriction")
         if star(prod) != disjoint_product(star(fa), star(fc)):
             _fail("degree reversal does not distribute over the factor product")
-    return ff, gg
+    return ff, gg, rows
 
 
 def _walk_shared(
-    node: DecompositionCertificate,
-    max_corr_dim: int,
-    rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]],
-) -> tuple[QaryArray, QaryArray]:
+    node: DecompositionCertificate, max_corr_dim: int
+) -> tuple[QaryArray, QaryArray, _Rows]:
     """:func:`_walk` of a sub-certificate, done once per open batch memo.
 
-    A walked inner node is stored with its pair and the rows its subtree
-    appended; a later walk of the same node object appends those rows
-    again, so ``rows`` comes out as a fresh walk leaves it.  A subtree that
-    raises is not stored and raises again on its next walk.
+    A subtree that raises is not stored and raises again on its next walk.
     """
     memo = _memo
     if memo is None or node.is_leaf:
-        return _walk(node, max_corr_dim, rows)
+        return _walk(node, max_corr_dim)
     key = (id(node), max_corr_dim)
     hit = memo.walks.get(key)
     if hit is not None:
         memo.reused += 1
-        for dim, dim_rows in hit[2]:
-            rows.setdefault(dim, []).extend(dim_rows)
         return hit[1]
-    marks = {dim: len(dim_rows) for dim, dim_rows in rows.items()}
-    pair = _walk(node, max_corr_dim, rows)
-    added = [
-        (dim, dim_rows[marks.get(dim, 0) :])
-        for dim, dim_rows in rows.items()
-        if len(dim_rows) > marks.get(dim, 0)
-    ]
+    walked = _walk(node, max_corr_dim)
     # the node is kept so that its id is not reused while the entry lives
-    memo.walks[key] = (node, pair, added)
-    return pair
+    memo.walks[key] = (node, walked)
+    return walked
 
 
 def _certificate_rows(
@@ -533,11 +522,12 @@ def _certificate_rows(
     :class:`VerificationError` on any other mismatch.  Inside a
     :class:`_BatchMemo`, each shared sub-certificate is walked once.
     """
-    rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    if _walk(cert, max_corr_dim, rows) != (f, g):
+    ff, gg, walked_rows = _walk(cert, max_corr_dim)
+    if (ff, gg) != (f, g):
         _fail("replayed pair differs from the claimed pair")
-    if construct_standard(cert.params) != (f, g):
-        _fail("root parameters do not regenerate the claimed pair")
+    rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    for dim, fe, ge in walked_rows:
+        rows.setdefault(dim, []).append((fe, ge))
     return rows
 
 
@@ -551,8 +541,9 @@ def verify_certificate(
 
     Replays the tree bottom-up, confirms every stored intermediate array and
     offset, re-derives each node's parameters from its children, and compares
-    the root against (f, g) and against the expansion of the root parameters.
-    On inner nodes of dimension at most ``max_corr_dim`` the degree-reversal
+    the root against (f, g).  Each walked pair is then the expansion of its
+    node's parameters, so the root parameters regenerate (f, g).  On inner
+    nodes of dimension at most ``max_corr_dim`` the degree-reversal
     of the recovered factor product is compared against the product of the
     reversed factors, and the node pair's complementarity is rechecked by
     literal correlation sums, which covers the sub-pairs (see

@@ -480,6 +480,7 @@ def is_gap(f: QaryArray, g: QaryArray) -> bool:
     """
     if f.q != g.q or f.m != g.m:
         raise ValueError("shape or modulus mismatch")
+    get_context(f.q)  # rejects q above 4096 before entries are cast to int64
     return bool(_gaps(_cube_plan(f.m), f.q, ((f.entries, g.entries),))[0])
 
 

@@ -309,6 +309,39 @@ def test_verify_refuses_a_modulus_over_the_bound(tmp_path, capsys):
     assert "4096" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("q", [2**63 - 2, 2**70], ids=["2**63-2", "2**70"])
+def test_construct_is_exact_for_a_modulus_past_int64(tmp_path, capsys, q):
+    # m = 7 takes the numpy transform for small q; its int64 sums would wrap
+    m, pi, c = 7, [3, 1, 7, 5, 2, 6, 4], [q - 1 - 3 * k for k in range(7)]
+    params = {"q": q, "m": m, "pi": pi, "c": c, "c0": q - 5, "c_prime": q // 3}
+    assert main(["construct", write(tmp_path, "params.json", params)]) == 0
+    pair = json.loads(capsys.readouterr().out)
+    half = q // 2
+    f, g = [], []
+    for t in range(1 << m):
+        x = [t >> k & 1 for k in range(m)]
+        path = sum(x[u - 1] * x[v - 1] for u, v in zip(pi, pi[1:]))
+        fv = half * path + sum(ck * xk for ck, xk in zip(c, x)) + q - 5
+        f.append(fv % q)
+        g.append((fv + half * x[pi[0] - 1] + q // 3) % q)
+    assert pair == {
+        "f": {"q": q, "m": m, "entries": f},
+        "g": {"q": q, "m": m, "entries": g},
+    }
+
+
+def test_verify_refuses_a_huge_modulus_before_casting_entries(tmp_path, capsys):
+    # an entry of 2**65 does not fit the int64 rows of the correlation kernel
+    q = 2**70
+    pair = {
+        "f": {"q": q, "m": 1, "entries": [0, 2**65]},
+        "g": {"q": q, "m": 1, "entries": [0, 0]},
+    }
+    assert main(["verify", write(tmp_path, "pair.json", pair)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "q must lie in 1..4096" in err and "Traceback" not in err
+
+
 def test_verify_refuses_a_correlation_plan_over_the_memory_bound(tmp_path, capsys):
     # at m = 14 the plan would hold 4^14 cell combinations, several GiB
     zeros = {"q": 2, "m": 14, "entries": [0] * (1 << 14)}

@@ -515,3 +515,108 @@ def test_a_failing_shared_subtree_raises_for_every_pair():
                 _certificate_rows(f, g, bad, 4)
         assert all(entry[0] is not bad_child for entry in memo.walks.values())
     assert not memo.pairs and not memo.walks
+
+
+def _witness_base(q=4):
+    # the root splits into a dimension-0 left and a dimension-2 right child
+    f, g = construct_standard(StandardParams(q, 3, (3, 1, 2), (1, 0, 1), 1, 1))
+    data = decompose(f, g)[1].to_json_dict()
+    assert (data["z1_vars"], data["z2_vars"]) == ([], [1, 2])
+    return f, g, data
+
+
+def _bump(array, k=1):
+    return {**array, "entries": [(v + k) % array["q"] for v in array["entries"]]}
+
+
+def _foreign_leaf():
+    params = StandardParams(2, 0, (), (), 1, 1)
+    return (*construct_standard(params), {"q": 4, "m": 0, "params": params.to_json_dict()})
+
+
+def _rerooted_modulus():
+    from golaypairs.decompose import _recombine
+
+    f, g, data = _witness_base(2)
+    left, right = (StandardParams.from_json_dict(data[s]["params"]) for s in ("left", "right"))
+    params = _recombine(4, 3, (), (1, 2), left, right)
+    return f, g, {**data, "q": 4, "params": params.to_json_dict()}
+
+
+def _moved_constant():
+    # k = 1 moves from the left pair (a - k, b - k) to the right pair
+    # (c + k, d - k): the node pair and the root parameters stay, c(0) = k
+    f, g, data = _witness_base()
+    a, b, c, d = (_bump(data[s], k) for s, k in (("a", -1), ("b", -1), ("c", 1), ("d", -1)))
+    left_params, left = decompose(QaryArray.from_json_dict(a), QaryArray.from_json_dict(b))
+    right_params, right = decompose(QaryArray.from_json_dict(c), QaryArray.from_json_dict(d))
+    data = {
+        **data, "a": a, "b": b, "c": c, "d": d,
+        "f0_const": a["entries"][0], "g0_const": b["entries"][0],
+        "e": left_params.c_prime, "e_prime": right_params.c_prime,
+        "left": left.to_json_dict(), "right": right.to_json_dict(),
+    }
+    return f, g, data
+
+
+def _edit(**changes):
+    def tamper():
+        f, g, data = _witness_base()
+        return f, g, {**data, **{k: edit(data) for k, edit in changes.items()}}
+
+    return tamper
+
+
+def _swapped_claim():
+    f, g, data = _witness_base()
+    return g, f, data
+
+
+# One row per check of the certificate walk that a certificate can fail: a
+# tamper, edited through the JSON form, that this check rejects and that
+# every other check lets through.  The factor-product and degree-reversal
+# identities of genfun and the correlation rows have no such certificate.
+WITNESSES = [
+    ("C1", _foreign_leaf, "node parameters do not have the node's q=4 and m=0"),
+    ("C2", _edit(split_var=lambda d: 2), "split variable 2 is not the highest (3)"),
+    (
+        "C3",
+        _edit(z2_vars=lambda d: [1, 9]),
+        "split variable sets do not partition the remaining variables",
+    ),
+    ("C4", _rerooted_modulus, "sub-certificates do not have the node's modulus"),
+    (
+        "C5",
+        _edit(z1_vars=lambda d: d["z2_vars"], z2_vars=lambda d: d["z1_vars"]),
+        "sub-certificate dimensions do not match the split variable sets",
+    ),
+    (
+        "C6",
+        _edit(a=lambda d: _bump(d["a"]), f0_const=lambda d: _bump(d["a"])["entries"][0]),
+        "stored intermediate arrays disagree with sub-certificates",
+    ),
+    (
+        "C7",
+        _edit(f0_const=lambda d: d["f0_const"] + 1),
+        "stored normalisation constants are inconsistent",
+    ),
+    ("C8", _moved_constant, "common part is not origin-normalised"),
+    ("C9", _edit(e=lambda d: d["e"] + 1), "stored offsets disagree with sub-parameters"),
+    (
+        "C10",
+        _edit(params=lambda d: {**d["params"], "c0": (d["params"]["c0"] + 1) % 4}),
+        "node parameters are not the recombination of the children",
+    ),
+    ("C13", _swapped_claim, "replayed pair differs from the claimed pair"),
+]
+
+
+@pytest.mark.parametrize(
+    "tamper, message", [row[1:] for row in WITNESSES], ids=[row[0] for row in WITNESSES]
+)
+def test_every_certificate_check_has_a_witness(tamper, message):
+    f, g, data = tamper()
+    cert = DecompositionCertificate.from_json_dict(data)
+    with pytest.raises(VerificationError) as exc:
+        verify_certificate(f, g, cert, max_corr_dim=cert.m)
+    assert str(exc.value) == f"certificate verification failed: {message}"

@@ -16,7 +16,11 @@ per-pair calls, and
 standard-form recognition against the cell-by-cell table of every standard
 pair.  Block sums (``combine``, the common-part split) and the cell
 placement of generating functions (``embed``, ``disjoint_product``) are
-checked against ``helpers.block_sum`` and ``helpers._spread``.  Values that
+checked against ``helpers.block_sum`` and ``helpers._spread``.  Two
+identities stand in for certificate checks that no certificate can fail:
+recombined parameters expand to the pair rebuilt from the expansions of
+the sub-pair parameters, and the factor product of two generating functions
+is the generating function of their block sum.  Values that
 internal code builds without validation are checked to be valid values.
 """
 
@@ -24,6 +28,7 @@ import dataclasses
 import random
 from collections import Counter
 from contextlib import contextmanager
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -64,8 +69,14 @@ from golaypairs import (
 )
 from golaypairs import qarray
 from golaypairs.census import _certify
-from golaypairs.decompose import _BatchMemo, _certificate_rows
-from golaypairs.qarray import _cube_plan, _gaps, _histograms, _sequence_plan
+from golaypairs.decompose import _BatchMemo, _certificate_rows, _rebuild, _recombine
+from golaypairs.qarray import (
+    _cube_plan,
+    _gaps,
+    _histograms,
+    _sequence_plan,
+    _two_block_fill,
+)
 
 from helpers import (
     _spread,
@@ -108,15 +119,18 @@ def cancel_shell(q, m, f, g):
     return tuple(g)
 
 
-@st.composite
-def standard_params(draw, max_m=8, qs=EVEN):
-    q = draw(qs)
-    m = draw(st.integers(0, max_m))
+def draw_params(draw, q, m):
     pi = draw(st.permutations(range(1, m + 1)))
     c = draw(st.lists(st.integers(0, q - 1), min_size=m, max_size=m))
     c0 = draw(st.integers(0, q - 1))
     c_prime = draw(st.integers(0, q - 1))
     return StandardParams(q, m, tuple(pi), tuple(c), c0, c_prime)
+
+
+@st.composite
+def standard_params(draw, max_m=8, qs=EVEN):
+    q = draw(qs)
+    return draw_params(draw, q, draw(st.integers(0, max_m)))
 
 
 @settings(max_examples=300)
@@ -588,6 +602,48 @@ def test_batch_shared_certification_equals_fresh_per_pair_calls(case):
     witnesses, counts, *_ = _certify(q, m, pairs)
     assert set(witnesses) == want_witnesses
     assert counts == want_counts
+
+
+def split_by(on_left):
+    """(z1, z2): the variables 1..len(on_left) with and without their flag."""
+    z1 = tuple(v for v, side in enumerate(on_left, 1) if side)
+    z2 = tuple(v for v, side in enumerate(on_left, 1) if not side)
+    return z1, z2
+
+
+@st.composite
+def recombination_cases(draw):
+    """(q, m, z1, z2, left, right): a partition of 1..m-1 and any standard
+    parameters of its two blocks."""
+    q = draw(EVEN)
+    m = draw(st.integers(1, 7))
+    z1, z2 = split_by(draw(st.lists(st.booleans(), min_size=m - 1, max_size=m - 1)))
+    return q, m, z1, z2, draw_params(draw, q, len(z1)), draw_params(draw, q, len(z2))
+
+
+@settings(max_examples=300)
+@given(recombination_cases())
+def test_recombined_parameters_expand_to_the_rebuilt_pair(case):
+    # why the certificate walk needs no check that the root parameters
+    # regenerate the claimed pair: each walked node pair is their expansion
+    q, m, z1, z2, left, right = case
+    node = SimpleNamespace(split=SimpleNamespace(z1_vars=z1, z2_vars=z2))
+    rebuilt = _rebuild(node, *construct_standard(left), *construct_standard(right))
+    assert construct_standard(_recombine(q, m, z1, z2, left, right)) == rebuilt
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 12), st.integers(0, 6), st.data())
+def test_factor_product_is_the_generating_function_of_the_block_sum(q, m, data):
+    # the identity behind the walk's "factor product does not rebuild the
+    # restriction" check, for any arrays a on z1 and c on z2
+    z1, z2 = split_by(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    a = QaryArray(q, len(z1), random_entries(rng, q, len(z1)))
+    c = QaryArray(q, len(z2), random_entries(rng, q, len(z2)))
+    product = disjoint_product(embed(from_array(a), z1, m), embed(from_array(c), z2, m))
+    filled = QaryArray(q, m, _two_block_fill(q, m, z1, a.entries, z2, c.entries))
+    assert product == from_array(filled)
 
 
 def assert_valid(value):
