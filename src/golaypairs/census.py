@@ -307,16 +307,15 @@ def enumerate_standard(q: int, m: int) -> list[tuple[QaryArray, QaryArray]]:
     if m < 0:
         raise ValueError(f"dimension must be nonnegative, got {m}")
     seen: dict[tuple[int, ...], tuple[QaryArray, QaryArray]] = {}
-    for pi in permutations(range(1, m + 1)):
-        for c in product(range(q), repeat=m):
-            for c0 in range(q):
-                for c_prime in range(q):
-                    params = _trusted(StandardParams, q, m, pi, c, c0, c_prime)
-                    f, g = construct_standard(params)
-                    fk, gk = f.entries[::-1], g.entries[::-1]
-                    if gk < fk:
-                        fk, gk, f, g = gk, fk, g, f
-                    seen.setdefault(fk + gk, (f, g))
+    for pi, c, c0, c_prime in product(
+        permutations(range(1, m + 1)), product(range(q), repeat=m), range(q), range(q)
+    ):
+        params = _trusted(StandardParams, q, m, pi, c, c0, c_prime)
+        f, g = construct_standard(params)
+        fk, gk = f.entries[::-1], g.entries[::-1]
+        if gk < fk:
+            fk, gk, f, g = gk, fk, g, f
+        seen.setdefault(fk + gk, (f, g))
     return [seen[key] for key in sorted(seen)]
 
 

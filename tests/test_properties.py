@@ -505,11 +505,12 @@ def test_decompose_succeeds_exactly_on_pairs(case):
     q, m, fe, ge = case
     f, g = QaryArray(q, m, fe), QaryArray(q, m, ge)
     try:
-        _, cert = decompose(f, g)
+        params, cert = decompose(f, g)
     except NotAGapError:
         assert not float_is_gap(q, m, fe, ge)
         return
     assert float_is_gap(q, m, fe, ge)
+    assert construct_standard(params) == (f, g)
     assert replay(cert) == (f, g)
     verify_certificate(f, g, cert, max_corr_dim=m)
 
@@ -636,14 +637,17 @@ def test_recombined_parameters_expand_to_the_rebuilt_pair(case):
 @given(st.integers(2, 12), st.integers(0, 6), st.data())
 def test_factor_product_is_the_generating_function_of_the_block_sum(q, m, data):
     # the identity behind the walk's "factor product does not rebuild the
-    # restriction" check, for any arrays a on z1 and c on z2
+    # restriction" check, for any arrays a on z1 and c on z2, and degree
+    # reversal distributing over that product
     z1, z2 = split_by(data.draw(st.lists(st.booleans(), min_size=m, max_size=m)))
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     a = QaryArray(q, len(z1), random_entries(rng, q, len(z1)))
     c = QaryArray(q, len(z2), random_entries(rng, q, len(z2)))
-    product = disjoint_product(embed(from_array(a), z1, m), embed(from_array(c), z2, m))
+    fa, fc = embed(from_array(a), z1, m), embed(from_array(c), z2, m)
+    product = disjoint_product(fa, fc)
     filled = QaryArray(q, m, _two_block_fill(q, m, z1, a.entries, z2, c.entries))
     assert product == from_array(filled)
+    assert star(product) == disjoint_product(star(fa), star(fc))
 
 
 def assert_valid(value):
