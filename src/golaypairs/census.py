@@ -27,8 +27,11 @@ with ``searchsorted``, so no full negated copy is ever held.  The join holds
 the rows twice (as swept and sorted) plus an int64 sort index, so a
 representative costs 2 * width * itemsize + 8 bytes: 112 at (8,3), whose
 2^21 representatives take 235 MB.
-A space whose estimate is over ``_MAX_JOIN_BYTES`` is refused with
-:class:`BudgetExceededError` before any work.
+A space whose estimate is over ``_MAX_BYTES`` is refused with
+:class:`BudgetExceededError` before any work.  The expanded pair list is
+held to the same cap: after the join, the matched representatives bound the
+number of pairs, and a census whose pairs would take more than
+``_MAX_BYTES`` at ``_PAIR_BYTES`` each is refused before they are built.
 
 Fingerprints are computed in chunks of ``CHUNK`` representatives.  Per
 chunk the kernel holds one int64 key per representative and overlap pair and
@@ -44,16 +47,16 @@ space: it decomposes the pair and walks its certificate at
 ``max_corr_dim = m``, which gathers one correlation row per inner node, m
 per pair.  A batch of ``CHUNK // (3 * m)`` pairs is correlated with one
 kernel call per dimension; batches of ``CHUNK // m`` raised the peak RSS
-of ``census 4 3`` from 36.2 to 37.4 MB.  A batch is also the scope of a
-:class:`~golaypairs.decompose._BatchMemo`, in which each distinct sub-pair
-is decomposed once and each shared sub-certificate walked once, so the
-batch size sets the memo's hit rate as well as its memory: the first
-(4,3) batch, 455 pairs with 1,365 inner nodes, has 277 distinct sub-pairs,
-dimension 0 included.  A failing row is mapped back to its pair, which
-becomes a witness.  The batches run in census order, on a process pool
-like the sweep's when ``workers > 1``, and their witnesses are merged
-into one sorted set, so reports are again identical for every worker
-count.
+of ``census 4 3`` from 36.2 to 37.4 MB.  A batch's decompositions and
+walks also share one :class:`~golaypairs.decompose._Memo`, in which each
+distinct sub-pair is decomposed once and each shared sub-certificate
+walked once, so the batch size sets the memo's hit rate as well as its
+memory: the first (4,3) batch, 455 pairs with 1,365 inner nodes, has 277
+distinct sub-pairs, dimension 0 included.  A failing row is mapped back to
+its pair, which becomes a witness.  The batches run in census order, on a
+process pool like the sweep's when ``workers > 1``, and their witnesses
+are merged into one sorted set, so reports are again identical for every
+worker count.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .decompose import _BatchMemo, _certificate_rows, decompose
+from .decompose import _certificate_rows, _decompose_rec, _Memo
 from .errors import (
     BudgetExceededError,
     NotAGapError,
@@ -88,8 +91,12 @@ from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
 CHUNK = 4096
-# Refuse joins whose estimate passes 1 GiB; (8,3) needs about 235 MB.
-_MAX_JOIN_BYTES = 1 << 30
+# Refuse a join or a pair list whose estimate passes 1 GiB; the (8,3) join
+# needs about 235 MB.
+_MAX_BYTES = 1 << 30
+# Peak memory of `census` per censused pair over its 32 MB baseline: 1.16 KB
+# at (64,1) and (512,0), with about 131,000 pairs each, on Python 3.11.
+_PAIR_BYTES = 1200
 
 _log = logging.getLogger("golaypairs")
 
@@ -230,8 +237,9 @@ def enumerate_all_gaps(
     and the list sorted by id pair, independent of the worker count, which
     is clamped to the number of chunks and CPUs.  Raises
     :class:`BudgetExceededError` before any work if the space holds more
-    than ``budget`` arrays or its join would need more than
-    ``_MAX_JOIN_BYTES``, and :class:`ValueError` for a negative budget.
+    than ``budget`` arrays or its join would need more than ``_MAX_BYTES``,
+    and after the join if its pairs might; :class:`ValueError` for a
+    negative budget.
     """
     if q < 2:
         raise ValueError(f"modulus must be at least 2, got {q}")
@@ -249,10 +257,10 @@ def enumerate_all_gaps(
     reps = n_total // q
     width, dtype = _row_layout(q, m)
     join_bytes = reps * (2 * width * dtype.itemsize + 8)
-    if join_bytes > _MAX_JOIN_BYTES:
+    if join_bytes > _MAX_BYTES:
         raise BudgetExceededError(
             f"the census join at q={q}, m={m} would need about {join_bytes >> 20} MiB,"
-            f" over the memory budget of {_MAX_JOIN_BYTES >> 20} MiB"
+            f" over the memory budget of {_MAX_BYTES >> 20} MiB"
         )
 
     t0 = time.perf_counter()
@@ -263,6 +271,15 @@ def enumerate_all_gaps(
     f_reps, g_reps, distinct = _matches(rows, order)
     del rows
     t2 = time.perf_counter()
+    # a match (r, s) expands to q^2 ordered pairs; when r != s, (s, r) gives
+    # the same unordered ones, and when r = s, q(q + 1) / 2 are unordered
+    max_pairs = len(f_reps) * q * (q + 1) // 2
+    if max_pairs * _PAIR_BYTES > _MAX_BYTES:
+        raise BudgetExceededError(
+            f"the census at q={q}, m={m} would expand to up to {max_pairs} pairs,"
+            f" about {max_pairs * _PAIR_BYTES >> 20} MiB, over the memory budget"
+            f" of {_MAX_BYTES >> 20} MiB"
+        )
 
     f_list, g_list = f_reps.tolist(), g_reps.tolist()
     members = {r: _class_members(q, m, r) for r in {*f_list, *g_list}}
@@ -354,7 +371,7 @@ class CensusReport:
 
 def _certify(
     q: int, m: int, pairs: list[tuple[QaryArray, QaryArray]]
-) -> tuple[list, dict[int, int], float, float]:
+) -> tuple[list, dict[int, int], tuple[int, int], float, float]:
     """Certify one batch of censused pairs.
 
     Every pair is decomposed and its certificate walked at
@@ -363,8 +380,8 @@ def _certify(
     per dimension, and each failing row is mapped back to its pair.  Rows
     wait for that call as one flat list of entries per dimension, not as
     row tuples, which keeps the batch's memory small.  The decompositions
-    and walks run inside one :class:`~golaypairs.decompose._BatchMemo`,
-    closed before the correlation.  Returns the entry tuples of the failing
+    and walks share one :class:`~golaypairs.decompose._Memo`, dropped
+    before the correlation.  Returns the entry tuples of the failing
     pairs, the rows per dimension, the memo's (distinct sub-pairs
     decomposed, sub-certificate walks reused), and the seconds spent
     walking and correlating.
@@ -372,19 +389,21 @@ def _certify(
     t0 = time.perf_counter()
     failed: set[int] = set()
     stacks: dict[int, tuple[list[int], list[int]]] = {}
-    with _BatchMemo() as memo:
-        for i, (f, g) in enumerate(pairs):
-            try:
-                rows = _certificate_rows(f, g, decompose(f, g)[1], max_corr_dim=m)
-            except (NotAGapError, VerificationError):
-                failed.add(i)
-                continue
-            for dim, dim_rows in rows.items():
-                owners, flat = stacks.setdefault(dim, ([], []))
-                owners += [i] * len(dim_rows)
-                for x, y in dim_rows:
-                    flat += x
-                    flat += y
+    memo = _Memo()
+    for i, (f, g) in enumerate(pairs):
+        try:
+            rows = _certificate_rows(f, g, _decompose_rec(f, g, memo), m, memo)
+        except (NotAGapError, VerificationError):
+            failed.add(i)
+            continue
+        for dim, dim_rows in rows.items():
+            owners, flat = stacks.setdefault(dim, ([], []))
+            owners += [i] * len(dim_rows)
+            for x, y in dim_rows:
+                flat += x
+                flat += y
+    shared = len(memo.pairs), memo.reused
+    del memo
     t1 = time.perf_counter()
     for dim, (owners, flat) in stacks.items():
         stack = np.array(flat, dtype=np.int64).reshape(len(owners), 2, 1 << dim)
@@ -392,7 +411,6 @@ def _certify(
         failed.update(owners[j] for j in np.flatnonzero(~verdicts))
     counts = {dim: len(owners) for dim, (owners, _) in stacks.items()}
     witnesses = [(pairs[i][0].entries, pairs[i][1].entries) for i in failed]
-    shared = memo.decomposed, memo.reused
     return witnesses, counts, shared, t1 - t0, time.perf_counter() - t1
 
 
@@ -405,9 +423,9 @@ def verify_theorem(
     every censused pair is additionally decomposed and its certificate
     re-verified with literal correlation checks at every inner node.  The
     pairs are certified in batches of ``CHUNK // (3 * m)`` in census order
-    (a size chosen for memory, see the module docstring); a batch shares
-    its sub-certificates, so its size also sets how often a sub-pair is
-    decomposed and walked again rather than reused; with
+    (a size chosen for memory, see the module docstring); the pairs of a
+    batch share one memo of sub-certificates, so its size also sets how
+    often a sub-pair is decomposed and walked again rather than reused; with
     ``workers > 1`` the batches run on a process pool and their witnesses
     are merged.  A standard pair missing from the census would mean the
     sweep itself is broken and raises :class:`VerificationError`.  For odd

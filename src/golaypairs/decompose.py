@@ -24,13 +24,14 @@ sufficient for the input to be a complementary pair, so a completed
 recursion doubles as an exact complementarity certificate and a failed
 pointwise check is reported as not-a-pair.
 
-A census certifies many pairs whose sub-pairs repeat: they are built from
-a small set of lower-dimensional standard pairs.  While a
-:class:`_BatchMemo` is open, each distinct sub-pair is decomposed once and
-each shared sub-certificate walked once, and the results are reused for
-every pair of the batch; no check is skipped, and a failure is never
-stored, so it is raised again for every pair that meets it.  Outside a
-batch nothing is shared.
+Sub-pairs repeat, within one pair and more so across the pairs of a
+census, which are built from a small set of lower-dimensional standard
+pairs.  The decomposition and the certificate walk take a :class:`_Memo`,
+in which each distinct sub-pair is decomposed once and each shared inner
+sub-certificate walked once.  :func:`decompose` and
+:func:`verify_certificate` open a fresh memo per call; the census opens
+one per batch of pairs.  No check is skipped, and a failure is never
+stored, so it is raised again for every pair that meets it.
 """
 
 from __future__ import annotations
@@ -289,66 +290,32 @@ def _forced_form_break(
     )  # pragma: no cover - internal guard
 
 
-class _BatchMemo:
-    """Sub-certificates shared by the pairs of one batch, while it is open.
+class _Memo:
+    """Sub-certificates shared by the pairs decomposed and walked with it.
 
-    Entered as a context manager, it is the memo that :func:`decompose` and
-    :func:`_certificate_rows` consult; outside one, they share nothing.
-    ``pairs`` maps a sub-pair's (q, f entries, g entries) to its
-    decomposition, so equal sub-pairs get the same certificate objects, and
-    ``walks`` maps (id(node), max_corr_dim) of such an inner node to its
-    walk (see :func:`_walk_shared`).  Both are cleared on exit; the
-    counters ``decomposed`` (distinct sub-pairs decomposed) and ``reused``
-    (sub-certificate walks reused) stay.  Root pairs are not stored.
+    One memo serves one modulus and one ``max_corr_dim``.  ``pairs`` maps a
+    sub-pair's (f entries, g entries) to its certificate, so equal sub-pairs
+    get the same certificate object, and ``walks`` maps id(node) of such an
+    inner sub-certificate to (node, walk); the node is kept so that its id
+    is not reused while the entry lives.  ``reused`` counts the walks taken
+    from ``walks``.  Root pairs and leaf walks are not stored, and neither
+    is a failure: a sub-pair or subtree that raises raises again for every
+    pair that meets it.
     """
 
     def __init__(self) -> None:
         self.pairs: dict = {}
         self.walks: dict = {}
-        self.decomposed = 0
         self.reused = 0
 
-    def __enter__(self) -> "_BatchMemo":
-        global _memo
-        _memo = self
-        return self
 
-    def __exit__(self, *exc) -> None:
-        global _memo
-        _memo = None
-        self.pairs.clear()
-        self.walks.clear()
-
-
-_memo: _BatchMemo | None = None
-
-
-def _decompose_shared(
-    f: QaryArray, g: QaryArray
-) -> tuple[StandardParams, DecompositionCertificate]:
-    """:func:`_decompose_rec` of a sub-pair, done once per open batch memo.
-
-    A sub-pair that raises is not stored and raises again on its next call.
-    """
-    memo = _memo
-    if memo is None:
-        return _decompose_rec(f, g)
-    key = (f.q, f.entries, g.entries)
-    hit = memo.pairs.get(key)
-    if hit is None:
-        hit = memo.pairs[key] = _decompose_rec(f, g)
-        memo.decomposed += 1
-    return hit
-
-
-def _decompose_rec(
-    f: QaryArray, g: QaryArray
-) -> tuple[StandardParams, DecompositionCertificate]:
+def _decompose_rec(f: QaryArray, g: QaryArray, memo: _Memo) -> DecompositionCertificate:
     q, m = f.q, f.m
     if m == 0:
         f0, g0 = f.entries[0], g.entries[0]
-        params = _trusted(StandardParams, q, 0, (), (), f0, (g0 - f0) % q)
-        return params, DecompositionCertificate(q, 0, params)
+        return DecompositionCertificate(
+            q, 0, _trusted(StandardParams, q, 0, (), (), f0, (g0 - f0) % q)
+        )
     f0, f1 = split_last(f)
     g0, g1 = split_last(g)
     split = gcd_normalized(f0, g0)
@@ -358,22 +325,17 @@ def _decompose_rec(
             f"not a complementary pair: residual halves violate the forced form "
             f"at dimension {m}: {_forced_form_break(f1, g1, split, d)}"
         )
-    left_params, left_cert = _decompose_shared(split.a, split.b)
-    right_params, right_cert = _decompose_shared(split.c, d)
-    params = _recombine(q, m, split.z1_vars, split.z2_vars, left_params, right_params)
-    cert = DecompositionCertificate(
-        q,
-        m,
-        params,
-        m,
-        split,
-        d,
-        left_params.c_prime,
-        right_params.c_prime,
-        left_cert,
-        right_cert,
-    )
-    return params, cert
+    children = []
+    for sub_f, sub_g in ((split.a, split.b), (split.c, d)):
+        key = sub_f.entries, sub_g.entries
+        child = memo.pairs.get(key)
+        if child is None:
+            child = memo.pairs[key] = _decompose_rec(sub_f, sub_g, memo)
+        children.append(child)
+    left, right = children
+    params = _recombine(q, m, split.z1_vars, split.z2_vars, left.params, right.params)
+    e, e_prime = left.params.c_prime, right.params.c_prime
+    return DecompositionCertificate(q, m, params, m, split, d, e, e_prime, left, right)
 
 
 def decompose(
@@ -395,7 +357,8 @@ def decompose(
         raise OddModulusError(
             f"decomposition is defined for even q only, got q={f.q}"
         )
-    return _decompose_rec(f, g)
+    cert = _decompose_rec(f, g, _Memo())
+    return cert.params, cert
 
 
 def _rebuild(
@@ -430,12 +393,13 @@ _Rows = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _walk(
-    node: DecompositionCertificate, max_corr_dim: int
+    node: DecompositionCertificate, max_corr_dim: int, memo: _Memo
 ) -> tuple[QaryArray, QaryArray, _Rows]:
     """Check one node against its subtree; return the node's pair and rows.
 
     The rows are (dimension, f entries, g entries) of each inner node of the
     subtree of dimension at most ``max_corr_dim``, children before parents.
+    An inner child already walked with ``memo`` is not walked again.
     """
     q, m = node.q, node.m
     if (node.params.q, node.params.m) != (q, m):
@@ -444,8 +408,18 @@ def _walk(
         return (*construct_standard(node.params), ())
     if node.split_var != m:
         _fail(f"split variable {node.split_var} is not the highest ({m})")
-    a, b, left_rows = _walk_shared(node.left, max_corr_dim)
-    c, d, right_rows = _walk_shared(node.right, max_corr_dim)
+    walked = []
+    for child in (node.left, node.right):
+        if child.is_leaf:
+            walked.append(_walk(child, max_corr_dim, memo))
+            continue
+        hit = memo.walks.get(id(child))
+        if hit is None:
+            hit = memo.walks[id(child)] = (child, _walk(child, max_corr_dim, memo))
+        else:
+            memo.reused += 1
+        walked.append(hit[1])
+    (a, b, left_rows), (c, d, right_rows) = walked
     split = node.split
     if sorted(split.z1_vars + split.z2_vars) != list(range(1, m)):
         _fail("split variable sets do not partition the remaining variables")
@@ -479,32 +453,12 @@ def _walk(
     return ff, gg, rows
 
 
-def _walk_shared(
-    node: DecompositionCertificate, max_corr_dim: int
-) -> tuple[QaryArray, QaryArray, _Rows]:
-    """:func:`_walk` of a sub-certificate, done once per open batch memo.
-
-    A subtree that raises is not stored and raises again on its next walk.
-    """
-    memo = _memo
-    if memo is None or node.is_leaf:
-        return _walk(node, max_corr_dim)
-    key = (id(node), max_corr_dim)
-    hit = memo.walks.get(key)
-    if hit is not None:
-        memo.reused += 1
-        return hit[1]
-    walked = _walk(node, max_corr_dim)
-    # the node is kept so that its id is not reused while the entry lives
-    memo.walks[key] = (node, walked)
-    return walked
-
-
 def _certificate_rows(
     f: QaryArray,
     g: QaryArray,
     cert: DecompositionCertificate,
     max_corr_dim: int,
+    memo: _Memo,
 ) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Every check of :func:`verify_certificate` except the correlation sums.
 
@@ -512,10 +466,11 @@ def _certificate_rows(
     keyed by dimension: the pair of each inner node of dimension at most
     ``max_corr_dim``.  Sub-pairs get no rows: each is a child's node pair,
     a row of its own, or of dimension 0, with no shift to check.  Raises
-    :class:`VerificationError` on any other mismatch.  Inside a
-    :class:`_BatchMemo`, each shared sub-certificate is walked once.
+    :class:`VerificationError` on any other mismatch.  Each inner
+    sub-certificate already walked with ``memo`` is not walked again, and
+    its rows are returned again.
     """
-    ff, gg, walked_rows = _walk(cert, max_corr_dim)
+    ff, gg, walked_rows = _walk(cert, max_corr_dim, memo)
     if (ff, gg) != (f, g):
         _fail("replayed pair differs from the claimed pair")
     rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
@@ -542,7 +497,7 @@ def verify_certificate(
     gathered from the whole tree first and correlated in one stack per
     dimension.  Raises :class:`VerificationError` on any mismatch.
     """
-    for dim, pairs in _certificate_rows(f, g, cert, max_corr_dim).items():
+    for dim, pairs in _certificate_rows(f, g, cert, max_corr_dim, _Memo()).items():
         if not _gaps(_cube_plan(dim), f.q, pairs).all():
             raise VerificationError(
                 f"certificate verification failed: a node pair of dimension"

@@ -214,20 +214,20 @@ def certify_with_one_broken_pair(monkeypatch, q, m, index, workers, broken):
     f, g = enumerate_all_gaps(q, m)[index]
     target = (f.entries, g.entries)
     if broken == "certificate":
-        real_decompose = census.decompose
+        decompose_rec = census._decompose_rec
 
-        def tampered(ff, gg):
-            params, cert = real_decompose(ff, gg)
+        def tampered(ff, gg, memo):
+            cert = decompose_rec(ff, gg, memo)
             if (ff.entries, gg.entries) == target:
                 cert = dataclasses.replace(cert, e=(cert.e + 1) % q)
-            return params, cert
+            return cert
 
-        monkeypatch.setattr(census, "decompose", tampered)
+        monkeypatch.setattr(census, "_decompose_rec", tampered)
     else:
         certificate_rows = census._certificate_rows
 
-        def tampered(ff, gg, cert, max_corr_dim):
-            rows = certificate_rows(ff, gg, cert, max_corr_dim=max_corr_dim)
+        def tampered(ff, gg, cert, max_corr_dim, memo):
+            rows = certificate_rows(ff, gg, cert, max_corr_dim, memo)
             if (ff.entries, gg.entries) == target:
                 # the last row of dimension 1; (e, e) is never a pair in
                 # positive dimension
@@ -257,10 +257,10 @@ def test_witness_when_rows_and_pairs_do_not_line_up(monkeypatch, workers):
     # batches of 2 pairs; 32 of the 96 (2,3) certificates have two nodes of
     # dimension 1, among them pairs 52 and 53, so the broken row is row 3 of
     # its batch and belongs to pair 1
-    from golaypairs.census import _certificate_rows
+    from golaypairs.decompose import _certificate_rows, _Memo
 
     for f, g in enumerate_all_gaps(2, 3)[52:54]:
-        rows = _certificate_rows(f, g, decompose(f, g)[1], max_corr_dim=3)
+        rows = _certificate_rows(f, g, decompose(f, g)[1], 3, _Memo())
         assert len(rows[1]) == 2
     report, target = certify_with_one_broken_pair(
         monkeypatch, 2, 3, 53, workers, "correlation row"

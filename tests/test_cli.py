@@ -169,6 +169,17 @@ def test_census_memory_refusal_exits_three_at_once(capsys):
     assert "Traceback" not in err
 
 
+def test_census_pair_list_refusal_exits_three_within_seconds(capsys):
+    # 65,536 arrays pass the array budget and the join estimate; their
+    # 8.4 M pairs would not fit the memory budget
+    t0 = time.perf_counter()
+    assert main(["census", "256", "1"]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "memory budget" in err and "8421376 pairs" in err
+    assert "Traceback" not in err
+
+
 def test_census_reports_identical_across_workers(tmp_path, capsys):
     outs = []
     for w in ("1", "2", "8"):

@@ -1,7 +1,6 @@
 """Constructive decomposition, certificates, and standard-form recognition."""
 
 import dataclasses
-import importlib
 import random
 
 import pytest
@@ -464,44 +463,37 @@ def test_replay_uses_only_the_leaves():
 
 def test_mutated_rows_do_not_reach_a_later_pair_sharing_its_sub_nodes():
     from golaypairs import enumerate_all_gaps
-    from golaypairs.decompose import _BatchMemo, _certificate_rows
+    from golaypairs.decompose import _certificate_rows, _decompose_rec, _Memo
 
     pairs = enumerate_all_gaps(2, 3)
-    fresh = [_certificate_rows(f, g, decompose(f, g)[1], 3) for f, g in pairs]
-    with _BatchMemo() as memo:
-        for (f, g), want in zip(pairs, fresh):
-            rows = _certificate_rows(f, g, decompose(f, g)[1], 3)
-            assert rows == want
-            # what the census witness test does to a row, and more
-            for dim_rows in rows.values():
-                e = dim_rows[-1][0]
-                dim_rows[-1] = (e, e)
-                dim_rows.append((e, e))
-            rows.setdefault(0, []).append(((0,), (0,)))
+    fresh = [_certificate_rows(f, g, decompose(f, g)[1], 3, _Memo()) for f, g in pairs]
+    memo = _Memo()
+    for (f, g), want in zip(pairs, fresh):
+        rows = _certificate_rows(f, g, _decompose_rec(f, g, memo), 3, memo)
+        assert rows == want
+        # what the census witness test does to a row, and more
+        for dim_rows in rows.values():
+            e = dim_rows[-1][0]
+            dim_rows[-1] = (e, e)
+            dim_rows.append((e, e))
+        rows.setdefault(0, []).append(((0,), (0,)))
     assert memo.reused > 0
 
 
-def test_calls_outside_a_batch_open_no_memo(monkeypatch):
-    # the package's ``decompose`` attribute is the function, not the module
-    decompose_module = importlib.import_module("golaypairs.decompose")
-
-    def refuse(self):
-        raise AssertionError("a batch memo was opened")
-
-    monkeypatch.setattr(decompose_module._BatchMemo, "__init__", refuse)
+def test_separate_calls_share_no_sub_certificate():
     f, g = construct_standard(rand_params(random.Random(181), 4, 5))
     _, cert = decompose(f, g)
     _, again = decompose(f, g)
     verify_certificate(f, g, cert, max_corr_dim=5)
     assert replay(cert) == (f, g)
-    assert decompose_module._memo is None
-    # two decompositions of one pair share no sub-certificate
+    # each call opens its own memo, so two decompositions of one pair are
+    # equal but share no sub-certificate
     assert again == cert
     assert again.left is not cert.left and again.right is not cert.right
 
 
 def test_a_failing_shared_subtree_raises_for_every_pair():
-    from golaypairs.decompose import _BatchMemo, _certificate_rows
+    from golaypairs.decompose import _certificate_rows, _Memo
 
     f, g = construct_standard(rand_params(random.Random(191), 4, 4))
     _, cert = decompose(f, g)
@@ -509,12 +501,11 @@ def test_a_failing_shared_subtree_raises_for_every_pair():
     child = getattr(cert, side)
     bad_child = dataclasses.replace(child, e=(child.e + 1) % 4)
     bad = dataclasses.replace(cert, **{side: bad_child})
-    with _BatchMemo() as memo:
-        for _ in range(2):
-            with pytest.raises(VerificationError, match="offsets disagree"):
-                _certificate_rows(f, g, bad, 4)
-        assert all(entry[0] is not bad_child for entry in memo.walks.values())
-    assert not memo.pairs and not memo.walks
+    memo = _Memo()
+    for _ in range(2):
+        with pytest.raises(VerificationError, match="offsets disagree"):
+            _certificate_rows(f, g, bad, 4, memo)
+    assert all(entry[0] is not bad_child for entry in memo.walks.values())
 
 
 def _witness_base(q=4):

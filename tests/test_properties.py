@@ -25,6 +25,7 @@ internal code builds without validation are checked to be valid values.
 """
 
 import dataclasses
+import json
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -32,10 +33,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from golaypairs import (
+    DecompositionCertificate,
     GenFun,
     NotAGapError,
     PartitionTooFineError,
@@ -69,7 +71,13 @@ from golaypairs import (
 )
 from golaypairs import qarray
 from golaypairs.census import _certify
-from golaypairs.decompose import _BatchMemo, _certificate_rows, _rebuild, _recombine
+from golaypairs.decompose import (
+    _certificate_rows,
+    _decompose_rec,
+    _Memo,
+    _rebuild,
+    _recombine,
+)
 from golaypairs.qarray import (
     _cube_plan,
     _gaps,
@@ -537,7 +545,7 @@ def test_certificate_rows_are_the_inner_node_pairs(params):
     nodes = inner_nodes(cert)
     assert len(nodes) == params.m
     for max_corr_dim in range(params.m + 2):
-        rows = _certificate_rows(f, g, cert, max_corr_dim)
+        rows = _certificate_rows(f, g, cert, max_corr_dim, _Memo())
         want: dict[int, Counter] = {}
         for node in nodes:
             if node.m <= max_corr_dim:
@@ -548,6 +556,52 @@ def test_certificate_rows_are_the_inner_node_pairs(params):
                 for child in (node.left, node.right):
                     if child.m:
                         assert replayed_entries(child) in rows[child.m]
+
+
+ROOT_TAMPERS = {
+    "e": lambda c: dataclasses.replace(c, e=(c.e + 1) % c.q),
+    "e_prime": lambda c: dataclasses.replace(c, e_prime=(c.e_prime + 1) % c.q),
+    "split_var": lambda c: dataclasses.replace(c, split_var=c.m + 1),
+    "a": lambda c: dataclasses.replace(
+        c, split=dataclasses.replace(c.split, a=c.split.a + 1)
+    ),
+    "d": lambda c: dataclasses.replace(c, d=c.d + 1),
+    "children": lambda c: dataclasses.replace(c, left=c.right, right=c.left),
+    "params": lambda c: dataclasses.replace(
+        c, params=dataclasses.replace(c.params, c0=(c.params.c0 + 1) % c.q)
+    ),
+}
+
+
+def verdict(f, g, cert):
+    """None if ``cert`` certifies (f, g) at full depth, else the message
+    that rejects it."""
+    try:
+        verify_certificate(f, g, cert, max_corr_dim=f.m)
+    except VerificationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150)
+@given(standard_params(6), st.sampled_from((None, *ROOT_TAMPERS)))
+# both children of this root are one sub-certificate object
+@example(StandardParams(2, 3, (1, 3, 2), (0, 0, 1), 0, 0), None)
+@example(StandardParams(2, 3, (1, 3, 2), (0, 0, 1), 0, 0), "children")
+def test_shared_and_reloaded_certificates_get_the_same_verdict(params, tamper):
+    # decompose shares equal sub-certificates within one tree; the JSON
+    # round trip shares none
+    f, g = construct_standard(params)
+    _, cert = decompose(f, g)
+    if tamper is not None and not cert.is_leaf:
+        cert = ROOT_TAMPERS[tamper](cert)
+    reloaded = DecompositionCertificate.from_json_dict(
+        json.loads(json.dumps(cert.to_json_dict()))
+    )
+    assert reloaded == cert
+    assert verdict(f, g, reloaded) == verdict(f, g, cert)
+    if tamper is None or cert.is_leaf:
+        assert verdict(f, g, cert) is None
 
 
 @st.composite
@@ -571,13 +625,13 @@ def certification_batches(draw):
     return q, m, rows
 
 
-def certification(q, m, fe, ge):
-    """(certificate JSON, rows) of one pair at ``max_corr_dim = m``, or the
-    type and message of the error that rejects it."""
+def certification(q, m, fe, ge, memo):
+    """(certificate JSON, rows) of one pair at ``max_corr_dim = m`` with
+    ``memo``, or the type and message of the error that rejects it."""
     f, g = QaryArray(q, m, fe), QaryArray(q, m, ge)
     try:
-        cert = decompose(f, g)[1]
-        return cert.to_json_dict(), _certificate_rows(f, g, cert, m)
+        cert = _decompose_rec(f, g, memo)
+        return cert.to_json_dict(), _certificate_rows(f, g, cert, m, memo)
     except (NotAGapError, VerificationError) as exc:
         return type(exc), str(exc)
 
@@ -586,9 +640,9 @@ def certification(q, m, fe, ge):
 @given(certification_batches())
 def test_batch_shared_certification_equals_fresh_per_pair_calls(case):
     q, m, rows = case
-    fresh = [certification(q, m, f, g) for f, g in rows]
-    with _BatchMemo():
-        shared = [certification(q, m, f, g) for f, g in rows]
+    fresh = [certification(q, m, f, g, _Memo()) for f, g in rows]
+    memo = _Memo()
+    shared = [certification(q, m, f, g, memo) for f, g in rows]
     assert shared == fresh
     want_witnesses, want_counts = set(), Counter()
     for row, (_, result) in zip(rows, fresh):
