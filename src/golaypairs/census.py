@@ -43,20 +43,13 @@ counters and stage timings on the ``golaypairs`` logger, which is silent by
 default.
 
 :func:`verify_theorem` then certifies every censused pair of an even-q
-space: it decomposes the pair and walks its certificate at
-``max_corr_dim = m``, which gathers one correlation row per inner node, m
-per pair.  A batch of ``CHUNK // (3 * m)`` pairs is correlated with one
-kernel call per dimension; batches of ``CHUNK // m`` raised the peak RSS
-of ``census 4 3`` from 36.2 to 37.4 MB.  A batch's decompositions and
-walks also share one :class:`~golaypairs.decompose._Memo`, in which each
-distinct sub-pair is decomposed once and each shared sub-certificate
-walked once, so the batch size sets the memo's hit rate as well as its
-memory: the first (4,3) batch, 455 pairs with 1,365 inner nodes, has 277
-distinct sub-pairs, dimension 0 included.  A failing row is mapped back to
-its pair, which becomes a witness.  The batches run in census order, on a
-process pool like the sweep's when ``workers > 1``, and their witnesses
-are merged into one sorted set, so reports are again identical for every
-worker count.
+space at ``max_corr_dim = m`` with the certifier of
+:mod:`golaypairs.decompose`, in batches of ``CHUNK // (3 * m)`` pairs:
+batches of ``CHUNK // m`` raised the peak RSS of ``census 4 3`` from 36.2
+to 37.4 MB, and the first (4,3) batch, 455 pairs, has 277 distinct
+sub-pairs for its memo.  The batches run in census order, on a process
+pool when ``workers > 1``, and their witnesses are merged into one sorted
+set, so reports are again identical for every worker count.
 """
 
 from __future__ import annotations
@@ -71,22 +64,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .decompose import _certificate_rows, _decompose_rec, _Memo
-from .errors import (
-    BudgetExceededError,
-    NotAGapError,
-    OddModulusError,
-    VerificationError,
-)
-from .qarray import (
-    QaryArray,
-    _cube_plan,
-    _gaps,
-    _histograms,
-    _reduction,
-    _trusted,
-    is_gap,
-)
+from .decompose import _certify
+from .errors import BudgetExceededError, OddModulusError, VerificationError
+from .qarray import QaryArray, _coords, _cube_plan, _reduction, _trusted, is_gap
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
@@ -120,15 +100,13 @@ def _chunk_rows(
 ) -> np.ndarray:
     """Fingerprint rows of representatives start..stop-1, in order."""
     plan = _cube_plan(m)
-    red_t = _reduction(q, 1 << m).T
     n = stop - start
     table = np.zeros((n, 1, 1 << m), dtype=np.int64)
     work = np.arange(start, stop, dtype=np.int64)
     for t in range(1, 1 << m):
         table[:, 0, t] = work % q
         work //= q
-    hist = _histograms(plan, table, q, 0, len(plan.order))
-    sig = (red_t @ hist).reshape(n, red_t.shape[0] * len(plan.order))
+    sig = _coords(plan, table, q, 0, len(plan.order)).reshape(n, -1)
     if np.abs(sig).max(initial=0) > np.iinfo(dtype).max:
         raise VerificationError(
             "canonical coordinate outside its proven bound"
@@ -369,51 +347,6 @@ class CensusReport:
         return out
 
 
-def _certify(
-    q: int, m: int, pairs: list[tuple[QaryArray, QaryArray]]
-) -> tuple[list, dict[int, int], tuple[int, int], float, float]:
-    """Certify one batch of censused pairs.
-
-    Every pair is decomposed and its certificate walked at
-    ``max_corr_dim = m``, which gives one correlation row per inner node;
-    the rows of the whole batch are then checked with one ``_gaps`` call
-    per dimension, and each failing row is mapped back to its pair.  Rows
-    wait for that call as one flat list of entries per dimension, not as
-    row tuples, which keeps the batch's memory small.  The decompositions
-    and walks share one :class:`~golaypairs.decompose._Memo`, dropped
-    before the correlation.  Returns the entry tuples of the failing
-    pairs, the rows per dimension, the memo's (distinct sub-pairs
-    decomposed, sub-certificate walks reused), and the seconds spent
-    walking and correlating.
-    """
-    t0 = time.perf_counter()
-    failed: set[int] = set()
-    stacks: dict[int, tuple[list[int], list[int]]] = {}
-    memo = _Memo()
-    for i, (f, g) in enumerate(pairs):
-        try:
-            rows = _certificate_rows(f, g, _decompose_rec(f, g, memo), m, memo)
-        except (NotAGapError, VerificationError):
-            failed.add(i)
-            continue
-        for dim, dim_rows in rows.items():
-            owners, flat = stacks.setdefault(dim, ([], []))
-            owners += [i] * len(dim_rows)
-            for x, y in dim_rows:
-                flat += x
-                flat += y
-    shared = len(memo.pairs), memo.reused
-    del memo
-    t1 = time.perf_counter()
-    for dim, (owners, flat) in stacks.items():
-        stack = np.array(flat, dtype=np.int64).reshape(len(owners), 2, 1 << dim)
-        verdicts = _gaps(_cube_plan(dim), q, stack)
-        failed.update(owners[j] for j in np.flatnonzero(~verdicts))
-    counts = {dim: len(owners) for dim, (owners, _) in stacks.items()}
-    witnesses = [(pairs[i][0].entries, pairs[i][1].entries) for i in failed]
-    return witnesses, counts, shared, t1 - t0, time.perf_counter() - t1
-
-
 def verify_theorem(
     q: int, m: int, *, budget: int = DEFAULT_BUDGET, workers: int = 1
 ) -> CensusReport:
@@ -456,8 +389,11 @@ def verify_theorem(
         witness_keys = gap_keys - std_keys
         size = CHUNK // max(3 * m, 1)
         tasks = [(q, m, gaps[a : a + size]) for a in range(0, len(gaps), size)]
-        for failed, counts, shared, walk, corr in _run(_certify, tasks, workers):
-            witness_keys.update(failed)
+        results = _run(_certify, tasks, workers)
+        for (_, _, batch), (failed, counts, shared, walk, corr) in zip(tasks, results):
+            witness_keys.update(
+                (batch[i][0].entries, batch[i][1].entries) for i in failed
+            )
             rows.update(counts)
             decomposed += shared[0]
             reused += shared[1]

@@ -22,13 +22,17 @@ import json
 import sys
 from typing import Sequence
 
-from .census import DEFAULT_BUDGET, verify_theorem
+from .census import _MAX_BYTES, DEFAULT_BUDGET, verify_theorem
 from .decompose import decompose, recognize_standard
 from .errors import BudgetExceededError, NotAGapError, OddModulusError
 from .qarray import QaryArray, is_gap
 from .standard import StandardParams, construct_standard
 
 _JSON_KW = {"sort_keys": True, "indent": 2}
+# Peak memory of `construct` per array cell: 209 B between m = 18 and m = 20
+# (83 and 240 MB), on Python 3.11; so m = 22 fits under `_MAX_BYTES` and
+# m = 23 does not.
+_CELL_BYTES = 210
 
 
 def _read_json(path: str):
@@ -65,6 +69,12 @@ def _load_pair(data) -> tuple[QaryArray, QaryArray]:
 
 def _cmd_construct(args) -> int:
     params = StandardParams.from_json_dict(_read_json(args.input))
+    need = _CELL_BYTES << params.m
+    if need > _MAX_BYTES:
+        raise BudgetExceededError(
+            f"the pair at m={params.m} would need about {need >> 20} MiB,"
+            f" over the memory budget of {_MAX_BYTES >> 20} MiB"
+        )
     f, g = construct_standard(params)
     _write_output(
         json.dumps({"f": f.to_json_dict(), "g": g.to_json_dict()}, **_JSON_KW),

@@ -24,20 +24,33 @@ sufficient for the input to be a complementary pair, so a completed
 recursion doubles as an exact complementarity certificate and a failed
 pointwise check is reported as not-a-pair.
 
+Certification has one implementation, :func:`_certify`, which
+:func:`verify_certificate` runs on a batch of one pair and the census on
+each batch of its pairs.  Each certificate is walked bottom-up
+(:func:`_walk`) and its root pair compared with the claimed pair.  Each
+inner node of dimension at most ``max_corr_dim`` gives one correlation
+row, its own pair (each sub-pair is a child's node pair or of dimension 0,
+with no shift to check), and the rows of the whole batch are correlated
+with one ``_gaps`` call per dimension.  A failure is kept as its message,
+so no traceback or frame outlives the batch.
+
 Sub-pairs repeat, within one pair and more so across the pairs of a
 census, which are built from a small set of lower-dimensional standard
 pairs.  The decomposition and the certificate walk take a :class:`_Memo`,
 in which each distinct sub-pair is decomposed once and each shared inner
-sub-certificate walked once.  :func:`decompose` and
-:func:`verify_certificate` open a fresh memo per call; the census opens
-one per batch of pairs.  No check is skipped, and a failure is never
-stored, so it is raised again for every pair that meets it.
+sub-certificate walked once.  :func:`decompose` opens a fresh memo per
+call and :func:`_certify` one per batch, dropped before the correlation.
+No check is skipped, and a failure is never stored, so it is raised again
+for every pair that meets it.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .boolfun import _components, _subset_transform
 from .errors import NotAGapError, OddModulusError, VerificationError
@@ -453,30 +466,61 @@ def _walk(
     return ff, gg, rows
 
 
-def _certificate_rows(
-    f: QaryArray,
-    g: QaryArray,
-    cert: DecompositionCertificate,
+def _certify(
+    q: int,
     max_corr_dim: int,
-    memo: _Memo,
-) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Every check of :func:`verify_certificate` except the correlation sums.
+    pairs: Sequence[tuple[QaryArray, QaryArray]],
+    certs: Sequence[DecompositionCertificate] | None = None,
+) -> tuple[dict[int, str], dict[int, int], tuple[int, int], float, float]:
+    """Certify a batch of pairs; see the module docstring.
 
-    Returns the entry pairs whose complementarity is still to be checked,
-    keyed by dimension: the pair of each inner node of dimension at most
-    ``max_corr_dim``.  Sub-pairs get no rows: each is a child's node pair,
-    a row of its own, or of dimension 0, with no shift to check.  Raises
-    :class:`VerificationError` on any other mismatch.  Each inner
-    sub-certificate already walked with ``memo`` is not walked again, and
-    its rows are returned again.
+    Pair i is certified by ``certs[i]``, or, when ``certs`` is None, by a
+    certificate decomposed here.  Returns the first failure message of each
+    failing pair, keyed by its index; the correlation rows per dimension;
+    the memo's (distinct sub-pairs decomposed, sub-certificate walks
+    reused); and the seconds spent decomposing and walking, and
+    correlating.  A pair's walk failure comes before its correlation
+    failures, which come in the order in which its walk first met each
+    dimension.
     """
-    ff, gg, walked_rows = _walk(cert, max_corr_dim, memo)
-    if (ff, gg) != (f, g):
-        _fail("replayed pair differs from the claimed pair")
-    rows: dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
-    for dim, fe, ge in walked_rows:
-        rows.setdefault(dim, []).append((fe, ge))
-    return rows
+    t0 = time.perf_counter()
+    failures: dict[int, str] = {}
+    firsts: dict[int, tuple[int, ...]] = {}
+    stacks: dict[int, tuple[list[int], list[int]]] = {}
+    memo = _Memo()
+    for i, (f, g) in enumerate(pairs):
+        try:
+            cert = _decompose_rec(f, g, memo) if certs is None else certs[i]
+            ff, gg, rows = _walk(cert, max_corr_dim, memo)
+            if (ff, gg) != (f, g):
+                _fail("replayed pair differs from the claimed pair")
+        except (NotAGapError, VerificationError) as exc:
+            failures[i] = str(exc)
+            continue
+        firsts[i] = tuple(dict.fromkeys(dim for dim, _, _ in rows))
+        # one flat list of entries per dimension, not row tuples, keeps a
+        # batch's memory small
+        for dim, fe, ge in rows:
+            owners, flat = stacks.setdefault(dim, ([], []))
+            owners.append(i)
+            flat += fe
+            flat += ge
+    shared = len(memo.pairs), memo.reused
+    del memo
+    t1 = time.perf_counter()
+    broken: dict[int, set[int]] = {}
+    for dim, (owners, flat) in stacks.items():
+        stack = np.array(flat, dtype=np.int64).reshape(len(owners), 2, 1 << dim)
+        for j in np.flatnonzero(~_gaps(_cube_plan(dim), q, stack)):
+            broken.setdefault(owners[j], set()).add(dim)
+    for i, dims in broken.items():
+        dim = next(d for d in firsts[i] if d in dims)
+        failures[i] = (
+            f"certificate verification failed: a node pair of dimension {dim}"
+            " is not complementary"
+        )
+    counts = {dim: len(owners) for dim, (owners, _) in stacks.items()}
+    return failures, counts, shared, t1 - t0, time.perf_counter() - t1
 
 
 def verify_certificate(
@@ -493,16 +537,13 @@ def verify_certificate(
     node's parameters, so the root parameters regenerate (f, g).  On inner
     nodes of dimension at most ``max_corr_dim`` the node pair's
     complementarity is rechecked by literal correlation sums, which covers
-    the sub-pairs (see :func:`_certificate_rows`).  The node pairs are
-    gathered from the whole tree first and correlated in one stack per
-    dimension.  Raises :class:`VerificationError` on any mismatch.
+    the sub-pairs.  This is the census's certifier run on a batch of one
+    (see the module docstring).  Raises :class:`VerificationError` on any
+    mismatch.
     """
-    for dim, pairs in _certificate_rows(f, g, cert, max_corr_dim, _Memo()).items():
-        if not _gaps(_cube_plan(dim), f.q, pairs).all():
-            raise VerificationError(
-                f"certificate verification failed: a node pair of dimension"
-                f" {dim} is not complementary"
-            )
+    failures = _certify(f.q, max_corr_dim, [(f, g)], [cert])[0]
+    if failures:
+        raise VerificationError(failures[0])
 
 
 def recognize_standard(f: QaryArray, g: QaryArray) -> StandardParams | None:

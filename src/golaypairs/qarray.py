@@ -392,6 +392,13 @@ def _histograms(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) ->
     return np.bincount(keys.ravel(), minlength=groups * q * n).reshape(groups, q, n)
 
 
+def _coords(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
+    """Canonical coordinates of the :func:`_histograms` of plan shifts
+    lo .. hi-1: entry (k, i, s - lo) is coordinate i of row group k's summed
+    autocorrelation at plan shift s."""
+    return _reduction(q, rows.shape[2]).T @ _histograms(plan, rows, q, lo, hi)
+
+
 def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:
     """Whether the autocorrelations of each row group sum to zero at every
     plan shift, as one bool per group.
@@ -408,7 +415,7 @@ def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:
     for lo, hi in plan.batches:
         if not len(alive):
             break
-        coords = _reduction(q, rows.shape[2]).T @ _histograms(plan, rows, q, lo, hi)
+        coords = _coords(plan, rows, q, lo, hi)
         if np.count_nonzero(coords):
             cancel = ~coords.any(axis=(1, 2))
             alive, rows = alive[cancel], rows[cancel]

@@ -1,6 +1,7 @@
 """Exhaustive sweeps: signature matching against the quadratic oracle."""
 
 import dataclasses
+import importlib
 import json
 import logging
 
@@ -210,11 +211,13 @@ def certify_with_one_broken_pair(monkeypatch, q, m, index, workers, broken):
     batches of 24 // (3 * m) pairs."""
     import golaypairs.census as census
 
+    # the package's decompose function shadows the module of that name
+    dec = importlib.import_module("golaypairs.decompose")
     monkeypatch.setattr(census, "CHUNK", 24)
     f, g = enumerate_all_gaps(q, m)[index]
     target = (f.entries, g.entries)
     if broken == "certificate":
-        decompose_rec = census._decompose_rec
+        decompose_rec = dec._decompose_rec
 
         def tampered(ff, gg, memo):
             cert = decompose_rec(ff, gg, memo)
@@ -222,20 +225,21 @@ def certify_with_one_broken_pair(monkeypatch, q, m, index, workers, broken):
                 cert = dataclasses.replace(cert, e=(cert.e + 1) % q)
             return cert
 
-        monkeypatch.setattr(census, "_decompose_rec", tampered)
+        monkeypatch.setattr(dec, "_decompose_rec", tampered)
     else:
-        certificate_rows = census._certificate_rows
+        walk = dec._walk
 
-        def tampered(ff, gg, cert, max_corr_dim, memo):
-            rows = certificate_rows(ff, gg, cert, max_corr_dim, memo)
+        def tampered(node, max_corr_dim, memo):
+            ff, gg, rows = walk(node, max_corr_dim, memo)
             if (ff.entries, gg.entries) == target:
                 # the last row of dimension 1; (e, e) is never a pair in
                 # positive dimension
-                e = rows[1][-1][0]
-                rows[1][-1] = (e, e)
-            return rows
+                last = max(k for k, row in enumerate(rows) if row[0] == 1)
+                e = rows[last][1]
+                rows = rows[:last] + ((1, e, e),) + rows[last + 1 :]
+            return ff, gg, rows
 
-        monkeypatch.setattr(census, "_certificate_rows", tampered)
+        monkeypatch.setattr(dec, "_walk", tampered)
     return verify_theorem(q, m, workers=workers), target
 
 
@@ -257,11 +261,11 @@ def test_witness_when_rows_and_pairs_do_not_line_up(monkeypatch, workers):
     # batches of 2 pairs; 32 of the 96 (2,3) certificates have two nodes of
     # dimension 1, among them pairs 52 and 53, so the broken row is row 3 of
     # its batch and belongs to pair 1
-    from golaypairs.decompose import _certificate_rows, _Memo
+    from golaypairs.decompose import _Memo, _walk
 
     for f, g in enumerate_all_gaps(2, 3)[52:54]:
-        rows = _certificate_rows(f, g, decompose(f, g)[1], 3, _Memo())
-        assert len(rows[1]) == 2
+        rows = _walk(decompose(f, g)[1], 3, _Memo())[2]
+        assert [row[0] for row in rows].count(1) == 2
     report, target = certify_with_one_broken_pair(
         monkeypatch, 2, 3, 53, workers, "correlation row"
     )
@@ -309,16 +313,25 @@ def test_certification_leaves_no_reference_cycles():
     import gc
 
     from golaypairs import QaryArray, verify_certificate
-    from golaypairs.census import _certify
+    from golaypairs.decompose import _certify
 
     pairs = enumerate_all_gaps(4, 3)[:100]
     f, g = pairs[5]
     moved = QaryArray(4, 3, ((f.entries[0] + 1) % 4,) + f.entries[1:])
     pairs.append((moved, g))
+    certs = [decompose(ff, gg)[1] for ff, gg in pairs[:100]]
+    # the pair (moved, g) with the certificate of (f, g)
+    certs.append(certs[5])
     _, cert = decompose(f, g)
     # warm the plan and table caches, so that only the calls themselves count
     verify_certificate(f, g, cert, max_corr_dim=3)
-    assert _certify(4, 3, pairs)[0] == [(moved.entries, g.entries)]
+    failures = _certify(4, 3, pairs)[0]
+    assert list(failures) == [100]
+    assert failures[100].startswith("not a complementary pair")
+    assert _certify(4, 3, pairs, certs)[0] == {
+        100: "certificate verification failed: replayed pair differs from the"
+        " claimed pair"
+    }
     gc.collect()
     gc.disable()
     try:
@@ -326,6 +339,8 @@ def test_certification_leaves_no_reference_cycles():
             verify_certificate(f, g, cert, max_corr_dim=3)
         assert gc.collect() == 0
         _certify(4, 3, pairs)
+        assert gc.collect() == 0
+        _certify(4, 3, pairs, certs)
         assert gc.collect() == 0
     finally:
         gc.enable()

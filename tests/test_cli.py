@@ -180,6 +180,20 @@ def test_census_pair_list_refusal_exits_three_within_seconds(capsys):
     assert "Traceback" not in err
 
 
+def test_construct_refusal_exits_three_within_seconds(tmp_path, capsys):
+    # valid parameters whose 2^40-cell pair would not fit the memory budget
+    m = 40
+    params = {**PARAMS, "q": 4, "m": m, "pi": list(range(1, m + 1)), "c": [0] * m}
+    src = write(tmp_path, "params.json", params)
+    t0 = time.perf_counter()
+    assert main(["construct", src]) == 3
+    assert time.perf_counter() - t0 < 5.0
+    captured = capsys.readouterr()
+    assert "m=40" in captured.err and "memory budget" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_census_reports_identical_across_workers(tmp_path, capsys):
     outs = []
     for w in ("1", "2", "8"):

@@ -1,6 +1,7 @@
 """Constructive decomposition, certificates, and standard-form recognition."""
 
 import dataclasses
+import importlib
 import random
 
 import pytest
@@ -463,13 +464,19 @@ def test_replay_uses_only_the_leaves():
 
 def test_mutated_rows_do_not_reach_a_later_pair_sharing_its_sub_nodes():
     from golaypairs import enumerate_all_gaps
-    from golaypairs.decompose import _certificate_rows, _decompose_rec, _Memo
+    from golaypairs.decompose import _decompose_rec, _Memo, _walk
+
+    def rows_by_dim(cert, memo):
+        out = {}
+        for dim, fe, ge in _walk(cert, 3, memo)[2]:
+            out.setdefault(dim, []).append((fe, ge))
+        return out
 
     pairs = enumerate_all_gaps(2, 3)
-    fresh = [_certificate_rows(f, g, decompose(f, g)[1], 3, _Memo()) for f, g in pairs]
+    fresh = [rows_by_dim(decompose(f, g)[1], _Memo()) for f, g in pairs]
     memo = _Memo()
     for (f, g), want in zip(pairs, fresh):
-        rows = _certificate_rows(f, g, _decompose_rec(f, g, memo), 3, memo)
+        rows = rows_by_dim(_decompose_rec(f, g, memo), memo)
         assert rows == want
         # what the census witness test does to a row, and more
         for dim_rows in rows.values():
@@ -478,6 +485,30 @@ def test_mutated_rows_do_not_reach_a_later_pair_sharing_its_sub_nodes():
             dim_rows.append((e, e))
         rows.setdefault(0, []).append(((0,), (0,)))
     assert memo.reused > 0
+
+
+def test_a_pair_fails_on_the_first_dimension_its_walk_met(monkeypatch):
+    # the walk of pair 0 meets dimension 2 first and that of pair 1 dimension
+    # 1, and all their rows fail: (e, e) is never a pair in positive dimension
+    dec = importlib.import_module("golaypairs.decompose")
+    pairs = [construct_standard(rand_params(random.Random(s), 4, 3)) for s in (193, 199)]
+    certs = [decompose(f, g)[1] for f, g in pairs]
+    one, two = (1, (0, 1), (0, 1)), (2, (0, 1, 2, 3), (0, 1, 2, 3))
+    rows = [(two, one), (one, two)]
+
+    def walk(node, max_corr_dim, memo):
+        k = certs.index(node)
+        return (*pairs[k], rows[k])
+
+    monkeypatch.setattr(dec, "_walk", walk)
+    message = "certificate verification failed: a node pair of dimension {} is not"
+    message += " complementary"
+    want = {0: message.format(2), 1: message.format(1)}
+    assert dec._certify(4, 3, pairs, certs)[0] == want
+    for (f, g), cert, text in zip(pairs, certs, want.values()):
+        with pytest.raises(VerificationError) as err:
+            verify_certificate(f, g, cert)
+        assert str(err.value) == text
 
 
 def test_separate_calls_share_no_sub_certificate():
@@ -493,7 +524,7 @@ def test_separate_calls_share_no_sub_certificate():
 
 
 def test_a_failing_shared_subtree_raises_for_every_pair():
-    from golaypairs.decompose import _certificate_rows, _Memo
+    from golaypairs.decompose import _Memo, _walk
 
     f, g = construct_standard(rand_params(random.Random(191), 4, 4))
     _, cert = decompose(f, g)
@@ -504,7 +535,7 @@ def test_a_failing_shared_subtree_raises_for_every_pair():
     memo = _Memo()
     for _ in range(2):
         with pytest.raises(VerificationError, match="offsets disagree"):
-            _certificate_rows(f, g, bad, 4, memo)
+            _walk(bad, 4, memo)
     assert all(entry[0] is not bad_child for entry in memo.walks.values())
 
 

@@ -12,7 +12,8 @@ pair and the decomposition are checked against the brute-force partitions of
 ``helpers`` and against the float complementarity test, a certificate's
 correlation rows against the replayed pairs of its inner nodes, the
 certification of a batch that shares its sub-certificates against fresh
-per-pair calls, and
+per-pair calls and each pair's message against ``verify_certificate`` on
+that pair alone, and
 standard-form recognition against the cell-by-cell table of every standard
 pair.  Block sums (``combine``, the common-part split) and the cell
 placement of generating functions (``embed``, ``disjoint_product``) are
@@ -70,13 +71,13 @@ from golaypairs import (
     verify_certificate,
 )
 from golaypairs import qarray
-from golaypairs.census import _certify
 from golaypairs.decompose import (
-    _certificate_rows,
+    _certify,
     _decompose_rec,
     _Memo,
     _rebuild,
     _recombine,
+    _walk,
 )
 from golaypairs.qarray import (
     _cube_plan,
@@ -535,9 +536,18 @@ def replayed_entries(cert):
     return f.entries, g.entries
 
 
+def rows_by_dim(rows):
+    """The (dimension, f entries, g entries) rows of a walk, as lists of
+    (f entries, g entries) keyed by dimension."""
+    out: dict[int, list] = {}
+    for dim, fe, ge in rows:
+        out.setdefault(dim, []).append((fe, ge))
+    return out
+
+
 @settings(max_examples=100)
 @given(standard_params(6, st.sampled_from((2, 4, 6, 8, 10))))
-def test_certificate_rows_are_the_inner_node_pairs(params):
+def test_walk_rows_are_the_inner_node_pairs(params):
     # the rows are each inner node's pair, rebuilt here by replaying its
     # subtree: one row per node, none of dimension 0
     f, g = construct_standard(params)
@@ -545,7 +555,7 @@ def test_certificate_rows_are_the_inner_node_pairs(params):
     nodes = inner_nodes(cert)
     assert len(nodes) == params.m
     for max_corr_dim in range(params.m + 2):
-        rows = _certificate_rows(f, g, cert, max_corr_dim, _Memo())
+        rows = rows_by_dim(_walk(cert, max_corr_dim, _Memo())[2])
         want: dict[int, Counter] = {}
         for node in nodes:
             if node.m <= max_corr_dim:
@@ -606,8 +616,10 @@ def test_shared_and_reloaded_certificates_get_the_same_verdict(params, tamper):
 
 @st.composite
 def certification_batches(draw):
-    """(q, m, rows): one census batch of standard pairs, earlier rows met
-    again, and one-cell-moved non-pairs, in drawn order."""
+    """(q, m, rows, kinds): one census batch of standard pairs, earlier rows
+    met again, and one-cell-moved non-pairs, in drawn order, and for each
+    row the kind of certificate it is given: clean, reloaded from JSON or
+    one of ``ROOT_TAMPERS``."""
     q = draw(st.sampled_from((2, 4, 6, 8)))
     m = draw(st.integers(1, 5))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -622,24 +634,64 @@ def certification_batches(draw):
             rows.append(moved_row(rng, q, m, standard_row(rng, q, m)))
         else:
             rows.append(standard_row(rng, q, m))
-    return q, m, rows
+    cert_kinds = st.sampled_from(("clean", "reloaded", *ROOT_TAMPERS))
+    return q, m, rows, draw(st.lists(cert_kinds, min_size=len(rows), max_size=len(rows)))
 
 
 def certification(q, m, fe, ge, memo):
-    """(certificate JSON, rows) of one pair at ``max_corr_dim = m`` with
-    ``memo``, or the type and message of the error that rejects it."""
+    """(certificate JSON, rows by dimension) of one pair at
+    ``max_corr_dim = m`` with ``memo``, or the type and message of the
+    error that rejects it."""
     f, g = QaryArray(q, m, fe), QaryArray(q, m, ge)
     try:
         cert = _decompose_rec(f, g, memo)
-        return cert.to_json_dict(), _certificate_rows(f, g, cert, m, memo)
+        ff, gg, rows = _walk(cert, m, memo)
     except (NotAGapError, VerificationError) as exc:
         return type(exc), str(exc)
+    assert (ff, gg) == (f, g)
+    return cert.to_json_dict(), rows_by_dim(rows)
+
+
+def alone(f, g):
+    """The message that rejects (f, g) when it is decomposed and certified
+    on its own at full depth, or None."""
+    try:
+        _, cert = decompose(f, g)
+    except NotAGapError as exc:
+        return str(exc)
+    return verdict(f, g, cert)
+
+
+def batch_certificates(q, m, rows, kinds):
+    """One certificate per row, of the kind drawn for it.  A non-pair gets
+    the certificate of a fixed standard pair.  Equal rows share one clean
+    certificate, and a tampered root shares its children with it."""
+    fallback = construct_standard(
+        StandardParams(q, m, tuple(range(1, m + 1)), (0,) * m, 0, 0)
+    )
+    clean: dict = {}
+    certs = []
+    for row, kind in zip(rows, kinds):
+        if row not in clean:
+            try:
+                clean[row] = decompose(QaryArray(q, m, row[0]), QaryArray(q, m, row[1]))[1]
+            except NotAGapError:
+                clean[row] = decompose(*fallback)[1]
+        cert = clean[row]
+        if kind == "reloaded":
+            cert = DecompositionCertificate.from_json_dict(
+                json.loads(json.dumps(cert.to_json_dict()))
+            )
+        elif kind != "clean":
+            cert = ROOT_TAMPERS[kind](cert)
+        certs.append(cert)
+    return certs
 
 
 @settings(max_examples=80)
 @given(certification_batches())
 def test_batch_shared_certification_equals_fresh_per_pair_calls(case):
-    q, m, rows = case
+    q, m, rows, kinds = case
     fresh = [certification(q, m, f, g, _Memo()) for f, g in rows]
     memo = _Memo()
     shared = [certification(q, m, f, g, memo) for f, g in rows]
@@ -654,9 +706,16 @@ def test_batch_shared_certification_equals_fresh_per_pair_calls(case):
             if not all(float_is_gap(q, dim, *pair) for pair in dim_rows):
                 want_witnesses.add(row)
     pairs = [(QaryArray(q, m, f), QaryArray(q, m, g)) for f, g in rows]
-    witnesses, counts, *_ = _certify(q, m, pairs)
-    assert set(witnesses) == want_witnesses
+    failures, counts, *_ = _certify(q, m, pairs)
+    assert {rows[i] for i in failures} == want_witnesses
     assert counts == want_counts
+    # each pair of the batch gets the message it gets in a batch of one
+    assert [failures.get(i) for i in range(len(pairs))] == [alone(*p) for p in pairs]
+    certs = batch_certificates(q, m, rows, kinds)
+    failures = _certify(q, m, pairs, certs)[0]
+    assert [failures.get(i) for i in range(len(pairs))] == [
+        verdict(f, g, cert) for (f, g), cert in zip(pairs, certs)
+    ]
 
 
 def split_by(on_left):
