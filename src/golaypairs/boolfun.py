@@ -59,6 +59,8 @@ class Anf:
     coeffs: Mapping[frozenset, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.q < 1 or self.m < 0:
+            raise ValueError(f"need q >= 1 and m >= 0, got q={self.q}, m={self.m}")
         clean = {}
         for subset, coeff in self.coeffs.items():
             s = frozenset(int(v) for v in subset)
@@ -103,6 +105,8 @@ class VarPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.m < 0:
+            raise ValueError(f"m must be nonnegative, got {self.m}")
         norm = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in self.blocks))
         seen: list[int] = []
         for b in norm:

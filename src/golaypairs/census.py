@@ -64,9 +64,10 @@ from itertools import permutations, product
 
 import numpy as np
 
+from .cyclotomic import get_context
 from .decompose import _certify
 from .errors import BudgetExceededError, OddModulusError, VerificationError
-from .qarray import QaryArray, _coords, _cube_plan, _reduction, _trusted, is_gap
+from .qarray import QaryArray, _coords, _cube_plan, _trusted, is_gap
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
@@ -87,12 +88,22 @@ def _row_layout(q: int, m: int) -> tuple[int, np.dtype]:
     A row has phi(q) coordinates per half shift; at m = 0 it is padded to
     one zero column so its byte view is never empty.  The dtype is the
     narrowest signed one holding -bound - 1, so it holds +-bound for the
-    bound 2^m * max|reduction entry| and negating a row cannot overflow.
+    bound 2^m times the context's largest reduction entry, and negating a
+    row cannot overflow.
     """
-    red = _reduction(q, 1 << m)
-    width = max(red.shape[1] * ((3**m - 1) // 2), 1)
-    bound = (1 << m) * int(np.abs(red).max())
-    return width, np.min_scalar_type(-bound - 1)
+    ctx = get_context(q)
+    width = max(ctx.degree * ((3**m - 1) // 2), 1)
+    return width, np.min_scalar_type(-(ctx.max_entry << m) - 1)
+
+
+def _entries(q: int, m: int, reps) -> np.ndarray:
+    """Entries of representatives ``reps``, one int64 row each: 0, then
+    the base-q digits of the representative, lowest first."""
+    work = np.array(reps, dtype=np.int64)
+    out = np.zeros((len(work), 1 << m), dtype=np.int64)
+    for t in range(1, 1 << m):
+        work, out[:, t] = np.divmod(work, q)
+    return out
 
 
 def _chunk_rows(
@@ -101,11 +112,7 @@ def _chunk_rows(
     """Fingerprint rows of representatives start..stop-1, in order."""
     plan = _cube_plan(m)
     n = stop - start
-    table = np.zeros((n, 1, 1 << m), dtype=np.int64)
-    work = np.arange(start, stop, dtype=np.int64)
-    for t in range(1, 1 << m):
-        table[:, 0, t] = work % q
-        work //= q
+    table = _entries(q, m, np.arange(start, stop))[:, None]
     sig = _coords(plan, table, q, 0, len(plan.order)).reshape(n, -1)
     if np.abs(sig).max(initial=0) > np.iinfo(dtype).max:
         raise VerificationError(
@@ -158,19 +165,6 @@ def _matches(rows: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarra
         f_parts.append(order[np.repeat(start + hit, c)])
         g_parts.append(order[offsets + np.arange(c.sum())])
     return np.concatenate(f_parts), np.concatenate(g_parts), distinct
-
-
-def _class_members(q: int, m: int, rep: int) -> list[tuple[tuple, tuple]]:
-    """(entries reversed, entries) of f0 + a for every a in Z_q; f0 is ``rep``."""
-    base = [0]
-    for _ in range((1 << m) - 1):
-        rep, r = divmod(rep, q)
-        base.append(r)
-    members = []
-    for a in range(q):
-        entries = tuple((v + a) % q for v in base)
-        members.append((entries[::-1], entries))
-    return members
 
 
 def _space_size(q: int, m: int, budget: int) -> int | None:
@@ -260,7 +254,13 @@ def enumerate_all_gaps(
         )
 
     f_list, g_list = f_reps.tolist(), g_reps.tolist()
-    members = {r: _class_members(q, m, r) for r in {*f_list, *g_list}}
+    # (entries reversed, entries) of r + a for each matched r and a in Z_q
+    matched = list({*f_list, *g_list})
+    constants = np.arange(q)[:, None]
+    members = {
+        r: [(e[::-1], e) for e in map(tuple, ((base + constants) % q).tolist())]
+        for r, base in zip(matched, _entries(q, m, matched))
+    }
     found = [
         (fk, gk, fe, ge)
         for r, s in zip(f_list, g_list)
@@ -378,9 +378,8 @@ def verify_theorem(
     rows: Counter[int] = Counter()
     if q % 2 == 0:
         t_std = time.perf_counter()
-        std = enumerate_standard(q, m)
+        std_keys = {(f.entries, g.entries) for f, g in enumerate_standard(q, m)}
         std_s = time.perf_counter() - t_std
-        std_keys = {(f.entries, g.entries) for f, g in std}
         missing = std_keys - gap_keys
         if missing:
             raise VerificationError(

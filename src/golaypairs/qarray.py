@@ -28,10 +28,10 @@ per array.  The plan cuts its batches into runs of whole shifts of at most
 per kernel call, so a call's temporaries hold at most
 groups * rows * ``_SLICE`` keys (more only for a single longer shift): for
 a pair, about 1 MiB each, which stays in cache.  Multiplying the
-histograms by the cyclotomic reduction matrix gives canonical coordinates.
-That product is exact in int64 because 2**m times the largest reduction
-entry must stay below 2**62, which holds for every practical q; larger
-moduli are refused with ``ValueError``.
+histograms by the reduction table that the modulus's ``CycContext`` holds
+gives canonical coordinates, exact in int64 while the cells times the
+table's largest entry stay below 2**62: true for every q the context
+admits, and checked on every call, which raises ``ValueError`` if not.
 
 Complementarity verdicts come from one kernel, :func:`_gaps`, which takes
 a stack of pairs and returns one verdict per pair; :func:`is_gap` and
@@ -325,8 +325,12 @@ def _cube_plan(m: int) -> _ShiftPlan:
 def _sequence_plan(length: int) -> _ShiftPlan:
     """Plan of the shifts 1 .. length-1 of a sequence, in order, one batch.
 
-    Shift tau is plan shift tau - 1 and pairs t + tau with t.
+    Shift tau is plan shift tau - 1 and pairs t + tau with t.  At the cube
+    plan's 32 bytes per overlap pair, length 4096 fits the budget; 4097
+    does not.
     """
+    if 32 * length * (length - 1) // 2 > _MAX_PLAN_BYTES:
+        raise BudgetExceededError(f"the correlation plan at length {length} is too large")
     n = max(length - 1, 0)
     counts = np.arange(n, 0, -1, dtype=np.int64)
     shift = np.repeat(np.arange(n), counts)
@@ -335,26 +339,6 @@ def _sequence_plan(length: int) -> _ShiftPlan:
     return _make_plan(
         earlier + shift + 1, earlier, shift, counts, np.arange(n), ((0, n),), length
     )
-
-
-@lru_cache(maxsize=None)
-def _reduction(q: int, cells: int) -> np.ndarray:
-    """``CycContext.reduction_rows()`` as a read-only int64 (q, phi(q)) matrix.
-
-    A kernel histogram over a group of at most two rows of ``cells``
-    entries counts at most 2 * cells pairs per shift, so its canonical
-    coordinates stay below 2 * cells * max|reduction entry|.  Below 2**63 the int64 products and
-    sums are exact; larger moduli are refused.
-    """
-    rows = get_context(q).reduction_rows()
-    max_abs = max((abs(v) for row in rows for v in row), default=0)
-    if cells * max_abs >= 1 << 62:
-        raise ValueError(
-            f"canonical coordinates too large for an exact int64 sweep at q={q}"
-        )
-    red = np.array(rows, dtype=np.int64)
-    red.flags.writeable = False
-    return red
 
 
 @lru_cache(maxsize=256)
@@ -395,8 +379,14 @@ def _histograms(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) ->
 def _coords(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
     """Canonical coordinates of the :func:`_histograms` of plan shifts
     lo .. hi-1: entry (k, i, s - lo) is coordinate i of row group k's summed
-    autocorrelation at plan shift s."""
-    return _reduction(q, rows.shape[2]).T @ _histograms(plan, rows, q, lo, hi)
+    autocorrelation at plan shift s.  A group of at most two rows of
+    ``cells`` entries counts at most 2 * cells pairs per shift, so a
+    coordinate stays below 2 * cells * ``max_entry``, which must be below
+    2**63."""
+    ctx = get_context(q)
+    if rows.shape[2] * ctx.max_entry >= 1 << 62:
+        raise ValueError(f"canonical coordinates too large for an exact int64 sweep at q={q}")
+    return ctx.table @ _histograms(plan, rows, q, lo, hi)
 
 
 def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:

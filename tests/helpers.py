@@ -16,6 +16,23 @@ def root_table(q: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(2j * cmath.pi * d / q) for d in range(q))
 
 
+def reduction_columns(phi, q: int):
+    """x**d modulo the monic polynomial ``phi`` (ascending coefficients),
+    for d = 0 .. q-1, as lists of Python ints.
+
+    Each power is the previous one times x, with x**deg replaced by
+    -(phi[0] + ... + phi[deg-1] x**(deg-1)).
+    """
+    deg = len(phi) - 1
+    cur = [1] + [0] * (deg - 1)
+    for _ in range(q):
+        yield cur
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * p for c, p in zip(cur, phi)]
+
+
 def cyc_to_complex(element) -> complex:
     """Numeric value of a cyclotomic integer, from its raw counts only."""
     tab = root_table(element.ctx.q)

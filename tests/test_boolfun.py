@@ -104,6 +104,14 @@ def test_interaction_components_match_brute_force():
             assert got == want, (q, m, f.entries)
 
 
+def test_impossible_shapes_are_refused():
+    for args in ((0, 1, {frozenset({1}): 1}), (2, -1, {})):
+        with pytest.raises(ValueError):
+            Anf(*args)
+    with pytest.raises(ValueError):
+        VarPartition(-1, ())
+
+
 def test_var_partition_validation():
     assert VarPartition(3, ((3, 1), (2,))).blocks == ((1, 3), (2,))
     with pytest.raises(ValueError):

@@ -2,12 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 import sympy
 
 from golaypairs import CycElement, VerificationError, cyclotomic_polynomial, get_context
+from golaypairs.cyclotomic import CycContext, _poly_divmod_exact
 
-from helpers import cyc_to_complex
+from helpers import cyc_to_complex, reduction_columns
 
 
 def test_polynomial_small_moduli():
@@ -197,3 +199,33 @@ def test_invalid_modulus_rejected():
     for q in (4097, 100003):
         with pytest.raises(ValueError, match="4096"):
             get_context(q)
+
+
+@pytest.mark.parametrize(
+    "qs", [range(1, 129), (1155, 2310), (3465,), (4093,), (4095, 4096)]
+)
+def test_reduction_table_matches_the_python_recurrence(qs):
+    for q in qs:
+        ctx = CycContext(q)  # uncached, so each large table is freed
+        table = ctx.table
+        assert table.shape == (ctx.degree, q) and table.dtype == np.int64
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 7
+        top = 0
+        for d, col in enumerate(reduction_columns(ctx.phi, q)):
+            assert table[:, d].tolist() == col, (q, d)
+            top = max(top, *map(abs, col))
+        assert ctx.max_entry == top
+
+
+@pytest.mark.parametrize("q", [4, 6, 12, 105])
+def test_canonical_is_exact_past_int64(q):
+    rng = random.Random(q)
+    ctx = get_context(q)
+    big = 1 << 70
+    for _ in range(50):
+        counts = [rng.choice((big, -big, rng.randint(-big, big), 0)) for _ in range(q)]
+        rem = _poly_divmod_exact(counts, ctx.phi)[1]
+        want = tuple(rem + [0] * (ctx.degree - len(rem)))
+        assert ctx.element(counts).canonical() == want

@@ -38,6 +38,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from golaypairs import (
+    CycElement,
     DecompositionCertificate,
     GenFun,
     NotAGapError,
@@ -80,6 +81,7 @@ from golaypairs.decompose import (
     _walk,
 )
 from golaypairs.qarray import (
+    _coords,
     _cube_plan,
     _gaps,
     _histograms,
@@ -275,6 +277,25 @@ def test_histograms_match_the_brute_oracle(case, data):
     table = np.array(rows, dtype=np.int64)
     for lo, hi in ranges:
         assert (_histograms(plan, table, q, lo, hi) == expected[:, :, lo:hi]).all()
+
+
+@settings(max_examples=100)
+@given(kernel_cases(), st.data())
+def test_coords_agree_with_canonical(case, data):
+    # the kernel's product and CycElement.canonical read the one table
+    q, plan, shifts, rows = case
+    n = len(shifts)
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    table = np.array(rows, dtype=np.int64)
+    ctx = get_context(q)
+    hist = _histograms(plan, table, q, lo, hi)
+    coords = _coords(plan, table, q, lo, hi)
+    assert coords.shape == (len(rows), ctx.degree, hi - lo)
+    for k in range(len(rows)):
+        for s in range(hi - lo):
+            want = CycElement(ctx, tuple(hist[k, :, s].tolist())).canonical()
+            assert tuple(coords[k, :, s].tolist()) == want
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 """Arrays over the binary cube: storage, correlation, pairs, projections."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +281,17 @@ def test_correlation_plan_over_memory_bound_is_refused():
         correlation_spectrum(f)
     with pytest.raises(BudgetExceededError):
         is_gap(f, f)
+
+
+def test_sequence_plan_over_memory_bound_is_refused_before_it_is_built():
+    # L = 4097 has L(L-1)/2 overlap pairs, 32 bytes each over 256 MiB
+    s = [0] * 4097
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError):
+        is_gcp(2, s, s)
+    with pytest.raises(BudgetExceededError):
+        sequence_autocorrelation(2, s, 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_cube_plan_batches_slice_whole_shifts_after_the_shell():
