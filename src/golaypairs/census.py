@@ -15,6 +15,9 @@ lost.  If (f, g) is a pair, then fp(f - f(0)) = fp(f) = -fp(g) =
 -fp(g - g(0)), so the representatives of f and g match, and expanding that
 match to (f0 + a, g0 + b) for all a, b in Z_q yields (f, g).  Every
 expanded pair is re-verified with the literal correlation sums.
+The standard set is expanded by the same routine: the standard pair of
+(pi, c, c0, c') is the base pair of (pi, c, 0, 0) plus (c0, c0 + c'), so
+only the m! q^m base pairs are built (see :func:`enumerate_standard`).
 
 The join is a sorted search, not a hash table.  Fingerprint rows are held in
 one contiguous array in representative order.  A canonical coordinate is at
@@ -181,6 +184,21 @@ def _space_size(q: int, m: int, budget: int) -> int | None:
     return size if size <= budget else None
 
 
+def _standard_pair_count(q: int, m: int, limit: int) -> int | None:
+    """The number of standard pairs, m! q^(m+2) / 2 for m >= 1 and
+    q (q + 1) / 2 for m = 0, if it is at most ``limit``, else None.
+
+    Multiplies in one factor k q at a time and stops as soon as the product
+    passes ``limit``, so m! is never built for a huge m.
+    """
+    count = q * (q + 1) // 2 if m == 0 else q * q // 2
+    for k in range(1, m + 1):
+        if count > limit:
+            return None
+        count *= k * q
+    return count if count <= limit else None
+
+
 def _pool_size(workers: int, chunks: int) -> int:
     """Worker processes worth starting: at most one per chunk and per CPU."""
     return max(1, min(workers, chunks, os.cpu_count() or 1))
@@ -196,6 +214,28 @@ def _run(fn, tasks: list[tuple], workers: int):
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(fn, *zip(*tasks))
+
+
+def _expand(q: int, m: int, bases: list) -> list[tuple[QaryArray, QaryArray]]:
+    """Pairs (f + a, g + b), a and b in Z_q, of the base pairs (f, g) of entry
+    tuples with id(f + a) <= id(g + b), in census order: each unordered pair
+    once if ``bases`` holds (g, f) with each (f, g) and no two base pairs
+    share a class.  Each base array's q class members are built once and shared."""
+    constants = np.arange(q)[:, None]
+    members = {
+        e: [(r[::-1], _trusted(QaryArray, q, m, r))
+            for r in map(tuple, ((np.array(e) + constants) % q).tolist())]
+        for e in {e for base in bases for e in base}
+    }
+    found = [
+        (fk, gk, f, g)
+        for fe, ge in bases
+        for fk, f in members[fe]
+        for gk, g in members[ge]
+        if fk <= gk
+    ]
+    found.sort(key=lambda item: item[:2])
+    return [(f, g) for _, _, f, g in found]
 
 
 def enumerate_all_gaps(
@@ -253,31 +293,13 @@ def enumerate_all_gaps(
             f" of {_MAX_BYTES >> 20} MiB"
         )
 
-    f_list, g_list = f_reps.tolist(), g_reps.tolist()
-    # (entries reversed, entries) of r + a for each matched r and a in Z_q
-    matched = list({*f_list, *g_list})
-    constants = np.arange(q)[:, None]
-    members = {
-        r: [(e[::-1], e) for e in map(tuple, ((base + constants) % q).tolist())]
-        for r, base in zip(matched, _entries(q, m, matched))
-    }
-    found = [
-        (fk, gk, fe, ge)
-        for r, s in zip(f_list, g_list)
-        for fk, fe in members[r]
-        for gk, ge in members[s]
-        if fk <= gk
-    ]
-    found.sort(key=lambda item: item[:2])
-    pairs: list[tuple[QaryArray, QaryArray]] = []
-    for _, _, fe, ge in found:
-        f = _trusted(QaryArray, q, m, fe)
-        g = _trusted(QaryArray, q, m, ge)
+    f_list, g_list = (map(tuple, _entries(q, m, reps).tolist()) for reps in (f_reps, g_reps))
+    pairs = _expand(q, m, list(zip(f_list, g_list)))
+    for f, g in pairs:
         if not is_gap(f, g):
             raise VerificationError(
                 "fingerprint match not confirmed by direct correlation sums"
             )  # pragma: no cover - internal guard
-        pairs.append((f, g))
     _log.debug(
         "census q=%d m=%d: %d representatives swept, %d distinct fingerprints,"
         " %d matched representative pairs, %d pairs re-verified;"
@@ -291,27 +313,31 @@ def enumerate_all_gaps(
 def enumerate_standard(q: int, m: int) -> list[tuple[QaryArray, QaryArray]]:
     """All unordered pairs produced by the standard construction.
 
-    Sweeps every parameter choice and deduplicates the resulting pairs; the
-    intra-pair order and the list order follow the same id convention as
-    :func:`enumerate_all_gaps` so the two outputs are directly comparable.
-    A pair's key, f's reversed entries then g's, sorts as its id pair does;
-    one flat tuple per key, not two, saved 2.6 MB at (6,3).
+    Parameters (pi, c, c0, c') give the pair (f + c0, g + c0 + c') of the
+    base pair (f, g) of (pi, c, 0, 0), so only the m! q^m base pairs are
+    built, and :func:`_expand` adds the constants as it does for the census.
+    Each ordered pair has one parameter set, and the swap (f, g) -> (g, f)
+    is the parameter map (pi, c + (q/2) e_pi(1), c0 + c', -c'), so each
+    unordered pair appears once: m! q^(m+2) / 2 for m >= 1, q (q + 1) / 2
+    for m = 0.  Pair and list order follow :func:`enumerate_all_gaps`.
+    Raises :class:`BudgetExceededError` before any work if that many pairs
+    would pass ``_MAX_BYTES`` at ``_PAIR_BYTES`` each; no census that its
+    own pair refusal admits is refused here.
     """
     if q < 2 or q % 2:
         raise OddModulusError(f"standard pairs require even q, got {q}")
     if m < 0:
         raise ValueError(f"dimension must be nonnegative, got {m}")
-    seen: dict[tuple[int, ...], tuple[QaryArray, QaryArray]] = {}
-    for pi, c, c0, c_prime in product(
-        permutations(range(1, m + 1)), product(range(q), repeat=m), range(q), range(q)
-    ):
-        params = _trusted(StandardParams, q, m, pi, c, c0, c_prime)
-        f, g = construct_standard(params)
-        fk, gk = f.entries[::-1], g.entries[::-1]
-        if gk < fk:
-            fk, gk, f, g = gk, fk, g, f
-        seen.setdefault(fk + gk, (f, g))
-    return [seen[key] for key in sorted(seen)]
+    if _standard_pair_count(q, m, _MAX_BYTES // _PAIR_BYTES) is None:
+        raise BudgetExceededError(
+            f"the standard pairs at q={q}, m={m} would take more than the"
+            f" memory budget of {_MAX_BYTES >> 20} MiB"
+        )
+    bases = []
+    for pi, c in product(permutations(range(1, m + 1)), product(range(q), repeat=m)):
+        f, g = construct_standard(_trusted(StandardParams, q, m, pi, c, 0, 0))
+        bases.append((f.entries, g.entries))
+    return _expand(q, m, bases)
 
 
 @dataclass(frozen=True)

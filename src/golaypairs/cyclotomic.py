@@ -15,11 +15,10 @@ reads its entries as Python integers, so it is exact for any multiplicities.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import VerificationError
 
 # The reduction table holds phi(q) * q int64 entries, 8 B each: 134 MB at
 # q = 4093, built in about 0.1 s.  Larger moduli are refused before it is built.
@@ -50,9 +49,12 @@ def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> tuple[list[int
 def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     """Coefficients of the q-th cyclotomic polynomial, ascending degree.
 
-    Computed by dividing x**q - 1 by the cyclotomic polynomials of all proper
-    divisors of q.  Division is exact integer polynomial division; a nonzero
-    remainder would indicate a bug and raises.
+    With r the product of the distinct primes of q, Phi_q(x) = Phi_r(x^(q/r)),
+    and for r > 1 Phi_r(x) is the product of (1 - x^d)^mu(r/d) over the
+    divisors d of r.  That product is a polynomial of degree phi(r), so it
+    is computed exactly as a power series truncated past that degree, one
+    pass over phi(r) + 1 coefficients per factor, 2^k passes for k distinct
+    primes.
 
     >>> cyclotomic_polynomial(1)
     (-1, 1)
@@ -63,14 +65,29 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
         raise ValueError(f"q must be positive, got {q}")
     if q == 1:
         return (-1, 1)
-    poly: list[int] = [-1] + [0] * (q - 1) + [1]
-    for d in range(1, q):
-        if q % d == 0:
-            poly, rem = _poly_divmod_exact(poly, cyclotomic_polynomial(d))
-            if rem:  # pragma: no cover - would indicate a bug
-                raise VerificationError(
-                    f"x^{q}-1 not divisible by the {d}-th cyclotomic polynomial"
-                )
+    primes, n, p = [], q, 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    r, size = prod(primes), prod(p - 1 for p in primes) + 1  # phi(r) + 1
+    factors = [(r, 1)]  # (d, mu(r / d)) for every divisor d of r
+    for p in primes:
+        factors += [(d // p, -mu) for d, mu in factors]
+    series = [1] + [0] * (size - 1)
+    for d, mu in factors:
+        if mu > 0:  # multiply by 1 - x^d
+            for i in range(size - 1, d - 1, -1):
+                series[i] -= series[i - d]
+        else:  # divide by 1 - x^d, that is, multiply by 1 + x^d + x^2d + ...
+            for i in range(d, size):
+                series[i] += series[i - d]
+    poly = [0] * ((size - 1) * (q // r) + 1)
+    poly[:: q // r] = series
     return tuple(poly)
 
 
@@ -142,9 +159,13 @@ class CycContext:
         return f"CycContext(q={self.q})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def get_context(q: int) -> CycContext:
     """Shared per-q context; contexts are immutable and safe to cache.
+
+    The four most recently used contexts are kept, so a process does not
+    hold a reduction table (up to 134 MB at q = 4093) for every modulus it
+    ever used, and a cycle through four moduli never rebuilds one.
 
     Raises ``ValueError`` for q < 1 and for q above 4096.
     """

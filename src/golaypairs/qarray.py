@@ -13,9 +13,9 @@ Autocorrelation values are exact elements of Z[zeta_q] (see
 
 Every correlation here, and the census sweep, runs on one numpy kernel
 driven by a shift plan that is cached per dimension (per length for
-sequences).  The plan lists the overlapping cell pairs of every kept half
-shift, grouped by shift, in the smallest unsigned dtypes; plans over
-``_MAX_PLAN_BYTES`` are refused with ``BudgetExceededError``.  The kernel
+sequences, the last two only).  The plan lists the overlapping cell pairs
+of every kept half shift, grouped by shift, in the smallest unsigned
+dtypes; plans over ``_MAX_PLAN_BYTES`` are refused with ``BudgetExceededError``.  The kernel
 takes rows grouped as (groups, rows per group, cells) and, for a range of
 plan shifts, gathers the entry differences with the later cell offset by
 q, so every difference lies in 1 .. 2q-1.  One gather through a cached
@@ -321,13 +321,14 @@ def _cube_plan(m: int) -> _ShiftPlan:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2)
 def _sequence_plan(length: int) -> _ShiftPlan:
     """Plan of the shifts 1 .. length-1 of a sequence, in order, one batch.
 
     Shift tau is plan shift tau - 1 and pairs t + tau with t.  At the cube
     plan's 32 bytes per overlap pair, length 4096 fits the budget; 4097
-    does not.
+    does not.  Only the plans of the last two lengths are kept: one holds
+    6 bytes per overlap pair, 50 MB at length 4096.
     """
     if 32 * length * (length - 1) // 2 > _MAX_PLAN_BYTES:
         raise BudgetExceededError(f"the correlation plan at length {length} is too large")

@@ -227,6 +227,26 @@ def standard_table(q: int, m: int) -> dict:
     return table
 
 
+def standard_pairs_by_params(q: int, m: int) -> list:
+    """Every unordered standard pair of even q and dimension m, as
+    (f entries, g entries) in census order, by the direct sweep.
+
+    Runs every parameter set (pi, c, c0, c') through ``construct_standard``,
+    orders each pair by id (reversed entries), drops repeats and sorts, with
+    no quotient by the additive constants.
+    """
+    from golaypairs import StandardParams, construct_standard
+
+    seen = set()
+    for pi in permutations(range(1, m + 1)):
+        for c in product(range(q), repeat=m):
+            for c0, cp in product(range(q), repeat=2):
+                f, g = construct_standard(StandardParams(q, m, pi, c, c0, cp))
+                pair = sorted((f.entries, g.entries), key=lambda e: e[::-1])
+                seen.add(tuple(pair))
+    return sorted(seen, key=lambda pair: (pair[0][::-1], pair[1][::-1]))
+
+
 def dict_star(poly: dict) -> dict:
     """Degree-reversal for small polynomials of arbitrary per-variable degree.
 

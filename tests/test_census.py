@@ -4,12 +4,15 @@ import dataclasses
 import importlib
 import json
 import logging
+import math
+import time
 
 import pytest
 
 from golaypairs import (
     BudgetExceededError,
     OddModulusError,
+    construct_standard,
     decompose,
     enumerate_all_gaps,
     enumerate_standard,
@@ -17,7 +20,7 @@ from golaypairs import (
     verify_theorem,
 )
 
-from helpers import quadratic_all_gaps
+from helpers import quadratic_all_gaps, standard_pairs_by_params
 
 
 def ids_of(pairs, q):
@@ -401,3 +404,59 @@ def test_verify_theorem_logs_shared_subcertificate_counters(monkeypatch, caplog,
         f"{decomposed} distinct sub-pairs decomposed,"
         f" {reused} sub-certificate walks reused" in message
     )
+
+
+@pytest.mark.parametrize(
+    "q, m", [(q, m) for q in (2, 4, 6) for m in range(4)] + [(8, 2)]
+)
+def test_standard_sweep_matches_the_parameter_sweep(q, m):
+    got = [(f.entries, g.entries) for f, g in enumerate_standard(q, m)]
+    assert got == standard_pairs_by_params(q, m)
+
+
+def test_standard_sweep_builds_only_the_base_pairs(monkeypatch):
+    import golaypairs.census as census
+
+    calls = []
+
+    def counted(params):
+        calls.append((params.c0, params.c_prime))
+        return construct_standard(params)
+
+    monkeypatch.setattr(census, "construct_standard", counted)
+    for q, m, bases in ((2, 0, 1), (4, 2, 32), (6, 3, 1296)):
+        calls.clear()
+        enumerate_standard(q, m)
+        assert len(calls) == bases and set(calls) == {(0, 0)}, (q, m)
+
+
+def standard_count(q, m):
+    return q * (q + 1) // 2 if m == 0 else math.factorial(m) * q ** (m + 2) // 2
+
+
+@pytest.mark.parametrize("q", (2, 4, 6, 8))
+def test_standard_count_has_its_closed_form(q):
+    m = 0
+    while standard_count(q, m) <= 50_000:
+        keys = [(f.entries, g.entries) for f, g in enumerate_standard(q, m)]
+        assert len(keys) == standard_count(q, m) == len(set(keys)), (q, m)
+        m += 1
+
+
+def test_census_without_matches_expands_to_no_pairs():
+    import golaypairs.census as census
+
+    assert census._expand(3, 2, []) == []
+    for q, m in ((3, 1), (3, 2), (5, 2)):
+        assert enumerate_all_gaps(q, m) == [], (q, m)
+
+
+def test_standard_sweep_over_memory_budget_is_refused_before_any_work():
+    for q, m in ((2, 12), (4, 6), (2, 10**9)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError, match="memory budget"):
+            enumerate_standard(q, m)
+        assert time.perf_counter() - start < 1, (q, m)
+    # the largest spaces the census itself admits
+    assert len(enumerate_standard(8, 3)) == standard_count(8, 3) == 98_304
+    assert len(enumerate_standard(512, 0)) == standard_count(512, 0) == 131_328

@@ -1,6 +1,7 @@
 """Exact cyclotomic integer arithmetic, checked against sympy and floats."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -229,3 +230,32 @@ def test_canonical_is_exact_past_int64(q):
         rem = _poly_divmod_exact(counts, ctx.phi)[1]
         want = tuple(rem + [0] * (ctx.degree - len(rem)))
         assert ctx.element(counts).canonical() == want
+
+
+@pytest.mark.parametrize("q", [1155, 2310, 3465, 4095, 4096])
+def test_polynomial_matches_sympy_at_large_moduli(q):
+    x = sympy.symbols("x")
+    theirs = sympy.Poly(sympy.cyclotomic_poly(q, x), x).all_coeffs()
+    assert list(cyclotomic_polynomial(q)) == [int(c) for c in reversed(theirs)]
+
+
+def test_polynomial_at_a_large_modulus_is_fast():
+    # 4095 = 3^2 * 5 * 7 * 13 has 24 divisors but only 4 distinct primes
+    cyclotomic_polynomial.cache_clear()
+    start = time.perf_counter()
+    assert len(cyclotomic_polynomial(4095)) == 1729  # phi(4095) + 1
+    assert time.perf_counter() - start < 0.1
+
+
+def test_context_cache_is_bounded_and_holds_a_cycle_of_four():
+    info = get_context.cache_info()
+    assert info.maxsize is not None and 4 <= info.maxsize <= 8
+    for q in range(2, info.maxsize + 5):
+        get_context(q)
+    assert get_context.cache_info().currsize <= info.maxsize
+    for q in (2, 4, 8, 10):
+        get_context(q)
+    misses = get_context.cache_info().misses
+    for q in (2, 4, 8, 10) * 3:
+        get_context(q)
+    assert get_context.cache_info().misses == misses

@@ -21,7 +21,7 @@ from golaypairs import (
     sequence_autocorrelation,
 )
 
-from golaypairs.qarray import _SLICE, _cube_plan
+from golaypairs.qarray import _SLICE, _cube_plan, _sequence_plan
 
 from helpers import float_autocorrelation, random_entries
 
@@ -292,6 +292,14 @@ def test_sequence_plan_over_memory_bound_is_refused_before_it_is_built():
     with pytest.raises(BudgetExceededError):
         sequence_autocorrelation(2, s, 1)
     assert time.perf_counter() - start < 1
+
+
+def test_sequence_plans_are_cached_for_a_bounded_number_of_lengths():
+    info = _sequence_plan.cache_info()
+    assert info.maxsize is not None and info.maxsize <= 4
+    for length in range(1, info.maxsize + 4):
+        assert is_gcp(2, [0] * length, [0] * length) == (length == 1)
+    assert _sequence_plan.cache_info().currsize <= info.maxsize
 
 
 def test_cube_plan_batches_slice_whole_shifts_after_the_shell():
