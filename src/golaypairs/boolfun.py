@@ -18,7 +18,7 @@ m = 7 on, 58 us against 85 us, and takes 162 us against 880 us at m = 10
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -118,8 +118,9 @@ class VarPartition:
         object.__setattr__(self, "blocks", norm)
 
 
-def _components(m: int, *lams: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Sorted blocks of 1..m joined by a nonzero monomial of any dense ANF."""
+def _components(m: int, monomials: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Sorted blocks of 1..m joined by the monomials, given as cell masks,
+    that have a nonzero coefficient."""
     parent = list(range(m))
 
     def find(x: int) -> int:
@@ -128,15 +129,14 @@ def _components(m: int, *lams: Sequence[int]) -> tuple[tuple[int, ...], ...]:
             x = parent[x]
         return x
 
-    for lam in lams:
-        for mask, c in enumerate(lam):
-            rest = mask & (mask - 1)
-            if c and rest:  # at least two bits set
-                root = find((mask ^ rest).bit_length() - 1)
-                while rest:
-                    low = rest & -rest
-                    parent[find(low.bit_length() - 1)] = root
-                    rest ^= low
+    for mask in monomials:
+        rest = mask & (mask - 1)
+        if rest:  # at least two bits set
+            root = find((mask ^ rest).bit_length() - 1)
+            while rest:
+                low = rest & -rest
+                parent[find(low.bit_length() - 1)] = root
+                rest ^= low
     groups: dict[int, list[int]] = {}
     for v in range(m):
         groups.setdefault(find(v), []).append(v + 1)
@@ -150,7 +150,7 @@ def interaction_components(f: QaryArray) -> VarPartition:
     nonzero coefficient contains both.
     """
     lam = _subset_transform(list(f.entries), f.m, f.q, -1)
-    return VarPartition(f.m, _components(f.m, lam))
+    return VarPartition(f.m, _components(f.m, (mask for mask, c in enumerate(lam) if c)))
 
 
 def separate(f: QaryArray, p: VarPartition) -> tuple[list[QaryArray], int]:

@@ -45,14 +45,14 @@ identical for every worker count.  Each call logs one DEBUG record with its
 counters and stage timings on the ``golaypairs`` logger, which is silent by
 default.
 
-:func:`verify_theorem` then certifies every censused pair of an even-q
-space at ``max_corr_dim = m`` with the certifier of
-:mod:`golaypairs.decompose`, in batches of ``CHUNK // (3 * m)`` pairs:
-batches of ``CHUNK // m`` raised the peak RSS of ``census 4 3`` from 36.2
-to 37.4 MB, and the first (4,3) batch, 455 pairs, has 277 distinct
-sub-pairs for its memo.  The batches run in census order, on a process
-pool when ``workers > 1``, and their witnesses are merged into one sorted
-set, so reports are again identical for every worker count.
+:func:`verify_theorem` then decomposes and certifies every censused pair
+of an even-q space at ``max_corr_dim = m`` with the stacked certifier of
+:mod:`golaypairs.certify`, in batches of ``CHUNK // (3 * m)`` pairs: 455 at
+m = 3, whose first batch at (4,3) holds 277 distinct sub-pairs in 7 node
+shapes, each shape one set of numpy stacks.  The batches run in census
+order, on a process pool when ``workers > 1``, and their witnesses are
+merged into one sorted set, so reports are again identical for every
+worker count.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .cyclotomic import get_context
-from .decompose import _certify
+from .certify import _certify
 from .errors import BudgetExceededError, OddModulusError, VerificationError
 from .qarray import QaryArray, _coords, _cube_plan, _trusted, is_gap
 from .standard import StandardParams, construct_standard
@@ -382,18 +382,18 @@ def verify_theorem(
     every censused pair is additionally decomposed and its certificate
     re-verified with literal correlation checks at every inner node.  The
     pairs are certified in batches of ``CHUNK // (3 * m)`` in census order
-    (a size chosen for memory, see the module docstring); the pairs of a
-    batch share one memo of sub-certificates, so its size also sets how
-    often a sub-pair is decomposed and walked again rather than reused; with
-    ``workers > 1`` the batches run on a process pool and their witnesses
-    are merged.  A standard pair missing from the census would mean the
+    (see the module docstring); within a batch each distinct sub-pair is
+    decomposed, checked and correlated once, so the batch size also sets
+    how often one is met again in another batch; with ``workers > 1`` the
+    batches run on a process pool and their witnesses are merged.  A standard pair missing from the census would mean the
     sweep itself is broken and raises :class:`VerificationError`.  For odd
     q the standard construction is empty in positive dimension, so every
     censused pair is a witness; in dimension 0 all pairs are degenerate and
     counted as standard.  One DEBUG record on the ``golaypairs`` logger
-    gives the stage timings, the correlation rows per dimension, the
-    distinct sub-pairs decomposed and sub-certificate walks reused, and the
-    peak RSS.
+    gives the stage timings, the correlation rows per dimension (one per
+    inner node of each certificate), the distinct sub-pairs decomposed, the
+    sub-certificate walks reused (the inner sub-certificates met again, each
+    of which is checked once per batch), and the peak RSS.
     """
     t0 = time.perf_counter()
     gaps = enumerate_all_gaps(q, m, budget=budget, workers=workers)

@@ -12,13 +12,16 @@ Inputs are file paths, with ``-`` for stdin.  ``--output PATH`` redirects the
 result (default stdout).  Exit codes: 0 success, 1 negative verdict (not a
 pair / not standard), 2 malformed input, 3 budget refusal.  Outputs are
 byte-identical for identical inputs and flags; census timing goes to stderr
-so it never contaminates the report.
+so it never contaminates the report.  ``golaypairs --debug COMMAND ...``
+also writes the DEBUG records of the ``golaypairs`` logger (the census's
+counters and stage timings) to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from typing import Sequence
 
@@ -165,6 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="golaypairs",
         description="Exact complementary array pair toolkit.",
     )
+    parser.add_argument("--debug", action="store_true",
+                        help="write the package's DEBUG records to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_io(p, with_format: bool) -> None:
@@ -205,8 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _run(args) -> int:
     try:
         return args.fn(args)
     except NotAGapError as exc:
@@ -218,6 +222,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OddModulusError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    if not args.debug:
+        return _run(args)
+    logger = logging.getLogger("golaypairs")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return _run(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 if __name__ == "__main__":

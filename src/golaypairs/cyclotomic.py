@@ -14,35 +14,21 @@ reads its entries as Python integers, so it is exact for any multiplicities.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 # The reduction table holds phi(q) * q int64 entries, 8 B each: 134 MB at
 # q = 4093, built in about 0.1 s.  Larger moduli are refused before it is built.
 _MAX_Q = 4096
-
-
-def _poly_divmod_exact(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Long division of integer polynomials; den must be monic."""
-    if not den or den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    dd = len(den) - 1
-    if dd == 0:
-        return list(num), []
-    quo = [0] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        coeff = rem[i]
-        if coeff:
-            quo[i - dd] = coeff
-            for j, dv in enumerate(den):
-                rem[i - dd + j] -= coeff * dv
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
+# get_context keeps at most this many contexts, whose tables together take at
+# most this many bytes: one table of a modulus near 4096 and small ones.
+_CACHE_ENTRIES = 4
+_CACHE_BYTES = 1 << 28
 
 
 @lru_cache(maxsize=None)
@@ -104,8 +90,7 @@ class CycContext:
     __slots__ = ("q", "phi", "degree", "table", "max_entry")
 
     def __init__(self, q: int):
-        if not 1 <= q <= _MAX_Q:
-            raise ValueError(f"q must lie in 1..{_MAX_Q}, got {q}")
+        _check_modulus(q)
         self.q = q
         self.phi = cyclotomic_polynomial(q)
         deg = self.degree = len(self.phi) - 1
@@ -159,17 +144,58 @@ class CycContext:
         return f"CycContext(q={self.q})"
 
 
-@lru_cache(maxsize=4)
+def _check_modulus(q: int) -> None:
+    if not 1 <= q <= _MAX_Q:
+        raise ValueError(f"q must lie in 1..{_MAX_Q}, got {q}")
+
+
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+_contexts: OrderedDict = OrderedDict()  # q -> CycContext, least recently used first
+_counts = {"hits": 0, "misses": 0}
+_lock = threading.Lock()
+
+
 def get_context(q: int) -> CycContext:
     """Shared per-q context; contexts are immutable and safe to cache.
 
-    The four most recently used contexts are kept, so a process does not
-    hold a reduction table (up to 134 MB at q = 4093) for every modulus it
-    ever used, and a cycle through four moduli never rebuilds one.
+    The most recently used contexts are kept: at most ``_CACHE_ENTRIES`` of
+    them, whose reduction tables take at most ``_CACHE_BYTES`` together.
+    The least recently used ones are dropped before a new table is built,
+    so a process holds the cap plus the one table it builds, and a cycle
+    through four small moduli never rebuilds one.  ``get_context.cache_info()``
+    reports hits, misses and sizes as ``functools.lru_cache`` does.
 
     Raises ``ValueError`` for q < 1 and for q above 4096.
     """
-    return CycContext(q)
+    with _lock:
+        ctx = _contexts.get(q)
+        if ctx is not None:
+            _contexts.move_to_end(q)
+            _counts["hits"] += 1
+            return ctx
+        _check_modulus(q)
+        need = (len(cyclotomic_polynomial(q)) - 1) * q * 8
+        while _contexts and (
+            len(_contexts) >= _CACHE_ENTRIES
+            or need + sum(c.table.nbytes for c in _contexts.values()) > _CACHE_BYTES
+        ):
+            _contexts.popitem(last=False)
+        ctx = _contexts[q] = CycContext(q)
+        _counts["misses"] += 1
+        return ctx
+
+
+def _cache_info() -> _CacheInfo:
+    return _CacheInfo(_counts["hits"], _counts["misses"], _CACHE_ENTRIES, len(_contexts))
+
+
+get_context.cache_info = _cache_info
 
 
 class CycElement:

@@ -24,47 +24,39 @@ sufficient for the input to be a complementary pair, so a completed
 recursion doubles as an exact complementarity certificate and a failed
 pointwise check is reported as not-a-pair.
 
-Certification has one implementation, :func:`_certify`, which
-:func:`verify_certificate` runs on a batch of one pair and the census on
-each batch of its pairs.  Each certificate is walked bottom-up
-(:func:`_walk`) and its root pair compared with the claimed pair.  Each
-inner node of dimension at most ``max_corr_dim`` gives one correlation
-row, its own pair (each sub-pair is a child's node pair or of dimension 0,
-with no shift to check), and the rows of the whole batch are correlated
-with one ``_gaps`` call per dimension.  A failure is kept as its message,
-so no traceback or frame outlives the batch.
-
-Sub-pairs repeat, within one pair and more so across the pairs of a
-census, which are built from a small set of lower-dimensional standard
-pairs.  The decomposition and the certificate walk take a :class:`_Memo`,
-in which each distinct sub-pair is decomposed once and each shared inner
-sub-certificate walked once.  :func:`decompose` opens a fresh memo per
-call and :func:`_certify` one per batch, dropped before the correlation.
-No check is skipped, and a failure is never stored, so it is raised again
-for every pair that meets it.
+Decomposition and certification run on stacks, never pair by pair: the
+node pairs of a batch are the levels of a forest (:mod:`golaypairs.forest`),
+decomposed top-down and certified bottom-up (:mod:`golaypairs.certify`).
+:func:`decompose`, :func:`verify_certificate`, :func:`replay`,
+:func:`gcd_normalized` and :func:`extract_d` run that code on a batch of
+one, and a :class:`DecompositionCertificate` is built only when
+:func:`decompose` returns one.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .boolfun import _components, _subset_transform
+from .boolfun import _subset_transform
+from .certify import _certificates, _certify, _check, _derive
 from .errors import NotAGapError, OddModulusError, VerificationError
-from .genfun import disjoint_product, embed, from_array
-from .qarray import (
-    QaryArray,
-    _cube_plan,
-    _gaps,
-    _json_int,
-    _spread_masks,
-    _trusted,
-    _two_block_fill,
-    restrict,
+from .forest import (
+    _array,
+    _claimed,
+    _common_vars,
+    _decomposition,
+    _dtype,
+    _first_failure,
+    _join,
+    _param_objects,
+    _parts,
+    _shape,
+    _split_shape,
 )
+from .qarray import QaryArray, _json_int, _trusted
 from .standard import StandardParams, construct_standard
 
 
@@ -104,19 +96,6 @@ class GcdSplit:
     g0_const: int
 
 
-def _forced_halves(
-    q: int, m: int, z1: tuple, z2: tuple, a: QaryArray, b: QaryArray, d: QaryArray
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Entries of the x_m = 1 halves f1 = -b* + d and g1 = -a* + q/2 + d."""
-    half = q // 2
-    neg_b_star = tuple((-v) % q for v in reversed(b.entries))
-    g1_block = tuple((half - v) % q for v in reversed(a.entries))
-    return (
-        _two_block_fill(q, m, z1, neg_b_star, z2, d.entries),
-        _two_block_fill(q, m, z1, g1_block, z2, d.entries),
-    )
-
-
 def gcd_normalized(f0: QaryArray, g0: QaryArray) -> GcdSplit:
     """Split off the maximal common additive part of f0 and g0.
 
@@ -126,27 +105,20 @@ def gcd_normalized(f0: QaryArray, g0: QaryArray) -> GcdSplit:
     distinct blocks never interact).  The split rebuilds both inputs by
     construction, so it is not re-filled here: no monomial of f0 or g0
     crosses z1 and z2, which gives f0 = a + c, and g0 - f0 is constant on
-    the subcube of z2, which gives g0 = b + c.
+    the subcube of z2, which gives g0 = b + c.  This is the decomposition's
+    split run on a batch of one.
     """
     if f0.q != g0.q or f0.m != g0.m:
         raise ValueError("shape or modulus mismatch")
     q, m = f0.q, f0.m
-    lam_f = _subset_transform(list(f0.entries), m, q, -1)
-    lam_g = _subset_transform(list(g0.entries), m, q, -1)
-
-    fe, ge = f0.entries, g0.entries
-    base_diff = (ge[0] - fe[0]) % q
-    z2: list[int] = []
-    for block in _components(m, lam_f, lam_g):
-        if all((ge[s] - fe[s]) % q == base_diff for s in _spread_masks(block)):
-            z2.extend(block)
-    z2_vars = tuple(sorted(z2))
-    z1_vars = tuple(v for v in range(1, m + 1) if v not in z2)
-
-    a = restrict(f0, z1_vars)
-    b = restrict(g0, z1_vars)
-    c = restrict(f0, z2_vars) + (-fe[0])
-    return GcdSplit(z1_vars, z2_vars, a, b, c, fe[0], ge[0])
+    halves = np.array([(f0.entries, g0.entries)], dtype=_dtype(q))
+    shape = _split_shape(m, int(_common_vars(q, m, halves)[0]))
+    z1, z2, h1 = shape.z1, shape.z2, 1 << len(shape.z1)
+    # the split of a node whose x_m = 1 halves are zero
+    nodes = np.concatenate((halves, np.zeros_like(halves)), axis=2)
+    ac, b = _parts(q, shape, nodes)[0].tolist()
+    return GcdSplit(z1, z2, _array(q, len(z1), ac[:h1]), _array(q, len(z1), b[:h1]),
+                    _array(q, len(z2), ac[h1:]), f0.entries[0], g0.entries[0])
 
 
 def extract_d(
@@ -157,12 +129,19 @@ def extract_d(
     The candidate is d(x_z2) = f1(0_z1, x_z2) + b*(0_z1); the returned flag
     reports whether the forced forms f1 = -b* + d and g1 = -a* + q/2 + d hold
     at every point.  A false flag means the original pair cannot have been
-    complementary.
+    complementary.  This is the decomposition's forced-form check run on a
+    batch of one.
     """
-    z1, z2 = split.z1_vars, split.z2_vars
-    d = restrict(f1, z2) + split.b.entries[-1]
-    halves = _forced_halves(f1.q, f1.m, z1, z2, split.a, split.b, d)
-    return d, halves == (f1.entries, g1.entries)
+    q = f1.q
+    shape = _shape(tuple(split.z1_vars), tuple(split.z2_vars))
+    h1 = 1 << len(shape.z1)
+    halves = np.array([(f1.entries, g1.entries)], dtype=_dtype(q))
+    d = (halves[0, 0, shape.sp2] + split.b.entries[-1]) % q
+    subs = np.zeros((1, 2, h1 + len(d)), dtype=halves.dtype)
+    subs[0, :, :h1] = split.a.entries, split.b.entries
+    subs[0, 1, h1:] = d
+    forced = _join(q, shape, subs)[:, :, h1 * len(d) :]
+    return _array(q, len(shape.z2), d), bool((forced == halves).all())
 
 
 @dataclass(frozen=True)
@@ -246,123 +225,21 @@ class DecompositionCertificate:
             raise ValueError(f"malformed certificate object: {exc}") from exc
 
 
-def _recombine(
-    q: int,
-    m: int,
-    z1: tuple[int, ...],
-    z2: tuple[int, ...],
-    left: StandardParams,
-    right: StandardParams,
-) -> StandardParams:
-    """Splice sub-pair parameters through the split variable x_m.
-
-    The combined path runs along the left path, through x_m, then along the
-    right path; the linear coefficient attached to x_m absorbs the constants
-    produced by complementing the left pair.
-    """
-    half = q // 2
-    m1 = len(z1)
-    path = (
-        [z1[j - 1] for j in left.pi] + [m] + [z2[j - 1] for j in right.pi]
-    )
-    c_vars = [0] * m
-    for local, gvar in enumerate(z1, start=1):
-        c_vars[gvar - 1] = left.c[local - 1]
-    for local, gvar in enumerate(z2, start=1):
-        c_vars[gvar - 1] = right.c[local - 1]
-    c_vars[m - 1] = (
-        half * m1 - sum(left.c) - 2 * left.c0 + right.c_prime - left.c_prime
-    ) % q
-    return _trusted(
-        StandardParams,
-        q,
-        m,
-        tuple(path),
-        tuple(c_vars),
-        (left.c0 + right.c0) % q,
-        left.c_prime,
-    )
-
-
-def _forced_form_break(
-    f1: QaryArray, g1: QaryArray, split: GcdSplit, d: QaryArray
-) -> str:
-    """The first cell of f1 or g1 that breaks its forced form, f1 first.
-
-    Only called once :func:`extract_d` has reported a break.
-    """
-    z1, z2 = split.z1_vars, split.z2_vars
-    forced = _forced_halves(f1.q, f1.m, z1, z2, split.a, split.b, d)
-    for cell, (want_f1, want_g1) in enumerate(zip(*forced)):
-        if f1.entries[cell] != want_f1:
-            return f"f1 differs from -b* + d at cell {cell}"
-        if g1.entries[cell] != want_g1:
-            return f"g1 differs from -a* + q/2 + d at cell {cell}"
-    raise VerificationError(
-        "no cell breaks the forced form"
-    )  # pragma: no cover - internal guard
-
-
-class _Memo:
-    """Sub-certificates shared by the pairs decomposed and walked with it.
-
-    One memo serves one modulus and one ``max_corr_dim``.  ``pairs`` maps a
-    sub-pair's (f entries, g entries) to its certificate, so equal sub-pairs
-    get the same certificate object, and ``walks`` maps id(node) of such an
-    inner sub-certificate to (node, walk); the node is kept so that its id
-    is not reused while the entry lives.  ``reused`` counts the walks taken
-    from ``walks``.  Root pairs and leaf walks are not stored, and neither
-    is a failure: a sub-pair or subtree that raises raises again for every
-    pair that meets it.
-    """
-
-    def __init__(self) -> None:
-        self.pairs: dict = {}
-        self.walks: dict = {}
-        self.reused = 0
-
-
-def _decompose_rec(f: QaryArray, g: QaryArray, memo: _Memo) -> DecompositionCertificate:
-    q, m = f.q, f.m
-    if m == 0:
-        f0, g0 = f.entries[0], g.entries[0]
-        return DecompositionCertificate(
-            q, 0, _trusted(StandardParams, q, 0, (), (), f0, (g0 - f0) % q)
-        )
-    f0, f1 = split_last(f)
-    g0, g1 = split_last(g)
-    split = gcd_normalized(f0, g0)
-    d, ok = extract_d(f1, g1, split)
-    if not ok:
-        raise NotAGapError(
-            f"not a complementary pair: residual halves violate the forced form "
-            f"at dimension {m}: {_forced_form_break(f1, g1, split, d)}"
-        )
-    children = []
-    for sub_f, sub_g in ((split.a, split.b), (split.c, d)):
-        key = sub_f.entries, sub_g.entries
-        child = memo.pairs.get(key)
-        if child is None:
-            child = memo.pairs[key] = _decompose_rec(sub_f, sub_g, memo)
-        children.append(child)
-    left, right = children
-    params = _recombine(q, m, split.z1_vars, split.z2_vars, left.params, right.params)
-    e, e_prime = left.params.c_prime, right.params.c_prime
-    return DecompositionCertificate(q, m, params, m, split, d, e, e_prime, left, right)
-
-
 def decompose(
     f: QaryArray, g: QaryArray
 ) -> tuple[StandardParams, DecompositionCertificate]:
     """Decompose a complementary pair into standard parameters, with certificate.
 
     Complementarity of the input is established by the decomposition itself:
-    the pointwise residual verifications at every recursion node, together
-    with the vacuous dimension-0 base case, hold if and only if (f, g) is a
+    the pointwise residual verifications at every node, together with the
+    vacuous dimension-0 base case, hold if and only if (f, g) is a
     complementary pair, so no separate correlation sweep is run first.  A
-    violated check raises :class:`NotAGapError`.  On success the returned
+    violated check raises :class:`NotAGapError` naming the first node, in
+    depth-first order, whose forced form breaks.  On success the returned
     parameters regenerate (f, g) exactly and the certificate records every
-    intermediate object of the recursion.
+    intermediate object of the descent; equal sub-pairs share one
+    sub-certificate.  This is the census's stacked decomposition run on a
+    batch of one, and the certificate objects are built only here.
     """
     if f.q != g.q or f.m != g.m:
         raise ValueError("shape or modulus mismatch")
@@ -370,157 +247,50 @@ def decompose(
         raise OddModulusError(
             f"decomposition is defined for even q only, got q={f.q}"
         )
-    cert = _decompose_rec(f, g, _Memo())
+    q = f.q
+    forest = _decomposition(q, _claimed(_dtype(q), [(f, g)]), 1)
+    if forest.failures:
+        codes = [np.zeros(level.size, dtype=np.int8) for level in forest.levels]
+        raise NotAGapError(_first_failure(forest, codes, tuple(forest.roots[0].tolist())))
+    built: list[list] = []
+    for k, (level, params) in enumerate(zip(forest.levels, _derive(forest))):
+        found = _param_objects(q, k, params[:-1])
+        nodes: list = [DecompositionCertificate(q, 0, p) for p in found] if k == 0 else [None] * level.size
+        for grp in level.groups:
+            z1, z2 = grp.shape.z1, grp.shape.z2
+            h1 = 1 << len(grp.shape.z1)
+            columns = (grp.rows, grp.left, grp.right, grp.subs[:, 0, :h1], grp.subs[:, 1, :h1],
+                       grp.subs[:, 0, h1:], grp.subs[:, 1, h1:])
+            for row, left, right, a, b, c, d in zip(*(col.tolist() for col in columns)):
+                lower, upper = built[len(z1)][left], built[len(z2)][right]
+                split = GcdSplit(z1, z2, _array(q, len(z1), a), _array(q, len(z1), b),
+                                 _array(q, len(z2), c), a[0], b[0])
+                nodes[row] = DecompositionCertificate(
+                    q, k, found[row], k, split, _array(q, len(z2), d),
+                    lower.params.c_prime, upper.params.c_prime, lower, upper,
+                )
+        built.append(nodes)
+    cert = built[f.m][int(forest.roots[0, 1])]
     return cert.params, cert
-
-
-def _rebuild(
-    node: DecompositionCertificate, a: QaryArray, b: QaryArray, c: QaryArray, d: QaryArray
-) -> tuple[QaryArray, QaryArray]:
-    """The pair of an inner node from its sub-pairs, which fix its q and m."""
-    q, m = a.q, a.m + c.m + 1
-    z1, z2 = node.split.z1_vars, node.split.z2_vars
-    f0 = _two_block_fill(q, m - 1, z1, a.entries, z2, c.entries)
-    g0 = _two_block_fill(q, m - 1, z1, b.entries, z2, c.entries)
-    f1, g1 = _forced_halves(q, m - 1, z1, z2, a, b, d)
-    return _trusted(QaryArray, q, m, f0 + f1), _trusted(QaryArray, q, m, g0 + g1)
 
 
 def replay(cert: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
     """Rebuild the pair a certificate describes, bottom-up, from leaves only.
 
-    Uses nothing but array operations on the children's replayed pairs; the
-    stored intermediate arrays are not consulted (they are cross-checked in
-    :func:`verify_certificate`).
+    Uses nothing but the children's rebuilt pairs and the split variable
+    sets; the stored intermediate arrays are not consulted (they are
+    cross-checked in :func:`verify_certificate`).  This is the certifier's
+    rebuild run on a batch of one.  Raises :class:`VerificationError` if a
+    node fails one of the checks of its shape (C1 to C5, the sizes of C6),
+    which leave no pair to rebuild.
     """
-    if cert.is_leaf:
-        return construct_standard(cert.params)
-    return _rebuild(cert, *replay(cert.left), *replay(cert.right))
-
-
-def _fail(msg: str) -> None:
-    raise VerificationError(f"certificate verification failed: {msg}")
-
-
-_Rows = tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
-
-
-def _walk(
-    node: DecompositionCertificate, max_corr_dim: int, memo: _Memo
-) -> tuple[QaryArray, QaryArray, _Rows]:
-    """Check one node against its subtree; return the node's pair and rows.
-
-    The rows are (dimension, f entries, g entries) of each inner node of the
-    subtree of dimension at most ``max_corr_dim``, children before parents.
-    An inner child already walked with ``memo`` is not walked again.
-    """
-    q, m = node.q, node.m
-    if (node.params.q, node.params.m) != (q, m):
-        _fail(f"node parameters do not have the node's q={q} and m={m}")
-    if node.is_leaf:
-        return (*construct_standard(node.params), ())
-    if node.split_var != m:
-        _fail(f"split variable {node.split_var} is not the highest ({m})")
-    walked = []
-    for child in (node.left, node.right):
-        if child.is_leaf:
-            walked.append(_walk(child, max_corr_dim, memo))
-            continue
-        hit = memo.walks.get(id(child))
-        if hit is None:
-            hit = memo.walks[id(child)] = (child, _walk(child, max_corr_dim, memo))
-        else:
-            memo.reused += 1
-        walked.append(hit[1])
-    (a, b, left_rows), (c, d, right_rows) = walked
-    split = node.split
-    if sorted(split.z1_vars + split.z2_vars) != list(range(1, m)):
-        _fail("split variable sets do not partition the remaining variables")
-    if node.left.q != q or node.right.q != q:
-        _fail("sub-certificates do not have the node's modulus")
-    if (node.left.m, node.right.m) != (len(split.z1_vars), len(split.z2_vars)):
-        _fail("sub-certificate dimensions do not match the split variable sets")
-    if (a, b) != (split.a, split.b) or c != split.c or d != node.d:
-        _fail("stored intermediate arrays disagree with sub-certificates")
-    if split.f0_const != split.a.entries[0] or split.g0_const != split.b.entries[0]:
-        _fail("stored normalisation constants are inconsistent")
-    if split.c.entries[0] != 0:
-        _fail("common part is not origin-normalised")
-    if node.e != node.left.params.c_prime or node.e_prime != node.right.params.c_prime:
-        _fail("stored offsets disagree with sub-parameters")
-    if node.params != _recombine(
-        q, m, split.z1_vars, split.z2_vars, node.left.params, node.right.params
-    ):
-        _fail("node parameters are not the recombination of the children")
-    ff, gg = _rebuild(node, a, b, c, d)
-    rows = left_rows + right_rows
-    if m <= max_corr_dim:
-        rows += ((m, ff.entries, gg.entries),)
-        # C11 is an identity of genfun once C3 and C5 hold; it stays only as
-        # the census's one caller of CycElement.is_zero, which the perfbench
-        # test test_tracer_patches_every_binding_and_restores_them pins
-        fa = embed(from_array(a), split.z1_vars, m - 1)
-        fc = embed(from_array(c), split.z2_vars, m - 1)
-        if disjoint_product(fa, fc) != from_array(split_last(ff)[0]):
-            _fail("factor product does not rebuild the restriction")
-    return ff, gg, rows
-
-
-def _certify(
-    q: int,
-    max_corr_dim: int,
-    pairs: Sequence[tuple[QaryArray, QaryArray]],
-    certs: Sequence[DecompositionCertificate] | None = None,
-) -> tuple[dict[int, str], dict[int, int], tuple[int, int], float, float]:
-    """Certify a batch of pairs; see the module docstring.
-
-    Pair i is certified by ``certs[i]``, or, when ``certs`` is None, by a
-    certificate decomposed here.  Returns the first failure message of each
-    failing pair, keyed by its index; the correlation rows per dimension;
-    the memo's (distinct sub-pairs decomposed, sub-certificate walks
-    reused); and the seconds spent decomposing and walking, and
-    correlating.  A pair's walk failure comes before its correlation
-    failures, which come in the order in which its walk first met each
-    dimension.
-    """
-    t0 = time.perf_counter()
-    failures: dict[int, str] = {}
-    firsts: dict[int, tuple[int, ...]] = {}
-    stacks: dict[int, tuple[list[int], list[int]]] = {}
-    memo = _Memo()
-    for i, (f, g) in enumerate(pairs):
-        try:
-            cert = _decompose_rec(f, g, memo) if certs is None else certs[i]
-            ff, gg, rows = _walk(cert, max_corr_dim, memo)
-            if (ff, gg) != (f, g):
-                _fail("replayed pair differs from the claimed pair")
-        except (NotAGapError, VerificationError) as exc:
-            failures[i] = str(exc)
-            continue
-        firsts[i] = tuple(dict.fromkeys(dim for dim, _, _ in rows))
-        # one flat list of entries per dimension, not row tuples, keeps a
-        # batch's memory small
-        for dim, fe, ge in rows:
-            owners, flat = stacks.setdefault(dim, ([], []))
-            owners.append(i)
-            flat += fe
-            flat += ge
-    shared = len(memo.pairs), memo.reused
-    del memo
-    t1 = time.perf_counter()
-    broken: dict[int, set[int]] = {}
-    for dim, (owners, flat) in stacks.items():
-        stack = np.array(flat, dtype=np.int64).reshape(len(owners), 2, 1 << dim)
-        for j in np.flatnonzero(~_gaps(_cube_plan(dim), q, stack)):
-            broken.setdefault(owners[j], set()).add(dim)
-    for i, dims in broken.items():
-        dim = next(d for d in firsts[i] if d in dims)
-        failures[i] = (
-            f"certificate verification failed: a node pair of dimension {dim}"
-            " is not complementary"
-        )
-    counts = {dim: len(owners) for dim, (owners, _) in stacks.items()}
-    return failures, counts, shared, t1 - t0, time.perf_counter() - t1
+    forest = _certificates(cert.q, [cert])
+    walk = _check(forest, _derive(forest), 0)
+    k, row = forest.roots[0].tolist()
+    if k < 0 or not walk.done[k][row]:
+        raise VerificationError(_first_failure(forest, walk.codes, (k, row)))
+    f, g = walk.pairs[k][row].tolist()
+    return _array(cert.q, k, f), _array(cert.q, k, g)
 
 
 def verify_certificate(

@@ -1,12 +1,12 @@
 """Exhaustive sweeps: signature matching against the quadratic oracle."""
 
-import dataclasses
 import importlib
 import json
 import logging
 import math
 import time
 
+import numpy as np
 import pytest
 
 from golaypairs import (
@@ -20,7 +20,7 @@ from golaypairs import (
     verify_theorem,
 )
 
-from helpers import quadratic_all_gaps, standard_pairs_by_params
+from helpers import quadratic_all_gaps, reference_walk, standard_pairs_by_params
 
 
 def ids_of(pairs, q):
@@ -208,49 +208,60 @@ def test_verify_theorem_logs_certification_statistics(caplog):
         assert f"{stage} " in message
 
 
+def break_rows(monkeypatch, broken):
+    """Make every row (dimension, f entries, g entries) of the certifier's
+    correlation that is in ``broken`` fail."""
+    certify = importlib.import_module("golaypairs.certify")
+    gaps = certify._gaps
+
+    def patched(plan, q, rows):
+        verdicts = gaps(plan, q, rows)
+        dim = np.shape(rows)[2].bit_length() - 1
+        for j, (fe, ge) in enumerate(np.asarray(rows).tolist()):
+            if (dim, tuple(fe), tuple(ge)) in broken:
+                verdicts[j] = False
+        return verdicts
+
+    monkeypatch.setattr(certify, "_gaps", patched)
+
+
 def certify_with_one_broken_pair(monkeypatch, q, m, index, workers, broken):
     """``verify_theorem(q, m)`` with the certification of census pair
     ``index`` broken, and that pair's entries; certification runs in
     batches of 24 // (3 * m) pairs."""
     import golaypairs.census as census
 
-    # the package's decompose function shadows the module of that name
-    dec = importlib.import_module("golaypairs.decompose")
+    certify = importlib.import_module("golaypairs.certify")
     monkeypatch.setattr(census, "CHUNK", 24)
     f, g = enumerate_all_gaps(q, m)[index]
     target = (f.entries, g.entries)
     if broken == "certificate":
-        decompose_rec = dec._decompose_rec
+        decomposition = certify._decomposition
 
-        def tampered(ff, gg, memo):
-            cert = decompose_rec(ff, gg, memo)
-            if (ff.entries, gg.entries) == target:
-                cert = dataclasses.replace(cert, e=(cert.e + 1) % q)
-            return cert
+        def tampered(q, claimed, n):
+            # the stored d of the pair's root node, which C6 compares with
+            # the pair rebuilt from its right sub-certificate
+            forest = decomposition(q, claimed, n)
+            idx, stack = claimed[m]
+            for i, (fe, ge) in zip(idx.tolist(), stack.tolist()):
+                if (tuple(fe), tuple(ge)) == target:
+                    level, row = forest.roots[i]
+                    for group in forest.levels[level].groups:
+                        for j in np.flatnonzero(group.rows == row):
+                            group.subs[j, 1, -1] = (group.subs[j, 1, -1] + 1) % q
+            return forest
 
-        monkeypatch.setattr(dec, "_decompose_rec", tampered)
+        monkeypatch.setattr(certify, "_decomposition", tampered)
     else:
-        walk = dec._walk
-
-        def tampered(node, max_corr_dim, memo):
-            ff, gg, rows = walk(node, max_corr_dim, memo)
-            if (ff.entries, gg.entries) == target:
-                # the last row of dimension 1; (e, e) is never a pair in
-                # positive dimension
-                last = max(k for k, row in enumerate(rows) if row[0] == 1)
-                e = rows[last][1]
-                rows = rows[:last] + ((1, e, e),) + rows[last + 1 :]
-            return ff, gg, rows
-
-        monkeypatch.setattr(dec, "_walk", tampered)
+        # the pair's own row, of dimension m, is one row of its batch
+        break_rows(monkeypatch, {(m, *target)})
     return verify_theorem(q, m, workers=workers), target
 
 
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("broken", ("certificate", "correlation row"))
 def test_witness_is_the_one_pair_whose_certification_fails(monkeypatch, workers, broken):
-    # batches of 4 pairs; a (4,2) pair has one row of each dimension 1 and 2,
-    # so here rows and pairs line up
+    # batches of 4 pairs
     report, target = certify_with_one_broken_pair(
         monkeypatch, 4, 2, 129, workers, broken
     )
@@ -262,18 +273,24 @@ def test_witness_is_the_one_pair_whose_certification_fails(monkeypatch, workers,
 @pytest.mark.parametrize("workers", (1, 2))
 def test_witness_when_rows_and_pairs_do_not_line_up(monkeypatch, workers):
     # batches of 2 pairs; 32 of the 96 (2,3) certificates have two nodes of
-    # dimension 1, among them pairs 52 and 53, so the broken row is row 3 of
-    # its batch and belongs to pair 1
-    from golaypairs.decompose import _Memo, _walk
+    # dimension 1, among them pairs 52 and 53.  Each distinct node pair of a
+    # batch is one row, so when the second dimension-1 row of pair 53 fails,
+    # exactly the pairs whose certificates hold that node pair are witnesses
+    import golaypairs.census as census
 
-    for f, g in enumerate_all_gaps(2, 3)[52:54]:
-        rows = _walk(decompose(f, g)[1], 3, _Memo())[2]
-        assert [row[0] for row in rows].count(1) == 2
-    report, target = certify_with_one_broken_pair(
-        monkeypatch, 2, 3, 53, workers, "correlation row"
-    )
-    assert report.nonstandard_witnesses == (target,)
-    assert not report.all_standard
+    monkeypatch.setattr(census, "CHUNK", 24)
+    pairs = enumerate_all_gaps(2, 3)
+    rows = [reference_walk(decompose(f, g)[1], 3)[2] for f, g in pairs]
+    for pair_rows in rows[52:54]:
+        assert [row[0] for row in pair_rows].count(1) == 2
+    broken = [row for row in rows[53] if row[0] == 1][-1]
+    want = tuple(sorted(
+        (f.entries, g.entries) for (f, g), pair_rows in zip(pairs, rows) if broken in pair_rows
+    ))
+    assert (pairs[53][0].entries, pairs[53][1].entries) in want and len(want) < len(pairs)
+    break_rows(monkeypatch, {broken})
+    report = verify_theorem(2, 3, workers=workers)
+    assert report.nonstandard_witnesses == want
     assert report.gap_pair_count == report.standard_pair_count == 96
 
 
@@ -316,7 +333,7 @@ def test_certification_leaves_no_reference_cycles():
     import gc
 
     from golaypairs import QaryArray, verify_certificate
-    from golaypairs.decompose import _certify
+    from golaypairs.certify import _certify
 
     pairs = enumerate_all_gaps(4, 3)[:100]
     f, g = pairs[5]

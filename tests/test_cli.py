@@ -297,6 +297,25 @@ def test_golden_output_bytes(argv, code, expected, capsys):
     assert capsys.readouterr().out == (GOLDEN / expected).read_text()
 
 
+def test_debug_switch_writes_the_census_records_to_stderr(capsys):
+    import logging
+
+    assert main(["census", "4", "2", "--format", "text"]) == 0
+    plain = capsys.readouterr()
+    assert "verify_theorem" not in plain.err
+    assert main(["--debug", "census", "4", "2", "--format", "text"]) == 0
+    debug = capsys.readouterr()
+    assert debug.out == plain.out
+    (record,) = [line for line in debug.err.splitlines() if line.startswith("verify_theorem")]
+    assert "q=4 m=2: 256 pairs certified" in record
+    assert "rows per dimension {1: 256, 2: 256}" in record
+    assert any(line.startswith("census q=4 m=2: 64 representatives") for line in debug.err.splitlines())
+    # the handler goes with the call, and exit codes do not change
+    assert logging.getLogger("golaypairs").handlers == []
+    assert main(["--debug", "census", "4", "2", "--budget", "0"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "number",
     [

@@ -2,15 +2,16 @@
 
 import random
 import time
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 import sympy
 
 from golaypairs import CycElement, VerificationError, cyclotomic_polynomial, get_context
-from golaypairs.cyclotomic import CycContext, _poly_divmod_exact
+from golaypairs.cyclotomic import CycContext
 
-from helpers import cyc_to_complex, reduction_columns
+from helpers import cyc_to_complex, poly_divmod_exact, reduction_columns
 
 
 def test_polynomial_small_moduli():
@@ -227,7 +228,7 @@ def test_canonical_is_exact_past_int64(q):
     big = 1 << 70
     for _ in range(50):
         counts = [rng.choice((big, -big, rng.randint(-big, big), 0)) for _ in range(q)]
-        rem = _poly_divmod_exact(counts, ctx.phi)[1]
+        rem = poly_divmod_exact(counts, ctx.phi)[1]
         want = tuple(rem + [0] * (ctx.degree - len(rem)))
         assert ctx.element(counts).canonical() == want
 
@@ -259,3 +260,30 @@ def test_context_cache_is_bounded_and_holds_a_cycle_of_four():
     for q in (2, 4, 8, 10) * 3:
         get_context(q)
     assert get_context.cache_info().misses == misses
+
+
+def test_context_cache_drops_tables_before_building_past_its_byte_cap(monkeypatch):
+    import golaypairs.cyclotomic as cyc
+
+    # room for the tables of q = 61 and q = 59 together, phi(q) * q entries
+    # of 8 bytes each, but not for a third large one
+    monkeypatch.setattr(cyc, "_CACHE_BYTES", 8 * (60 * 61 + 58 * 59))
+    monkeypatch.setattr(cyc, "_contexts", OrderedDict())
+    builds = []
+
+    class Recording(CycContext):
+        def __init__(self, q):
+            held = sum(c.table.nbytes for c in cyc._contexts.values())
+            super().__init__(q)
+            builds.append((q, held + self.table.nbytes))
+
+    monkeypatch.setattr(cyc, "CycContext", Recording)
+    for q in (61, 59, 53, 61, 59, 53, 2, 3):
+        assert get_context(q).q == q
+    # every table was built with the cache already below the cap
+    assert [q for q, _ in builds] == [61, 59, 53, 61, 59, 53, 2, 3]
+    assert all(total <= cyc._CACHE_BYTES for _, total in builds)
+    # each large modulus evicted the least recently used one; the small ones
+    # fit beside the last two
+    assert list(cyc._contexts) == [59, 53, 2, 3]
+    assert get_context(2) is get_context(2)

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import random
 
+import numpy as np
 import pytest
 
 from golaypairs import (
@@ -25,7 +26,13 @@ from golaypairs import (
     verify_certificate,
 )
 
-from helpers import random_entries, random_params_tuple
+from helpers import (
+    DEEPER_LEFT_BREAK,
+    random_entries,
+    random_params_tuple,
+    reference_certify,
+    reference_walk,
+)
 
 
 def rand_params(rng, q, m):
@@ -462,53 +469,84 @@ def test_replay_uses_only_the_leaves():
         verify_certificate(f, g, bad)
 
 
-def test_mutated_rows_do_not_reach_a_later_pair_sharing_its_sub_nodes():
-    from golaypairs import enumerate_all_gaps
-    from golaypairs.decompose import _decompose_rec, _Memo, _walk
+def failing_rows(monkeypatch, broken):
+    """Make every row (dimension, f entries, g entries) of the certifier's
+    correlation for which ``broken`` holds fail."""
+    certify = importlib.import_module("golaypairs.certify")
+    gaps = certify._gaps
 
-    def rows_by_dim(cert, memo):
-        out = {}
-        for dim, fe, ge in _walk(cert, 3, memo)[2]:
-            out.setdefault(dim, []).append((fe, ge))
-        return out
+    def patched(plan, q, rows):
+        verdicts = gaps(plan, q, rows)
+        dim = np.shape(rows)[2].bit_length() - 1
+        for j, (fe, ge) in enumerate(np.asarray(rows).tolist()):
+            if broken(dim, tuple(fe), tuple(ge)):
+                verdicts[j] = False
+        return verdicts
+
+    monkeypatch.setattr(certify, "_gaps", patched)
+    return certify
+
+
+def test_mutated_rows_do_not_reach_a_later_pair_sharing_its_sub_nodes(monkeypatch):
+    # the root row of (2,3) census pair 10 fails its correlation; later pairs
+    # of the batch share its inner sub-pairs, which are one row each, and
+    # still certify
+    from golaypairs import enumerate_all_gaps
 
     pairs = enumerate_all_gaps(2, 3)
-    fresh = [rows_by_dim(decompose(f, g)[1], _Memo()) for f, g in pairs]
-    memo = _Memo()
-    for (f, g), want in zip(pairs, fresh):
-        rows = rows_by_dim(_decompose_rec(f, g, memo), memo)
-        assert rows == want
-        # what the census witness test does to a row, and more
-        for dim_rows in rows.values():
-            e = dim_rows[-1][0]
-            dim_rows[-1] = (e, e)
-            dim_rows.append((e, e))
-        rows.setdefault(0, []).append(((0,), (0,)))
-    assert memo.reused > 0
+    target = (pairs[10][0].entries, pairs[10][1].entries)
+    below = set(reference_walk(decompose(*pairs[10])[1], 3)[2][:-1])
+    assert any(below & set(reference_walk(decompose(f, g)[1], 3)[2]) for f, g in pairs[11:])
+    certify = failing_rows(monkeypatch, lambda dim, fe, ge: (fe, ge) == target)
+    message = "certificate verification failed: a node pair of dimension 3 is not complementary"
+    assert certify._certify(2, 3, pairs)[0] == {10: message}
 
 
 def test_a_pair_fails_on_the_first_dimension_its_walk_met(monkeypatch):
-    # the walk of pair 0 meets dimension 2 first and that of pair 1 dimension
-    # 1, and all their rows fail: (e, e) is never a pair in positive dimension
-    dec = importlib.import_module("golaypairs.decompose")
-    pairs = [construct_standard(rand_params(random.Random(s), 4, 3)) for s in (193, 199)]
+    # every node pair of dimension 2 or 3 fails its correlation; the walk of
+    # pair 0 meets dimensions 1, 3, 2 and 6 in that order, and that of pair 1
+    # dimensions 1, 2, 3, 4 and 6, so they fail on dimensions 3 and 2
+    params = [
+        StandardParams(4, 6, (3, 5, 2, 6, 4, 1), (0, 1, 0, 1, 1, 1), 0, 0),
+        StandardParams(4, 6, (5, 3, 2, 1, 6, 4), (3, 2, 3, 2, 1, 1), 2, 1),
+    ]
+    pairs = [construct_standard(p) for p in params]
     certs = [decompose(f, g)[1] for f, g in pairs]
-    one, two = (1, (0, 1), (0, 1)), (2, (0, 1, 2, 3), (0, 1, 2, 3))
-    rows = [(two, one), (one, two)]
-
-    def walk(node, max_corr_dim, memo):
-        k = certs.index(node)
-        return (*pairs[k], rows[k])
-
-    monkeypatch.setattr(dec, "_walk", walk)
+    met = [list(dict.fromkeys(dim for dim, _, _ in reference_walk(c, 6)[2])) for c in certs]
+    assert met == [[1, 3, 2, 6], [1, 2, 3, 4, 6]]
+    certify = failing_rows(monkeypatch, lambda dim, fe, ge: dim in (2, 3))
     message = "certificate verification failed: a node pair of dimension {} is not"
     message += " complementary"
-    want = {0: message.format(2), 1: message.format(1)}
-    assert dec._certify(4, 3, pairs, certs)[0] == want
+    want = {0: message.format(3), 1: message.format(2)}
+    assert certify._certify(4, 6, pairs, certs)[0] == want
+    assert certify._certify(4, 6, pairs)[0] == want
     for (f, g), cert, text in zip(pairs, certs, want.values()):
         with pytest.raises(VerificationError) as err:
-            verify_certificate(f, g, cert)
+            verify_certificate(f, g, cert, max_corr_dim=6)
         assert str(err.value) == text
+
+
+def test_a_non_pair_reports_the_first_break_of_a_depth_first_walk():
+    # a walk level by level would report the right sub-pair's break
+    f, g = (QaryArray(4, 6, entries) for entries in DEEPER_LEFT_BREAK)
+    (f0, f1), (g0, g1) = split_last(f), split_last(g)
+    split = gcd_normalized(f0, g0)
+    assert (split.z1_vars, split.z2_vars) == ((2, 3, 5), (1, 4))
+    d, ok = extract_d(f1, g1, split)
+    assert ok
+    message = "not a complementary pair: residual halves violate the forced form at"
+    left = f"{message} dimension 1: g1 differs from -a* + q/2 + d at cell 0"
+    for pair, text in (
+        ((split.a, split.b), left),
+        ((split.c, d), f"{message} dimension 2: g1 differs from -a* + q/2 + d at cell 1"),
+        ((f, g), left),
+    ):
+        with pytest.raises(NotAGapError) as err:
+            decompose(*pair)
+        assert str(err.value) == text
+    certify = importlib.import_module("golaypairs.certify")
+    assert certify._certify(4, 6, [(f, g)])[0] == {0: left}
+    assert reference_certify(4, 6, [(f, g)])[0] == {0: left}
 
 
 def test_separate_calls_share_no_sub_certificate():
@@ -524,19 +562,19 @@ def test_separate_calls_share_no_sub_certificate():
 
 
 def test_a_failing_shared_subtree_raises_for_every_pair():
-    from golaypairs.decompose import _Memo, _walk
-
+    certify = importlib.import_module("golaypairs.certify")
     f, g = construct_standard(rand_params(random.Random(191), 4, 4))
     _, cert = decompose(f, g)
     side = "left" if cert.left.m else "right"
     child = getattr(cert, side)
     bad_child = dataclasses.replace(child, e=(child.e + 1) % 4)
     bad = dataclasses.replace(cert, **{side: bad_child})
-    memo = _Memo()
-    for _ in range(2):
-        with pytest.raises(VerificationError, match="offsets disagree"):
-            _walk(bad, 4, memo)
-    assert all(entry[0] is not bad_child for entry in memo.walks.values())
+    # two roots share the failing subtree; the clean root between them passes
+    failures = certify._certify(4, 4, [(f, g)] * 3, [bad, cert, bad])[0]
+    message = "certificate verification failed: stored offsets disagree with sub-parameters"
+    assert failures == {0: message, 2: message}
+    with pytest.raises(VerificationError, match="offsets disagree"):
+        verify_certificate(f, g, bad, max_corr_dim=4)
 
 
 def _witness_base(q=4):
@@ -557,11 +595,14 @@ def _foreign_leaf():
 
 
 def _rerooted_modulus():
-    from golaypairs.decompose import _recombine
+    from golaypairs.forest import _param_objects, _recombine, _shape
 
     f, g, data = _witness_base(2)
-    left, right = (StandardParams.from_json_dict(data[s]["params"]) for s in ("left", "right"))
-    params = _recombine(4, 3, (), (1, 2), left, right)
+    left, right = (
+        np.array([p["pi"] + p["c"] + [p["c0"], p["c_prime"]]])
+        for p in (data[side]["params"] for side in ("left", "right"))
+    )
+    (params,) = _param_objects(4, 3, _recombine(4, _shape((), (1, 2)), left, right))
     return f, g, {**data, "q": 4, "params": params.to_json_dict()}
 
 

@@ -30,7 +30,6 @@ import json
 import random
 from collections import Counter
 from contextlib import contextmanager
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,15 +70,9 @@ from golaypairs import (
     star,
     verify_certificate,
 )
-from golaypairs import qarray
-from golaypairs.decompose import (
-    _certify,
-    _decompose_rec,
-    _Memo,
-    _rebuild,
-    _recombine,
-    _walk,
-)
+from golaypairs import certify, qarray
+from golaypairs.certify import _certify
+from golaypairs.forest import _join, _param_objects, _recombine, _shape
 from golaypairs.qarray import (
     _coords,
     _cube_plan,
@@ -90,6 +83,7 @@ from golaypairs.qarray import (
 )
 
 from helpers import (
+    DEEPER_LEFT_BREAK,
     _spread,
     block_sum,
     brute_finest_partition,
@@ -100,6 +94,9 @@ from helpers import (
     join_partitions,
     random_entries,
     random_params_tuple,
+    reference_certify,
+    reference_decompose,
+    reference_join,
     standard_table,
 )
 
@@ -557,36 +554,48 @@ def replayed_entries(cert):
     return f.entries, g.entries
 
 
-def rows_by_dim(rows):
-    """The (dimension, f entries, g entries) rows of a walk, as lists of
-    (f entries, g entries) keyed by dimension."""
-    out: dict[int, list] = {}
-    for dim, fe, ge in rows:
-        out.setdefault(dim, []).append((fe, ge))
-    return out
+@contextmanager
+def correlated_rows():
+    """The (f entries, g entries) rows that each call of the certifier's
+    correlation gets while the block runs, by dimension."""
+    gaps = certify._gaps
+    seen: dict[int, list] = {}
+
+    def spy(plan, q, rows):
+        dim = rows.shape[2].bit_length() - 1
+        seen.setdefault(dim, []).extend((tuple(f), tuple(g)) for f, g in rows.tolist())
+        return gaps(plan, q, rows)
+
+    certify._gaps = spy
+    try:
+        yield seen
+    finally:
+        certify._gaps = gaps
 
 
 @settings(max_examples=100)
 @given(standard_params(6, st.sampled_from((2, 4, 6, 8, 10))))
 def test_walk_rows_are_the_inner_node_pairs(params):
-    # the rows are each inner node's pair, rebuilt here by replaying its
-    # subtree: one row per node, none of dimension 0
+    # the rows are the inner nodes' pairs, rebuilt here by replaying each
+    # subtree: each distinct one is correlated once, each node is counted,
+    # and none is of dimension 0
     f, g = construct_standard(params)
     _, cert = decompose(f, g)
     nodes = inner_nodes(cert)
     assert len(nodes) == params.m
     for max_corr_dim in range(params.m + 2):
-        rows = rows_by_dim(_walk(cert, max_corr_dim, _Memo())[2])
         want: dict[int, Counter] = {}
         for node in nodes:
             if node.m <= max_corr_dim:
                 want.setdefault(node.m, Counter())[replayed_entries(node)] += 1
-        assert {dim: Counter(r) for dim, r in rows.items()} == want
-        for node in nodes:
-            if node.m <= max_corr_dim:
-                for child in (node.left, node.right):
-                    if child.m:
-                        assert replayed_entries(child) in rows[child.m]
+        for certs in ([cert], None):
+            with correlated_rows() as seen:
+                failures, counts, *_ = _certify(params.q, max_corr_dim, [(f, g)], certs)
+            assert not failures
+            assert {dim: Counter(rows) for dim, rows in seen.items()} == {
+                dim: Counter(set(pairs)) for dim, pairs in want.items()
+            }
+            assert counts == {dim: sum(pairs.values()) for dim, pairs in want.items()}
 
 
 ROOT_TAMPERS = {
@@ -604,11 +613,11 @@ ROOT_TAMPERS = {
 }
 
 
-def verdict(f, g, cert):
-    """None if ``cert`` certifies (f, g) at full depth, else the message
-    that rejects it."""
+def verdict(f, g, cert, depth=None):
+    """None if ``cert`` certifies (f, g) up to dimension ``depth`` (full
+    depth by default), else the message that rejects it."""
     try:
-        verify_certificate(f, g, cert, max_corr_dim=f.m)
+        verify_certificate(f, g, cert, max_corr_dim=f.m if depth is None else depth)
     except VerificationError as exc:
         return str(exc)
     return None
@@ -637,105 +646,121 @@ def test_shared_and_reloaded_certificates_get_the_same_verdict(params, tamper):
 
 @st.composite
 def certification_batches(draw):
-    """(q, m, rows, kinds): one census batch of standard pairs, earlier rows
-    met again, and one-cell-moved non-pairs, in drawn order, and for each
-    row the kind of certificate it is given: clean, reloaded from JSON or
-    one of ``ROOT_TAMPERS``."""
+    """(q, rows, kinds, depth): one batch of pairs of dimensions up to 6, in
+    drawn order, and for each row the kind of certificate it is given
+    (clean, reloaded from JSON, or one of ``ROOT_TAMPERS`` at the root or at
+    an inner child of the root), certified up to
+    dimension ``depth``.  A row is a standard pair, an earlier row met
+    again, a standard pair with one cell moved, or the node pair joined from
+    two sub-pairs each of which may have a cell moved, which breaks below
+    its root."""
     q = draw(st.sampled_from((2, 4, 6, 8)))
-    m = draw(st.integers(1, 5))
+    dims = st.integers(0, 6) if draw(st.booleans()) else st.just(draw(st.integers(1, 6)))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kinds = draw(
-        st.lists(st.sampled_from(("standard", "again", "moved")), min_size=1, max_size=12)
-    )
+    kinds = draw(st.lists(st.sampled_from(("standard", "again", "moved", "joined")),
+                          min_size=1, max_size=10))
     rows = []
     for kind in kinds:
+        m = draw(dims)
         if kind == "again" and rows:
             rows.append(rng.choice(rows))
-        elif kind == "moved":
+        elif kind == "moved" and m:
             rows.append(moved_row(rng, q, m, standard_row(rng, q, m)))
+        elif kind == "joined" and m:
+            z1, z2 = split_by([rng.random() < 0.5 for _ in range(m - 1)])
+            subs = []
+            for k in (len(z1), len(z2)):
+                row = standard_row(rng, q, k)
+                subs += moved_row(rng, q, k, row) if k and rng.random() < 0.5 else row
+            rows.append(reference_join(q, z1, z2, *subs))
         else:
             rows.append(standard_row(rng, q, m))
-    cert_kinds = st.sampled_from(("clean", "reloaded", *ROOT_TAMPERS))
-    return q, m, rows, draw(st.lists(cert_kinds, min_size=len(rows), max_size=len(rows)))
-
-
-def certification(q, m, fe, ge, memo):
-    """(certificate JSON, rows by dimension) of one pair at
-    ``max_corr_dim = m`` with ``memo``, or the type and message of the
-    error that rejects it."""
-    f, g = QaryArray(q, m, fe), QaryArray(q, m, ge)
-    try:
-        cert = _decompose_rec(f, g, memo)
-        ff, gg, rows = _walk(cert, m, memo)
-    except (NotAGapError, VerificationError) as exc:
-        return type(exc), str(exc)
-    assert (ff, gg) == (f, g)
-    return cert.to_json_dict(), rows_by_dim(rows)
-
-
-def alone(f, g):
-    """The message that rejects (f, g) when it is decomposed and certified
-    on its own at full depth, or None."""
-    try:
-        _, cert = decompose(f, g)
-    except NotAGapError as exc:
-        return str(exc)
-    return verdict(f, g, cert)
-
-
-def batch_certificates(q, m, rows, kinds):
-    """One certificate per row, of the kind drawn for it.  A non-pair gets
-    the certificate of a fixed standard pair.  Equal rows share one clean
-    certificate, and a tampered root shares its children with it."""
-    fallback = construct_standard(
-        StandardParams(q, m, tuple(range(1, m + 1)), (0,) * m, 0, 0)
+    cert_kinds = st.sampled_from(
+        ("clean", "reloaded", *ROOT_TAMPERS, *(f"child {name}" for name in ROOT_TAMPERS))
     )
+    certs = draw(st.lists(cert_kinds, min_size=len(rows), max_size=len(rows)))
+    return q, rows, certs, draw(st.integers(0, 6))
+
+
+def arrays(q, row):
+    m = len(row[0]).bit_length() - 1
+    return QaryArray(q, m, row[0]), QaryArray(q, m, row[1])
+
+
+def batch_certificates(q, rows, kinds):
+    """One certificate per row, of the kind drawn for it.  A non-pair gets
+    the certificate of a fixed standard pair of its dimension.  Equal rows
+    share one clean certificate, and a tampered root shares its children
+    with it."""
     clean: dict = {}
     certs = []
     for row, kind in zip(rows, kinds):
         if row not in clean:
+            f, g = arrays(q, row)
             try:
-                clean[row] = decompose(QaryArray(q, m, row[0]), QaryArray(q, m, row[1]))[1]
+                clean[row] = decompose(f, g)[1]
             except NotAGapError:
-                clean[row] = decompose(*fallback)[1]
+                fallback = StandardParams(q, f.m, tuple(range(1, f.m + 1)), (0,) * f.m, 0, 0)
+                clean[row] = decompose(*construct_standard(fallback))[1]
         cert = clean[row]
         if kind == "reloaded":
             cert = DecompositionCertificate.from_json_dict(
                 json.loads(json.dumps(cert.to_json_dict()))
             )
-        elif kind != "clean":
+        elif kind.startswith("child ") and not cert.is_leaf:
+            side = next((side for side in ("left", "right") if getattr(cert, side).m), None)
+            if side is not None:
+                tampered = ROOT_TAMPERS[kind[6:]](getattr(cert, side))
+                cert = dataclasses.replace(cert, **{side: tampered})
+        elif kind in ROOT_TAMPERS and not cert.is_leaf:
             cert = ROOT_TAMPERS[kind](cert)
         certs.append(cert)
     return certs
 
 
-@settings(max_examples=80)
+def outcome(decomposer, f, g):
+    """The certificate JSON of (f, g), or the message that rejects it."""
+    try:
+        found = decomposer(f, g)
+    except NotAGapError as exc:
+        return str(exc)
+    return (found[1] if isinstance(found, tuple) else found).to_json_dict()
+
+
+@settings(max_examples=120)
+@given(certification_batches())
+# a non-pair that breaks deeper on the left than on the right, and the same
+# pair swapped with the certificate of another pair, its root tampered
+@example((4, [DEEPER_LEFT_BREAK, DEEPER_LEFT_BREAK[::-1]], ["clean", "a"], 6))
+def test_stacked_certifier_agrees_with_the_reference_recursion(case):
+    # the same certificate JSON or not-a-pair message per pair, and the same
+    # failure message per pair and rows per dimension for the batch, as the
+    # node-by-node recursion the stacked certifier replaced; a failure is
+    # the first one that recursion's depth-first walk meets
+    q, rows, kinds, depth = case
+    pairs = [arrays(q, row) for row in rows]
+    for f, g in pairs:
+        assert outcome(decompose, f, g) == outcome(reference_decompose, f, g)
+    assert _certify(q, depth, pairs)[:2] == reference_certify(q, depth, pairs)
+    certs = batch_certificates(q, rows, kinds)
+    assert _certify(q, depth, pairs, certs)[:2] == reference_certify(q, depth, pairs, certs)
+
+
+@settings(max_examples=60)
 @given(certification_batches())
 def test_batch_shared_certification_equals_fresh_per_pair_calls(case):
-    q, m, rows, kinds = case
-    fresh = [certification(q, m, f, g, _Memo()) for f, g in rows]
-    memo = _Memo()
-    shared = [certification(q, m, f, g, memo) for f, g in rows]
-    assert shared == fresh
-    want_witnesses, want_counts = set(), Counter()
-    for row, (_, result) in zip(rows, fresh):
-        if isinstance(result, str):
-            want_witnesses.add(row)
-            continue
-        for dim, dim_rows in result.items():
-            want_counts[dim] += len(dim_rows)
-            if not all(float_is_gap(q, dim, *pair) for pair in dim_rows):
-                want_witnesses.add(row)
-    pairs = [(QaryArray(q, m, f), QaryArray(q, m, g)) for f, g in rows]
-    failures, counts, *_ = _certify(q, m, pairs)
-    assert {rows[i] for i in failures} == want_witnesses
-    assert counts == want_counts
-    # each pair of the batch gets the message it gets in a batch of one
-    assert [failures.get(i) for i in range(len(pairs))] == [alone(*p) for p in pairs]
-    certs = batch_certificates(q, m, rows, kinds)
-    failures = _certify(q, m, pairs, certs)[0]
+    # each pair gets the message it gets in a batch of one, and the rows per
+    # dimension add up
+    q, rows, kinds, depth = case
+    pairs = [arrays(q, row) for row in rows]
+    failures, counts, *_ = _certify(q, depth, pairs)
+    alone = [_certify(q, depth, [pair]) for pair in pairs]
+    assert [failures.get(i) for i in range(len(pairs))] == [a[0].get(0) for a in alone]
+    assert counts == sum((Counter(a[1]) for a in alone), Counter())
+    certs = batch_certificates(q, rows, kinds)
+    failures = _certify(q, depth, pairs, certs)[0]
     assert [failures.get(i) for i in range(len(pairs))] == [
-        verdict(f, g, cert) for (f, g), cert in zip(pairs, certs)
+        verdict(f, g, cert, depth) for (f, g), cert in zip(pairs, certs)
     ]
 
 
@@ -762,9 +787,13 @@ def test_recombined_parameters_expand_to_the_rebuilt_pair(case):
     # why the certificate walk needs no check that the root parameters
     # regenerate the claimed pair: each walked node pair is their expansion
     q, m, z1, z2, left, right = case
-    node = SimpleNamespace(split=SimpleNamespace(z1_vars=z1, z2_vars=z2))
-    rebuilt = _rebuild(node, *construct_standard(left), *construct_standard(right))
-    assert construct_standard(_recombine(q, m, z1, z2, left, right)) == rebuilt
+    shape = _shape(z1, z2)
+    (a, b), (c, d) = (construct_standard(p) for p in (left, right))
+    subs = np.array([[a.entries + c.entries, b.entries + d.entries]])
+    packed = (np.array([p.pi + p.c + (p.c0, p.c_prime)]) for p in (left, right))
+    (params,) = _param_objects(q, m, _recombine(q, shape, *packed))
+    f, g = construct_standard(params)
+    assert [list(f.entries), list(g.entries)] == _join(q, shape, subs)[0].tolist()
 
 
 @settings(max_examples=150)
