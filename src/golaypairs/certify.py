@@ -44,9 +44,13 @@ from .forest import (
     _Group,
     _join,
     _Level,
+    _param_rows,
     _recombine,
     _Shape,
     _shape,
+    _stack_subs,
+    _sub_rows,
+    _unstack_subs,
 )
 from .genfun import disjoint_product, embed, from_array
 from .qarray import QaryArray, _cube_plan, _gaps
@@ -72,8 +76,8 @@ def _fits(array, q: int, m: int) -> bool:
 def _convert(conv: _Conversion, node) -> int:
     """Index of ``node`` in ``conv``, converting its subtree first if new.
 
-    A node is placed in the levels, as (q, m, z1, z2, rows (a | c, b | d),
-    stated parameters) or as a leaf (q, 0, c0, c'), when it passes C1 and
+    A node is placed in the levels, as (q, m, z1, z2, entries of (a, b, c,
+    d), stated parameters) or as a leaf (q, 0, c0, c'), when it passes C1 and
     C2 (which come before its subtree) and, if inner, C3 to C5 and the
     sizes of C6 (which come after it); otherwise its first failure is kept.
     C7 to C9 compare values the certificate states with each other, so they
@@ -94,18 +98,19 @@ def _convert(conv: _Conversion, node) -> int:
         kids = (_convert(conv, node.left), _convert(conv, node.right))
         split = node.split
         z1, z2 = tuple(split.z1_vars), tuple(split.z2_vars)
-        arrays = (split.a, split.b, split.c, node.d)
+        k1, k2 = len(z1), len(z2)
         if sorted(z1 + z2) != list(range(1, m)):
             bad = "split variable sets do not partition the remaining variables"
         elif node.left.q != q or node.right.q != q:
             bad = "sub-certificates do not have the node's modulus"
-        elif (node.left.m, node.right.m) != (len(z1), len(z2)):
+        elif (node.left.m, node.right.m) != (k1, k2):
             bad = "sub-certificate dimensions do not match the split variable sets"
-        elif not all(_fits(arr, q, len(z)) for arr, z in zip(arrays, (z1, z1, z2, z2))):
+        elif not (_fits(split.a, q, k1) and _fits(split.b, q, k1) and _fits(split.c, q, k2)
+                  and _fits(node.d, q, k2)):
             bad = _VALUE_FAILURES[1]
         else:
-            a, b, c, d = (arr.entries for arr in arrays)
-            place = (q, m, z1, z2, (a + c, b + d), params.pi + params.c + (params.c0, params.c_prime))
+            a, b, c = split.a.entries, split.b.entries, split.c.entries
+            place = (q, m, z1, z2, (a, b, c, node.d.entries), params)
             if split.f0_const != a[0] or split.g0_const != b[0]:
                 stated = _VALUE_FAILURES[2]
             elif c[0] != 0:
@@ -124,34 +129,34 @@ def _certificates(q: int, certs: Sequence) -> _Forest:
     """The forest of the certificates ``certs``, converted into levels."""
     conv = _Conversion()
     roots = [_convert(conv, cert) for cert in certs]
-    placed = [p for p in conv.place if p is not None]
-    dtype = _dtype(max([q] + [p[0] for p in placed]))
-    sizes = [0] * (max([p[1] for p in placed], default=0) + 1)
-    where: list = []  # the node of each object, (-1, i) outside the levels
-    members: dict = {}
-    outside = 0
+    members: dict = {}  # the placed objects by shape, in order
     for i, p in enumerate(conv.place):
-        if p is None:
-            where.append((-1, outside))
-            outside += 1
-            continue
-        where.append((p[1], sizes[p[1]]))
-        sizes[p[1]] += 1
-        members.setdefault(p[:4] if p[1] else p[:2], []).append(i)
+        if p is not None:
+            members.setdefault(p[:4] if p[1] else p[:2], []).append(i)
+    dtype = _dtype(max([q] + [key[0] for key in members]))
+    sizes = [0] * (max([key[1] for key in members], default=0) + 1)
+    where = [(-1, i) for i in range(len(conv.place))]  # the node of each object
+    for key, nodes in members.items():
+        k = key[1]
+        for row, i in enumerate(nodes, sizes[k]):
+            where[i] = (k, row)
+        sizes[k] += len(nodes)
     levels = [_Level(size, [], []) for size in sizes]
     for key, nodes in members.items():
         gq, k = key[:2]
-        rows = np.array([where[i][1] for i in nodes], dtype=np.intp)
+        start = where[nodes[0]][1]
+        rows = np.arange(start, start + len(nodes))
         column = [conv.place[i] for i in nodes]
         if not k:
-            c0, cp = (np.array([p[j] for p in column], dtype=dtype) for j in (2, 3))
+            c0, cp = np.array([p[2:] for p in column], dtype=dtype).T
             levels[0].leaves.append((gq, rows, c0, cp))
             continue
-        kids = [[where[conv.kids[i][side]] for i in nodes] for side in (0, 1)]
-        left, right = (np.array([row if k >= 0 else -1 for k, row in side], dtype=np.intp)
-                       for side in kids)
-        subs, stated = (np.array([p[j] for p in column], dtype=dtype) for j in (4, 5))
-        levels[k].groups.append(_Group(gq, _shape(*key[2:]), rows, left, right, subs, stated))
+        left, right = np.array([[row if k >= 0 else -1 for k, row in
+                                 (where[conv.kids[i][side]] for i in nodes)] for side in (0, 1)],
+                               dtype=np.intp)
+        levels[k].groups.append(_Group(gq, _shape(*key[2:]), rows, left, right,
+                                       _sub_rows(dtype, [p[4] for p in column]),
+                                       _param_rows(dtype, [p[5] for p in column])))
     failures = {(kind, where[i]): _FAILED + message
                 for i, found in enumerate(conv.failures)
                 for kind, message in enumerate(found) if message is not None}
@@ -199,16 +204,20 @@ def _factor_products_agree(q: int, shape: _Shape, a: np.ndarray, c: np.ndarray,
     an identity of ``genfun``, computed once per distinct (a, c); it stays
     because the census needs a caller of ``CycElement.is_zero``, which the
     benchmark's tracer test pins."""
-    firsts, inverse = _distinct(np.concatenate((a, c), axis=1) if len(a) > 1 else a)
+    inverse = None
+    if len(a) > 1:
+        firsts, inverse = _distinct(np.concatenate((a, c), axis=1))
+        a, c, f0 = (x.take(firsts, axis=0) for x in (a, c, f0))
     m, z1, z2 = shape.m, shape.z1, shape.z2
-    agree = [
+    k1, k2 = len(z1), len(z2)
+    agree = np.array([
         disjoint_product(
-            embed(from_array(_array(q, len(z1), ai)), z1, m - 1),
-            embed(from_array(_array(q, len(z2), ci)), z2, m - 1),
+            embed(from_array(_array(q, k1, ai)), z1, m - 1),
+            embed(from_array(_array(q, k2, ci)), z2, m - 1),
         ) == from_array(_array(q, m - 1, fi))
-        for ai, ci, fi in zip(*(x.take(firsts, axis=0).tolist() for x in (a, c, f0)))
-    ]
-    return np.array(agree, dtype=bool).take(inverse)
+        for ai, ci, fi in zip(a.tolist(), c.tolist(), f0.tolist())
+    ], dtype=bool)
+    return agree if inverse is None else agree.take(inverse)
 
 
 def _check(forest: _Forest, params: list[np.ndarray] | None, max_corr_dim: int) -> _Walk:
@@ -219,27 +228,27 @@ def _check(forest: _Forest, params: list[np.ndarray] | None, max_corr_dim: int) 
     depth = max(0, min(max_corr_dim, len(forest.levels) - 1))
     stated = {node for kind, node in forest.failures if kind == 2}
     whole = not forest.failures  # so far every node was rebuilt and passed
+    unit = np.eye(depth + 1, dtype=np.int64)  # a node's own row, by dimension
     pairs, done, counts, codes, alive = [], [], [], [], []
     for k, level in enumerate(forest.levels):
         built = np.zeros((level.size + 1, 2, 1 << k), dtype=forest.dtype)
-        ok = np.zeros(level.size + 1, dtype=bool)
+        ok, passed = np.zeros((2, level.size + 1), dtype=bool)
         below = np.zeros((level.size + 1, depth + 1), dtype=np.int64)
         code = np.zeros(level.size + 1, dtype=np.int8)
-        passed = np.zeros(level.size + 1, dtype=bool)
         for gq, rows, c0, cp in level.leaves:
             built[rows, 0, 0], built[rows, 1, 0] = c0, (c0 + cp) % gq
             ok[rows] = passed[rows] = True
         for g in level.groups:
             k1, k2 = len(g.shape.z1), len(g.shape.z2)
             rows, left, right, subs, claims = g.rows, g.left, g.right, g.subs, g.params
-            ready = None if whole else done[k1].take(left) & done[k2].take(right)
-            if ready is not None and np.count_nonzero(ready) < len(ready):
-                if not np.count_nonzero(ready):
-                    continue
-                rows, left, right, subs = rows[ready], left[ready], right[ready], subs[ready]
-                claims = None if claims is None else claims[ready]
-            rebuilt = np.concatenate((pairs[k1].take(left, axis=0), pairs[k2].take(right, axis=0)),
-                                     axis=2)
+            if not whole:
+                ready = done[k1].take(left) & done[k2].take(right)
+                if np.count_nonzero(ready) < len(ready):
+                    if not np.count_nonzero(ready):
+                        continue
+                    rows, left, right, subs = rows[ready], left[ready], right[ready], subs[ready]
+                    claims = None if claims is None else claims[ready]
+            rebuilt = _stack_subs(pairs[k1].take(left, axis=0), pairs[k2].take(right, axis=0))
             pair = built[rows] = _join(g.q, g.shape, rebuilt)
             found = []  # (code, failing rows) of C6, C10 and C11
             differ = subs != rebuilt
@@ -250,10 +259,9 @@ def _check(forest: _Forest, params: list[np.ndarray] | None, max_corr_dim: int) 
                 if np.count_nonzero(differ):
                     found.append((5, differ.any(axis=1)))
             if k <= max_corr_dim:
-                h1 = 1 << k1
-                agree = _factor_products_agree(
-                    g.q, g.shape, rebuilt[:, 0, :h1], rebuilt[:, 0, h1:], pair[:, 0, : 1 << (k - 1)]
-                )
+                ab, cd = _unstack_subs(g.shape, rebuilt)
+                agree = _factor_products_agree(g.q, g.shape, ab[:, 0], cd[:, 0],
+                                               pair[:, 0, : 1 << (k - 1)])
                 if np.count_nonzero(agree) < len(agree):
                     found.append((6, ~agree))
             if whole and not found:
@@ -266,9 +274,8 @@ def _check(forest: _Forest, params: list[np.ndarray] | None, max_corr_dim: int) 
                 passed[rows] = (first == 0) & alive[k1].take(left) & alive[k2].take(right)
                 whole = False
             ok[rows] = True
-            below[rows] = counts[k1].take(left, axis=0) + counts[k2].take(right, axis=0)
-            if k <= depth:
-                below[rows, k] += 1
+            mine = counts[k1].take(left, axis=0) + counts[k2].take(right, axis=0)
+            below[rows] = mine + unit[k] if k <= depth else mine
         for level_of, row in stated:
             if level_of == k:
                 passed[row] = False

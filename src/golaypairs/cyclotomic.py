@@ -15,19 +15,17 @@ reads its entries as Python integers, so it is exact for any multiplicities.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from functools import lru_cache
 from math import prod
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 # The reduction table holds phi(q) * q int64 entries, 8 B each: 134 MB at
 # q = 4093, built in about 0.1 s.  Larger moduli are refused before it is built.
 _MAX_Q = 4096
-# get_context keeps at most this many contexts, whose tables together take at
-# most this many bytes: one table of a modulus near 4096 and small ones.
-_CACHE_ENTRIES = 4
+# get_context keeps contexts whose tables together take at most this many
+# bytes: one table of a modulus near 4096 and small ones.
 _CACHE_BYTES = 1 << 28
 
 
@@ -149,53 +147,36 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"q must lie in 1..{_MAX_Q}, got {q}")
 
 
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-_contexts: OrderedDict = OrderedDict()  # q -> CycContext, least recently used first
-_counts = {"hits": 0, "misses": 0}
+_contexts: dict[int, CycContext] = {}  # oldest first
+_misses = 0  # contexts built by get_context
 _lock = threading.Lock()
 
 
 def get_context(q: int) -> CycContext:
     """Shared per-q context; contexts are immutable and safe to cache.
 
-    The most recently used contexts are kept: at most ``_CACHE_ENTRIES`` of
-    them, whose reduction tables take at most ``_CACHE_BYTES`` together.
-    The least recently used ones are dropped before a new table is built,
-    so a process holds the cap plus the one table it builds, and a cycle
-    through four small moduli never rebuilds one.  ``get_context.cache_info()``
-    reports hits, misses and sizes as ``functools.lru_cache`` does.
+    Contexts are kept while their reduction tables take at most
+    ``_CACHE_BYTES`` together.  The oldest ones are dropped before a new
+    table is built, so a process holds the cap plus the one table it
+    builds, and a cycle through a few small moduli never rebuilds one.
 
     Raises ``ValueError`` for q < 1 and for q above 4096.
     """
+    global _misses
+    ctx = _contexts.get(q)
+    if ctx is not None:
+        return ctx
     with _lock:
         ctx = _contexts.get(q)
-        if ctx is not None:
-            _contexts.move_to_end(q)
-            _counts["hits"] += 1
-            return ctx
-        _check_modulus(q)
-        need = (len(cyclotomic_polynomial(q)) - 1) * q * 8
-        while _contexts and (
-            len(_contexts) >= _CACHE_ENTRIES
-            or need + sum(c.table.nbytes for c in _contexts.values()) > _CACHE_BYTES
-        ):
-            _contexts.popitem(last=False)
-        ctx = _contexts[q] = CycContext(q)
-        _counts["misses"] += 1
+        if ctx is None:
+            _check_modulus(q)
+            held = (len(cyclotomic_polynomial(q)) - 1) * q * 8
+            held += sum(c.table.nbytes for c in _contexts.values())
+            while _contexts and held > _CACHE_BYTES:
+                held -= _contexts.pop(next(iter(_contexts))).table.nbytes
+            ctx = _contexts[q] = CycContext(q)
+            _misses += 1
         return ctx
-
-
-def _cache_info() -> _CacheInfo:
-    return _CacheInfo(_counts["hits"], _counts["misses"], _CACHE_ENTRIES, len(_contexts))
-
-
-get_context.cache_info = _cache_info
 
 
 class CycElement:

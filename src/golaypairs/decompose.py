@@ -46,15 +46,14 @@ from .errors import NotAGapError, OddModulusError, VerificationError
 from .forest import (
     _array,
     _claimed,
-    _common_vars,
     _decomposition,
     _dtype,
     _first_failure,
-    _join,
+    _forced_d,
+    _gcd_split,
     _param_objects,
-    _parts,
     _shape,
-    _split_shape,
+    _sub_pairs,
 )
 from .qarray import QaryArray, _json_int, _trusted
 from .standard import StandardParams, construct_standard
@@ -110,15 +109,8 @@ def gcd_normalized(f0: QaryArray, g0: QaryArray) -> GcdSplit:
     """
     if f0.q != g0.q or f0.m != g0.m:
         raise ValueError("shape or modulus mismatch")
-    q, m = f0.q, f0.m
-    halves = np.array([(f0.entries, g0.entries)], dtype=_dtype(q))
-    shape = _split_shape(m, int(_common_vars(q, m, halves)[0]))
-    z1, z2, h1 = shape.z1, shape.z2, 1 << len(shape.z1)
-    # the split of a node whose x_m = 1 halves are zero
-    nodes = np.concatenate((halves, np.zeros_like(halves)), axis=2)
-    ac, b = _parts(q, shape, nodes)[0].tolist()
-    return GcdSplit(z1, z2, _array(q, len(z1), ac[:h1]), _array(q, len(z1), b[:h1]),
-                    _array(q, len(z2), ac[h1:]), f0.entries[0], g0.entries[0])
+    return GcdSplit(*_gcd_split(f0.q, f0.m, f0.entries, g0.entries), f0.entries[0],
+                    g0.entries[0])
 
 
 def extract_d(
@@ -132,16 +124,8 @@ def extract_d(
     complementary.  This is the decomposition's forced-form check run on a
     batch of one.
     """
-    q = f1.q
     shape = _shape(tuple(split.z1_vars), tuple(split.z2_vars))
-    h1 = 1 << len(shape.z1)
-    halves = np.array([(f1.entries, g1.entries)], dtype=_dtype(q))
-    d = (halves[0, 0, shape.sp2] + split.b.entries[-1]) % q
-    subs = np.zeros((1, 2, h1 + len(d)), dtype=halves.dtype)
-    subs[0, :, :h1] = split.a.entries, split.b.entries
-    subs[0, 1, h1:] = d
-    forced = _join(q, shape, subs)[:, :, h1 * len(d) :]
-    return _array(q, len(shape.z2), d), bool((forced == halves).all())
+    return _forced_d(f1.q, shape, split.a.entries, split.b.entries, f1.entries, g1.entries)
 
 
 @dataclass(frozen=True)
@@ -258,10 +242,9 @@ def decompose(
         nodes: list = [DecompositionCertificate(q, 0, p) for p in found] if k == 0 else [None] * level.size
         for grp in level.groups:
             z1, z2 = grp.shape.z1, grp.shape.z2
-            h1 = 1 << len(grp.shape.z1)
-            columns = (grp.rows, grp.left, grp.right, grp.subs[:, 0, :h1], grp.subs[:, 1, :h1],
-                       grp.subs[:, 0, h1:], grp.subs[:, 1, h1:])
-            for row, left, right, a, b, c, d in zip(*(col.tolist() for col in columns)):
+            subs = _sub_pairs(grp.shape, grp.subs)
+            for row, left, right, (a, b, c, d) in zip(grp.rows.tolist(), grp.left.tolist(),
+                                                       grp.right.tolist(), subs):
                 lower, upper = built[len(z1)][left], built[len(z2)][right]
                 split = GcdSplit(z1, z2, _array(q, len(z1), a), _array(q, len(z1), b),
                                  _array(q, len(z2), c), a[0], b[0])

@@ -10,7 +10,9 @@ x_m = 0 half into (a, b) and c, and the join of sub-pairs (a, b) and (c, d)
 into the node pair, which is both the forced form that the decomposition
 checks and the rebuild that the certifier checks (see
 :mod:`golaypairs.decompose` for the identities).  Parameters are packed as
-rows (pi, c, c0, c') and recombined through x_m as column arithmetic.
+rows (pi, c, c0, c') and recombined through x_m as one product with a
+mixing matrix cached per shape, and a gather for the path.  Both row
+layouts are packed and unpacked only by the helpers here.
 
 :func:`_decomposition` builds the forest of a batch of pairs top-down, one
 level at a time.  Interaction components are computed once per distinct
@@ -93,7 +95,7 @@ def _members(which: np.ndarray, count: int) -> list:
 
 class _Shape(NamedTuple):
     """Read-only index arrays of a node of dimension m whose x_m = 0 half
-    splits on z1 and z2 (in the order of the tuples, held in ``v1``, ``v2``).
+    splits on z1 and z2.
 
     The node's sub-pairs are stacked as rows (a | c, b | d) of shape (2,
     points on z1 + points on z2).  Read as one row, the node's pair (f, g)
@@ -102,24 +104,28 @@ class _Shape(NamedTuple):
     f1 plus b*(0).  Cell t of the pair, as (2, 2**m), is ``sign[t]`` times
     entry ``left[t]`` of the stack read as one row, plus entry ``right[t]``,
     plus q/2 on g's x_m = 1 half: f = (a + c, -b* + d) and g = (b + c, -a* +
-    q/2 + d).  ``c1`` and ``c2`` are the columns of the linear coefficients
-    of z1 and z2 among packed parameters.
+    q/2 + d).
+
+    The packed parameters of the two sub-pairs, side by side, give those of
+    the node (see :func:`_recombine`) as their product with ``mix``, but for
+    the path: its columns ``cols`` are ``lut`` at their entries ``src`` plus
+    ``off``.
     """
 
     m: int
     z1: tuple[int, ...]
     z2: tuple[int, ...]
-    sp2: np.ndarray
     cut: np.ndarray
     base: np.ndarray
     shift: np.ndarray
     left: np.ndarray
     sign: np.ndarray
     right: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
+    mix: np.ndarray
+    src: np.ndarray
+    off: np.ndarray
+    cols: np.ndarray
+    lut: np.ndarray
 
 
 @lru_cache(maxsize=256)
@@ -136,15 +142,39 @@ def _shape(z1: tuple[int, ...], z2: tuple[int, ...]) -> _Shape:
     r1 = h1 - 1 - i1
     cut = np.array([np.concatenate((sp1, sp2)), np.concatenate((2 * half + sp1, half + sp2))])
     base = np.array([[0] * row, [2 * half + sp1[-1]] * row])
-    shift = np.array([[0] * h1 + [-1] * h2, [0] * h1 + [1] * h2], dtype=np.int8)
+    # take reads intp indices and int64 factors without a cast, which small
+    # nodes notice; large ones keep the narrowest types, so the cache stays small
+    small = half <= 64
+    factor = np.int64 if small else np.int8
+    shift = np.array([[0] * h1 + [-1] * h2, [0] * h1 + [1] * h2], dtype=factor)
     left = np.array([np.concatenate((i1, row + r1)), np.concatenate((row + i1, r1))])
-    sign = np.where(np.arange(2 * half) < half, 1, -1).astype(np.int8)
+    sign = np.where(np.arange(2 * half) < half, 1, -1).astype(factor)
     right = np.concatenate((h1 + i2, row + h1 + i2))[None]
-    m, v1, v2 = len(z1) + len(z2) + 1, np.array(z1, dtype=np.intp), np.array(z2, dtype=np.intp)
-    index = np.min_scalar_type(4 * half)
-    return _Shape(m, z1, z2, *_frozen(sp2, cut.astype(index), base.astype(index), shift,
-                                       left.astype(index), sign, right.astype(index), v1, v2,
-                                       m - 1 + v1, m - 1 + v2))
+    index = np.intp if small else np.min_scalar_type(4 * half)
+    return _Shape(len(z1) + len(z2) + 1, z1, z2,
+                  *_frozen(cut.astype(index), base.astype(index), shift, left.astype(index),
+                           sign, right.astype(index), *_mixing(z1, z2, factor)))
+
+
+def _mixing(z1: tuple[int, ...], z2: tuple[int, ...], factor) -> tuple[np.ndarray, ...]:
+    """``mix`` (of dtype ``factor``), ``src``, ``off``, ``cols`` and ``lut``
+    of :class:`_Shape`."""
+    k1, k2 = len(z1), len(z2)
+    m, right = k1 + k2 + 1, 2 * k1 + 2  # the right sub-pair's first column
+    mix = np.zeros((right + 2 * k2 + 2, 2 * m + 2), dtype=factor)
+    for j, v in enumerate(z1):
+        mix[k1 + j, m - 1 + v] = 1
+    for j, v in enumerate(z2):
+        mix[right + k2 + j, m - 1 + v] = 1
+    # c of x_m: less the left c, c0 twice and c', plus the right c'
+    mix[k1 : 2 * k1, 2 * m - 1] = -1
+    mix[2 * k1, 2 * m - 1], mix[2 * k1 + 1, 2 * m - 1], mix[-1, 2 * m - 1] = -2, -1, 1
+    mix[2 * k1, 2 * m] = mix[-2, 2 * m] = 1  # c0
+    mix[2 * k1 + 1, 2 * m + 1] = 1  # c'
+    src = np.array([*range(k1), *range(right, right + k2)], dtype=np.intp)
+    off = np.array([-1] * k1 + [k1 - 1] * k2, dtype=np.intp)
+    cols = np.array([*range(k1), *range(k1 + 1, m)], dtype=np.intp)
+    return mix, src, off, cols, np.array(z1 + z2, dtype=np.intp)
 
 
 def _join(q: int, shape: _Shape, subs: np.ndarray) -> np.ndarray:
@@ -247,23 +277,14 @@ def _recombine(q: int, shape: _Shape, left: np.ndarray, right: np.ndarray) -> np
     along the right path; the linear coefficient attached to x_m absorbs
     the constants produced by complementing the left pair.
     """
-    m, k1, k2 = shape.m, len(shape.z1), len(shape.z2)
-    out = np.empty((len(left), 2 * m + 2), dtype=left.dtype)
-    out[:, k1] = m
-    c0, cp = left[:, -2], left[:, -1]
-    top = q // 2 * k1 - 2 * c0 + right[:, -1] - cp
-    if k1:
-        steps = left[:, :k1] - 1
-        out[:, :k1] = shape.v1.take(steps if steps.dtype != object else steps.astype(np.intp))
-        out[:, shape.c1] = left[:, k1 : 2 * k1]
-        top -= left[:, k1 : 2 * k1].sum(axis=1)
-    if k2:
-        steps = right[:, :k2] - 1
-        out[:, k1 + 1 : m] = shape.v2.take(steps if steps.dtype != object else steps.astype(np.intp))
-        out[:, shape.c2] = right[:, k2 : 2 * k2]
-    out[:, 2 * m - 1] = top % q
-    out[:, 2 * m] = (c0 + right[:, -2]) % q
-    out[:, 2 * m + 1] = cp
+    both = np.concatenate((left, right), axis=1)
+    out = both @ shape.mix
+    steps = both.take(shape.src, axis=1) + shape.off
+    out[:, shape.cols] = shape.lut.take(steps if steps.dtype != object else steps.astype(np.intp))
+    out[:, len(shape.z1)] = shape.m
+    tail = out[:, -3:-1]  # c of x_m and c0
+    tail[:, 0] += q // 2 * len(shape.z1)
+    tail %= q
     return out
 
 
@@ -276,6 +297,60 @@ def _param_objects(q: int, m: int, rows: np.ndarray) -> list[StandardParams]:
         _trusted(StandardParams, q, m, tuple(row[:m]), tuple(row[m : 2 * m]), row[-2], row[-1])
         for row in values
     ]
+
+
+def _param_rows(dtype, params) -> np.ndarray:
+    """:class:`StandardParams` of one dimension packed as rows (pi, c, c0, c')."""
+    return np.array([p.pi + p.c + (p.c0, p.c_prime) for p in params], dtype=dtype)
+
+
+def _sub_rows(dtype, subs) -> np.ndarray:
+    """Sub-pairs (a, b, c, d), given as entry tuples, stacked as (n, 2,
+    points) rows (a | c, b | d)."""
+    return np.array([(a + c, b + d) for a, b, c, d in subs], dtype=dtype)
+
+
+def _sub_pairs(shape: _Shape, subs: np.ndarray) -> list[tuple[list, list, list, list]]:
+    """The sub-pairs (a, b, c, d), as entry lists, of (n, 2, points) rows."""
+    h1 = 1 << len(shape.z1)
+    return [(ac[:h1], bd[:h1], ac[h1:], bd[h1:]) for ac, bd in subs.tolist()]
+
+
+def _stack_subs(ab: np.ndarray, cd: np.ndarray) -> np.ndarray:
+    """Rows (a | c, b | d) of the stacked sub-pairs (a, b) and (c, d)."""
+    return np.concatenate((ab, cd), axis=2)
+
+
+def _unstack_subs(shape: _Shape, subs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stacks of the sub-pairs (a, b) and (c, d) of rows (a | c, b | d)."""
+    h1 = 1 << len(shape.z1)
+    return subs[:, :, :h1], subs[:, :, h1:]
+
+
+def _gcd_split(q: int, m: int, f0: tuple, g0: tuple) -> tuple:
+    """(z1, z2, a, b, c) of the common-part split of the restriction pair
+    (f0, g0) on m variables, given as entries: the decomposition's split of
+    a node whose x_m = 0 halves they are."""
+    halves = np.array([(f0, g0)], dtype=_dtype(q))
+    shape = _split_shape(m, int(_common_vars(q, m, halves)[0]))
+    # a, b and c come from a node's x_m = 0 halves, whatever its x_m = 1 halves
+    a, b, c, _ = _sub_pairs(shape, _parts(q, shape, np.concatenate((halves, halves), axis=2)))[0]
+    k1, k2 = len(shape.z1), len(shape.z2)
+    return shape.z1, shape.z2, _array(q, k1, a), _array(q, k1, b), _array(q, k2, c)
+
+
+def _forced_d(q: int, shape: _Shape, a: tuple, b: tuple, f1: tuple, g1: tuple) -> tuple:
+    """(d, whether the forced forms hold) for x_m = 1 halves (f1, g1) and
+    the split's a and b, given as entries: the decomposition's forced-form
+    check of one node."""
+    zeros = (0,) * (1 << len(shape.z2))
+    # the node whose x_m = 0 halves are a and b alone, from which _parts
+    # reads a, b and b*(0) back, and whose x_m = 1 halves are the given ones
+    node = _join(q, shape, _sub_rows(_dtype(q), [(a, b, zeros, zeros)]))
+    node[0, :, len(f1) :] = f1, g1
+    subs = _parts(q, shape, node)
+    d = _sub_pairs(shape, subs)[0][3]
+    return _array(q, len(shape.z2), d), bool((_join(q, shape, subs) == node).all())
 
 
 class _Group(NamedTuple):
@@ -375,11 +450,10 @@ def _decomposition(q: int, claimed: dict[int, tuple[np.ndarray, np.ndarray]], n:
     failures = {}
     for k in range(top, -1, -1):
         parts = pending[k]
-        if len(parts) == 1:
-            stack = parts[0][0]
-        else:
-            stack = (np.concatenate([part for part, _ in parts]) if parts
-                     else np.zeros((0, 2, 1 << k), dtype=dtype))
+        if not parts:
+            levels[k] = _Level(0, [], [])
+            continue
+        stack = parts[0][0] if len(parts) == 1 else np.concatenate([part for part, _ in parts])
         firsts, inverse = _distinct(stack)
         nodes = stack.take(firsts, axis=0)
         start = 0
@@ -393,12 +467,12 @@ def _decomposition(q: int, claimed: dict[int, tuple[np.ndarray, np.ndarray]], n:
             levels[0] = _Level(len(nodes), [], [(q, np.arange(len(nodes)), c0,
                                                  (nodes[:, 1, 0] - c0) % q)])
             continue
-        groups, broken = _split(q, k, nodes) if len(nodes) else ([], {})
+        groups, broken = _split(q, k, nodes)
         failures.update({(0, (k, row)): message for row, message in broken.items()})
         for g in groups:
-            h1 = 1 << len(g.shape.z1)
-            pending[len(g.shape.z1)].append((g.subs[:, :, :h1], g.left))
-            pending[len(g.shape.z2)].append((g.subs[:, :, h1:], g.right))
+            ab, cd = _unstack_subs(g.shape, g.subs)
+            pending[len(g.shape.z1)].append((ab, g.left))
+            pending[len(g.shape.z2)].append((cd, g.right))
         levels[k] = _Level(len(nodes), groups, [])
     return _Forest(dtype, levels, roots, failures, {})
 

@@ -2,7 +2,6 @@
 
 import random
 import time
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -248,18 +247,23 @@ def test_polynomial_at_a_large_modulus_is_fast():
     assert time.perf_counter() - start < 0.1
 
 
-def test_context_cache_is_bounded_and_holds_a_cycle_of_four():
-    info = get_context.cache_info()
-    assert info.maxsize is not None and 4 <= info.maxsize <= 8
-    for q in range(2, info.maxsize + 5):
+def test_context_cache_is_bounded_and_holds_a_cycle_of_four(monkeypatch):
+    import golaypairs.cyclotomic as cyc
+
+    # room for the tables of four small moduli and no more; each of q = 2..10
+    # fits alone
+    cap = sum(get_context(q).table.nbytes for q in (2, 4, 8, 10))
+    monkeypatch.setattr(cyc, "_CACHE_BYTES", cap)
+    monkeypatch.setattr(cyc, "_contexts", {})
+    for q in range(2, 11):
         get_context(q)
-    assert get_context.cache_info().currsize <= info.maxsize
+        assert sum(c.table.nbytes for c in cyc._contexts.values()) <= cap
     for q in (2, 4, 8, 10):
         get_context(q)
-    misses = get_context.cache_info().misses
+    misses = cyc._misses
     for q in (2, 4, 8, 10) * 3:
         get_context(q)
-    assert get_context.cache_info().misses == misses
+    assert cyc._misses == misses
 
 
 def test_context_cache_drops_tables_before_building_past_its_byte_cap(monkeypatch):
@@ -268,7 +272,7 @@ def test_context_cache_drops_tables_before_building_past_its_byte_cap(monkeypatc
     # room for the tables of q = 61 and q = 59 together, phi(q) * q entries
     # of 8 bytes each, but not for a third large one
     monkeypatch.setattr(cyc, "_CACHE_BYTES", 8 * (60 * 61 + 58 * 59))
-    monkeypatch.setattr(cyc, "_contexts", OrderedDict())
+    monkeypatch.setattr(cyc, "_contexts", {})
     builds = []
 
     class Recording(CycContext):
@@ -283,7 +287,7 @@ def test_context_cache_drops_tables_before_building_past_its_byte_cap(monkeypatc
     # every table was built with the cache already below the cap
     assert [q for q, _ in builds] == [61, 59, 53, 61, 59, 53, 2, 3]
     assert all(total <= cyc._CACHE_BYTES for _, total in builds)
-    # each large modulus evicted the least recently used one; the small ones
+    # each large modulus evicted the oldest one; the small ones
     # fit beside the last two
     assert list(cyc._contexts) == [59, 53, 2, 3]
     assert get_context(2) is get_context(2)

@@ -31,6 +31,7 @@ from helpers import (
     random_entries,
     random_params_tuple,
     reference_certify,
+    reference_decompose,
     reference_walk,
 )
 
@@ -162,6 +163,20 @@ def test_extract_d_flags_non_pairs():
     s = gcd_normalized(f0, g0)
     _, ok = extract_d(f1, g1, s)
     assert not ok
+
+
+def test_extract_d_reads_only_a_b_and_the_halves():
+    # d = f1(0_z1, x_z2) + b*(0_z1) and the forced forms do not involve c,
+    # so a common part moved off its normalisation changes neither
+    rng = random.Random(7)
+    for _ in range(20):
+        q, m = rng.choice((4, 6, 8)), rng.randint(1, 6)
+        f, g = construct_standard(rand_params(rng, q, m))
+        f0, f1 = split_last(f)
+        g0, g1 = split_last(g)
+        s = gcd_normalized(f0, g0)
+        moved = dataclasses.replace(s, c=s.c + 1)
+        assert extract_d(f1, g1, moved) == extract_d(f1, g1, s)
 
 
 def test_decompose_worked_example():
@@ -595,12 +610,12 @@ def _foreign_leaf():
 
 
 def _rerooted_modulus():
-    from golaypairs.forest import _param_objects, _recombine, _shape
+    from golaypairs.forest import _param_objects, _param_rows, _recombine, _shape
 
     f, g, data = _witness_base(2)
     left, right = (
-        np.array([p["pi"] + p["c"] + [p["c0"], p["c_prime"]]])
-        for p in (data[side]["params"] for side in ("left", "right"))
+        _param_rows(np.int64, [StandardParams.from_json_dict(data[side]["params"])])
+        for side in ("left", "right")
     )
     (params,) = _param_objects(4, 3, _recombine(4, _shape((), (1, 2)), left, right))
     return f, g, {**data, "q": 4, "params": params.to_json_dict()}
@@ -683,3 +698,41 @@ def test_every_certificate_check_has_a_witness(tamper, message):
     with pytest.raises(VerificationError) as exc:
         verify_certificate(f, g, cert, max_corr_dim=cert.m)
     assert str(exc.value) == f"certificate verification failed: {message}"
+
+
+@pytest.mark.parametrize("q", [(1 << 56) + 2, 1 << 70])
+def test_decomposition_and_certification_past_int64(q):
+    # past 2**56 the stacks hold Python integers: decompose, replay and the
+    # certifier (without the correlations, which need q <= 4096) agree with
+    # the node-by-node reference on pairs, tampered certificates and non-pairs;
+    # m = 9 reaches shapes whose index arrays are stored narrow
+    rng = random.Random(q % 997)
+    for m in (*range(7), 9):
+        for _ in range(3):
+            params = rand_params(rng, q, m)
+            f, g = construct_standard(params)
+            got, cert = decompose(f, g)
+            assert got == params
+            assert cert.to_json_dict() == reference_decompose(f, g).to_json_dict()
+            fe, ge, _ = reference_walk(cert, 0)
+            assert (fe, ge) == (f.entries, g.entries)
+            assert tuple(arr.entries for arr in replay(cert)) == (fe, ge)
+            verify_certificate(f, g, cert, max_corr_dim=0)
+            if not m:
+                continue
+            bent = dataclasses.replace(
+                cert, params=dataclasses.replace(cert.params, c0=(cert.params.c0 + 1) % q)
+            )
+            with pytest.raises(VerificationError) as want:
+                reference_walk(bent, 0)
+            with pytest.raises(VerificationError) as got_error:
+                verify_certificate(f, g, bent, max_corr_dim=0)
+            assert str(got_error.value) == str(want.value)
+            moved = list(f.entries)
+            moved[rng.randrange(len(moved))] += q // 2
+            moved = QaryArray(q, m, [v % q for v in moved])
+            with pytest.raises(NotAGapError) as want:
+                reference_decompose(moved, g)
+            with pytest.raises(NotAGapError) as got_error:
+                decompose(moved, g)
+            assert str(got_error.value) == str(want.value)

@@ -72,7 +72,7 @@ from golaypairs import (
 )
 from golaypairs import certify, qarray
 from golaypairs.certify import _certify
-from golaypairs.forest import _join, _param_objects, _recombine, _shape
+from golaypairs.forest import _join, _param_objects, _param_rows, _recombine, _shape, _sub_rows
 from golaypairs.qarray import (
     _coords,
     _cube_plan,
@@ -97,6 +97,7 @@ from helpers import (
     reference_certify,
     reference_decompose,
     reference_join,
+    reference_walk,
     standard_table,
 )
 
@@ -746,17 +747,41 @@ def test_stacked_certifier_agrees_with_the_reference_recursion(case):
     assert _certify(q, depth, pairs, certs)[:2] == reference_certify(q, depth, pairs, certs)
 
 
-@settings(max_examples=60)
+def alone(f, g, depth):
+    """The message that rejects (f, g) when it is decomposed and certified
+    on its own up to dimension ``depth``, or None."""
+    try:
+        _, cert = decompose(f, g)
+    except NotAGapError as exc:
+        return str(exc)
+    return verdict(f, g, cert, depth)
+
+
+@settings(max_examples=80)
 @given(certification_batches())
 def test_batch_shared_certification_equals_fresh_per_pair_calls(case):
-    # each pair gets the message it gets in a batch of one, and the rows per
-    # dimension add up
     q, rows, kinds, depth = case
+    # the witnesses and rows per dimension, from each pair's own reference
+    # walk judged by the float oracle
+    want_witnesses, want_counts = set(), Counter()
+    for row in rows:
+        f, g = arrays(q, row)
+        try:
+            fe, ge, walked = reference_walk(reference_decompose(f, g), depth)
+        except (NotAGapError, VerificationError):
+            want_witnesses.add(row)
+            continue
+        assert (fe, ge) == row
+        for dim, fe, ge in walked:
+            want_counts[dim] += 1
+            if not float_is_gap(q, dim, fe, ge):
+                want_witnesses.add(row)
     pairs = [arrays(q, row) for row in rows]
     failures, counts, *_ = _certify(q, depth, pairs)
-    alone = [_certify(q, depth, [pair]) for pair in pairs]
-    assert [failures.get(i) for i in range(len(pairs))] == [a[0].get(0) for a in alone]
-    assert counts == sum((Counter(a[1]) for a in alone), Counter())
+    assert {rows[i] for i in failures} == want_witnesses
+    assert counts == want_counts
+    # each pair of the batch gets the message it gets in a batch of one
+    assert [failures.get(i) for i in range(len(pairs))] == [alone(f, g, depth) for f, g in pairs]
     certs = batch_certificates(q, rows, kinds)
     failures = _certify(q, depth, pairs, certs)[0]
     assert [failures.get(i) for i in range(len(pairs))] == [
@@ -789,8 +814,8 @@ def test_recombined_parameters_expand_to_the_rebuilt_pair(case):
     q, m, z1, z2, left, right = case
     shape = _shape(z1, z2)
     (a, b), (c, d) = (construct_standard(p) for p in (left, right))
-    subs = np.array([[a.entries + c.entries, b.entries + d.entries]])
-    packed = (np.array([p.pi + p.c + (p.c0, p.c_prime)]) for p in (left, right))
+    subs = _sub_rows(np.int64, [(a.entries, b.entries, c.entries, d.entries)])
+    packed = (_param_rows(np.int64, [p]) for p in (left, right))
     (params,) = _param_objects(q, m, _recombine(q, shape, *packed))
     f, g = construct_standard(params)
     assert [list(f.entries), list(g.entries)] == _join(q, shape, subs)[0].tolist()
