@@ -19,18 +19,23 @@ The standard set is expanded by the same routine: the standard pair of
 (pi, c, c0, c') is the base pair of (pi, c, 0, 0) plus (c0, c0 + c'), so
 only the m! q^m base pairs are built (see :func:`enumerate_standard`).
 
-The join is a sorted search, not a hash table.  Fingerprint rows are held in
-one contiguous array in representative order.  A canonical coordinate is at
-most 2^m times the largest reduction entry in absolute value, so each row
-is stored in the narrowest signed dtype holding that bound (int8 for every
-space with m >= 2 inside ``DEFAULT_BUDGET``), where negation cannot
-overflow.  The rows are sorted once by a fixed-width byte view, in which
-equal views are equal rows.  The negated rows are then probed chunk by chunk
-with ``searchsorted``, so no full negated copy is ever held.  The join holds
-the rows twice (as swept and sorted) plus an int64 sort index, so a
-representative costs 2 * width * itemsize + 8 bytes: 112 at (8,3), whose
-2^21 representatives take 235 MB.
-A space whose estimate is over ``_MAX_BYTES`` is refused with
+The join is a sorted search on a linear hash, checked row by row.
+Fingerprint rows are held once, in one contiguous array in representative
+order.  A canonical coordinate is at most 2^m times the largest reduction
+entry in absolute value, so each row is stored in the narrowest signed
+dtype holding that bound (int8 for every space with m >= 2 inside
+``DEFAULT_BUDGET``), where negation cannot overflow.  Each row also gets an
+int64 hash, its dot product with fixed odd weights, wrapping; the hash is
+linear, so the negated row hashes to the negated hash.  The hashes are
+argsorted once and walked in chunks; each chunk's negated hashes are probed
+with ``searchsorted``, and a candidate is kept only if its rows are
+negatives of each other, so exactness never rests on the hash.  For the
+DEBUG record only, distinct fingerprints are counted as the runs of equal
+hashes, corrected inside any run whose neighbouring rows differ.  The join
+holds the rows plus three int64s per representative (hash, sort index,
+sorted hash), so a representative costs width * itemsize + 24 bytes: 76 at
+(8,3), whose 2^21 representatives take 159 MB.  A space whose estimate
+(:func:`_join_bytes`) is over ``_MAX_BYTES`` is refused with
 :class:`BudgetExceededError` before any work.  The expanded pair list is
 held to the same cap: after the join, the matched representatives bound the
 number of pairs, and a census whose pairs would take more than
@@ -76,7 +81,7 @@ from .standard import StandardParams, construct_standard
 DEFAULT_BUDGET = 20_000_000
 CHUNK = 4096
 # Refuse a join or a pair list whose estimate passes 1 GiB; the (8,3) join
-# needs about 235 MB.
+# needs about 159 MB.
 _MAX_BYTES = 1 << 30
 # Peak memory of `census` per censused pair over its 32 MB baseline: 1.16 KB
 # at (64,1) and (512,0), with about 131,000 pairs each, on Python 3.11.
@@ -89,7 +94,7 @@ def _row_layout(q: int, m: int) -> tuple[int, np.dtype]:
     """Columns and dtype of one fingerprint row.
 
     A row has phi(q) coordinates per half shift; at m = 0 it is padded to
-    one zero column so its byte view is never empty.  The dtype is the
+    one zero column so it is never empty.  The dtype is the
     narrowest signed one holding -bound - 1, so it holds +-bound for the
     bound 2^m times the context's largest reduction entry, and negating a
     row cannot overflow.
@@ -109,65 +114,97 @@ def _entries(q: int, m: int, reps) -> np.ndarray:
     return out
 
 
+def _weights(width: int) -> np.ndarray:
+    """Fixed odd int64 weights of the row hash: splitmix64 of 1 .. width."""
+    z = np.arange(1, width + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ z >> 30) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ z >> 27) * np.uint64(0x94D049BB133111EB)
+    return (z ^ z >> 31 | 1).view(np.int64)
+
+
 def _chunk_rows(
     q: int, m: int, start: int, stop: int, width: int, dtype: np.dtype
-) -> np.ndarray:
-    """Fingerprint rows of representatives start..stop-1, in order."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fingerprint rows of representatives start..stop-1, in order, and their hashes."""
     plan = _cube_plan(m)
     n = stop - start
     table = _entries(q, m, np.arange(start, stop))[:, None]
     sig = _coords(plan, table, q, 0, len(plan.order)).reshape(n, -1)
-    if np.abs(sig).max(initial=0) > np.iinfo(dtype).max:
+    if max(int(sig.max(initial=0)), -int(sig.min(initial=0))) > np.iinfo(dtype).max:
         raise VerificationError(
             "canonical coordinate outside its proven bound"
         )  # pragma: no cover - internal guard
     rows = np.zeros((n, width), dtype=dtype)
     rows[:, : sig.shape[1]] = sig
-    return rows
+    return rows, sig @ _weights(sig.shape[1])
 
 
 def _sweep(
     q: int, m: int, reps: int, width: int, dtype: np.dtype, workers: int
-) -> np.ndarray:
-    """Fingerprint rows of every representative, in representative order."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fingerprint rows and hashes of every representative, in order."""
     starts = range(0, reps, CHUNK)
     tasks = [(q, m, a, min(a + CHUNK, reps), width, dtype) for a in starts]
     rows = np.empty((reps, width), dtype=dtype)
+    hashes = np.empty(reps, dtype=np.int64)
     chunks = _run(_chunk_rows, tasks, workers)
     for task in tasks:
         # unnamed, so each chunk is freed before the next one is built
-        rows[task[2] : task[3]] = next(chunks)
-    return rows
+        rows[task[2] : task[3]], hashes[task[2] : task[3]] = next(chunks)
+    return rows, hashes
 
 
-def _keys(rows: np.ndarray) -> np.ndarray:
-    """One fixed-width byte string per row; equal keys are equal rows."""
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-
-
-def _matches(rows: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _matches(
+    rows: np.ndarray, order: np.ndarray, keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Representative pairs (r, s) with fp(s) = -fp(r), and the number of
-    distinct fingerprints.
+    hash candidates.
 
-    ``rows`` are sorted by key and row i is representative ``order[i]``.
-    Each chunk of rows is negated and probed for its run of equal keys.
+    ``keys`` are the row hashes in ascending order and ``order`` their
+    representatives.  Each chunk of negated keys is probed for its run of
+    equal keys, and a candidate is kept only if its rows negate each other.
     """
-    keys = _keys(rows)
-    f_parts, g_parts = [], []
-    distinct = 1
-    for start in range(0, len(rows), CHUNK):
-        stop = min(start + CHUNK, len(rows))
-        first = max(start, 1)
-        distinct += int(np.count_nonzero(keys[first:stop] != keys[first - 1 : stop - 1]))
-        probe = _keys(-rows[start:stop])
-        lo = np.searchsorted(keys, probe, "left")
-        counts = np.searchsorted(keys, probe, "right") - lo
-        hit = np.flatnonzero(counts)
-        c = counts[hit]
-        offsets = np.repeat(lo[hit] - (np.cumsum(c) - c), c)
-        f_parts.append(order[np.repeat(start + hit, c)])
-        g_parts.append(order[offsets + np.arange(c.sum())])
-    return np.concatenate(f_parts), np.concatenate(g_parts), distinct
+    f_parts, g_parts, candidates = [], [], 0
+    for start in range(0, len(keys), CHUNK):
+        probe = -keys[start : start + CHUNK]
+        lo = np.searchsorted(keys, probe)
+        hit = np.flatnonzero(keys[np.minimum(lo, len(keys) - 1)] == probe)
+        lo = lo[hit]
+        c = np.searchsorted(keys, probe[hit], "right") - lo
+        f = order[np.repeat(start + hit, c)]
+        g = order[np.repeat(lo - (np.cumsum(c) - c), c) + np.arange(c.sum())]
+        negates = (rows[f] == -rows[g]).all(axis=1)
+        candidates += len(f)
+        f_parts.append(f[negates])
+        g_parts.append(g[negates])
+    return np.concatenate(f_parts), np.concatenate(g_parts), candidates
+
+
+def _distinct(rows: np.ndarray, order: np.ndarray, keys: np.ndarray) -> int:
+    """The number of distinct rows, ``keys`` and ``order`` as for
+    :func:`_matches`: the runs of equal keys, plus the extra distinct rows
+    of any run in which two neighbours differ.  Rows are compared only
+    inside runs, a chunk at a time."""
+    runs, mixed = 1, set()
+    for start in range(0, len(keys), CHUNK):
+        stop = min(start + CHUNK, len(keys))
+        a = max(start - 1, 0)
+        same = np.flatnonzero(keys[a + 1 : stop] == keys[a : stop - 1])
+        runs += stop - a - 1 - len(same)
+        clash = same[(rows[order[a + same]] != rows[order[a + 1 + same]]).any(axis=1)]
+        mixed.update(np.searchsorted(keys, keys[a + 1 + clash]).tolist())
+    return runs + sum(
+        len(np.unique(rows[order[a : np.searchsorted(keys, keys[a], "right")]], axis=0)) - 1
+        for a in mixed
+    )
+
+
+def _join_bytes(reps: int, row: int) -> int:
+    """Join estimate for ``reps`` rows of ``row`` bytes: the documented
+    refusals' 2 * row + 8 bytes per representative, or, for rows under 16
+    bytes (at most 216 representatives, at (6,2)), the row + 24 bytes that
+    the join holds, whichever is larger."""
+    return reps * max(row + 24, 2 * row + 8)
 
 
 def _space_size(q: int, m: int, budget: int) -> int | None:
@@ -268,7 +305,7 @@ def enumerate_all_gaps(
         )
     reps = n_total // q
     width, dtype = _row_layout(q, m)
-    join_bytes = reps * (2 * width * dtype.itemsize + 8)
+    join_bytes = _join_bytes(reps, width * dtype.itemsize)
     if join_bytes > _MAX_BYTES:
         raise BudgetExceededError(
             f"the census join at q={q}, m={m} would need about {join_bytes >> 20} MiB,"
@@ -276,13 +313,17 @@ def enumerate_all_gaps(
         )
 
     t0 = time.perf_counter()
-    rows = _sweep(q, m, reps, width, dtype, workers)
+    rows, hashes = _sweep(q, m, reps, width, dtype, workers)
     t1 = time.perf_counter()
-    order = np.argsort(_keys(rows))
-    rows = rows[order]
-    f_reps, g_reps, distinct = _matches(rows, order)
-    del rows
+    order = np.argsort(hashes)
+    keys = hashes[order]
+    del hashes
+    f_reps, g_reps, candidates = _matches(rows, order, keys)
     t2 = time.perf_counter()
+    # counted only for the DEBUG record, and timed in no stage
+    distinct = _distinct(rows, order, keys) if _log.isEnabledFor(logging.DEBUG) else 0
+    del rows, order, keys
+    t3 = time.perf_counter()
     # a match (r, s) expands to q^2 ordered pairs; when r != s, (s, r) gives
     # the same unordered ones, and when r = s, q(q + 1) / 2 are unordered
     max_pairs = len(f_reps) * q * (q + 1) // 2
@@ -302,10 +343,11 @@ def enumerate_all_gaps(
             )  # pragma: no cover - internal guard
     _log.debug(
         "census q=%d m=%d: %d representatives swept, %d distinct fingerprints,"
+        " %d hash candidates, %d rejected by the row check,"
         " %d matched representative pairs, %d pairs re-verified;"
         " sweep %.3f s, join %.3f s, expansion %.3f s",
-        q, m, reps, distinct, len(f_reps), len(pairs),
-        t1 - t0, t2 - t1, time.perf_counter() - t2,
+        q, m, reps, distinct, candidates, candidates - len(f_reps), len(f_reps), len(pairs),
+        t1 - t0, t2 - t1, time.perf_counter() - t3,
     )
     return pairs
 

@@ -29,6 +29,20 @@ _MAX_Q = 4096
 _CACHE_BYTES = 1 << 28
 
 
+def _primes(q: int) -> list[int]:
+    """The distinct primes of q >= 1, ascending."""
+    primes, n, p = [], q, 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     """Coefficients of the q-th cyclotomic polynomial, ascending degree.
@@ -49,15 +63,7 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
         raise ValueError(f"q must be positive, got {q}")
     if q == 1:
         return (-1, 1)
-    primes, n, p = [], q, 2
-    while p * p <= n:
-        if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
+    primes = _primes(q)
     r, size = prod(primes), prod(p - 1 for p in primes) + 1  # phi(r) + 1
     factors = [(r, 1)]  # (d, mu(r / d)) for every divisor d of r
     for p in primes:
@@ -81,11 +87,15 @@ class CycContext:
     Holds the q-th cyclotomic polynomial, its degree phi(q), the reduction
     ``table``, a read-only int64 (phi(q), q) array whose column d is x**d
     modulo that polynomial, and its largest absolute entry ``max_entry``.
+    With r = ``radical``, the product of the distinct primes of q, and
+    s = q / r, Phi_q(x) = Phi_r(x**s), so x**(a*s + b) reduces to the
+    sum of ``radical_table[i, a] * x**(i*s + b)``: ``radical_table`` is
+    ``table[::s, ::s]``, the (phi(r), r) table of r.
     Elements carry a reference to their context; mixing contexts raises.
     Moduli above 4096 are refused with ``ValueError``.
     """
 
-    __slots__ = ("q", "phi", "degree", "table", "max_entry")
+    __slots__ = ("q", "phi", "degree", "table", "max_entry", "radical", "radical_table")
 
     def __init__(self, q: int):
         _check_modulus(q)
@@ -106,6 +116,9 @@ class CycContext:
             raise ValueError(f"reduction table too large for int64 at q={q}")
         table.flags.writeable = False
         self.table = table
+        self.radical = prod(_primes(q))
+        step = q // self.radical
+        self.radical_table = table[::step, ::step]
 
     def zero(self) -> "CycElement":
         return CycElement(self, (0,) * self.q)

@@ -27,11 +27,15 @@ per array.  The plan cuts its batches into runs of whole shifts of at most
 ``_SLICE`` (shift, cell) combinations, and the correlations pass one batch
 per kernel call, so a call's temporaries hold at most
 groups * rows * ``_SLICE`` keys (more only for a single longer shift): for
-a pair, about 1 MiB each, which stays in cache.  Multiplying the
-histograms by the reduction table that the modulus's ``CycContext`` holds
-gives canonical coordinates, exact in int64 while the cells times the
-table's largest entry stay below 2**62: true for every q the context
-admits, and checked on every call, which raises ``ValueError`` if not.
+a pair, about 1 MiB each, which stays in cache.  Canonical coordinates
+come from the histograms through the table of the radical r of q, which
+the modulus's ``CycContext`` holds: with q = r * s, Phi_q(x) = Phi_r(x**s),
+so the histograms are reshaped to r rows of s * shifts counts and reduced
+along r, s**2 times less work than the (phi(q), q) table.  For a prime r
+the reduction is one subtraction of the last row.  Coordinates are exact in
+int64 while the cells times the table's largest entry stay below 2**62:
+true for every q the context admits, and checked on every call, which
+raises ``ValueError`` if not.
 
 Complementarity verdicts come from one kernel, :func:`_gaps`, which takes
 a stack of pairs and returns one verdict per pair; :func:`is_gap` and
@@ -380,14 +384,25 @@ def _histograms(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) ->
 def _coords(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
     """Canonical coordinates of the :func:`_histograms` of plan shifts
     lo .. hi-1: entry (k, i, s - lo) is coordinate i of row group k's summed
-    autocorrelation at plan shift s.  A group of at most two rows of
-    ``cells`` entries counts at most 2 * cells pairs per shift, so a
-    coordinate stays below 2 * cells * ``max_entry``, which must be below
-    2**63."""
+    autocorrelation at plan shift s, reduced through the radical's table
+    (see the module docstring); for a prime radical, in place, as a view of
+    the histograms.  A group of at most two rows of ``cells``
+    entries counts at most 2 * cells pairs per shift, so a coordinate stays
+    below 2 * cells * ``max_entry``, which must be below 2**63."""
     ctx = get_context(q)
     if rows.shape[2] * ctx.max_entry >= 1 << 62:
         raise ValueError(f"canonical coordinates too large for an exact int64 sweep at q={q}")
-    return ctx.table @ _histograms(plan, rows, q, lo, hi)
+    hist = _histograms(plan, rows, q, lo, hi)
+    groups, _, n = hist.shape
+    r, table = ctx.radical, ctx.radical_table
+    # exponent a*s + b on axis 1 becomes (a, b * n + shift)
+    hist = hist.reshape(groups, r, q // r * n)
+    if len(table) == r - 1:  # r prime: x**(r-1) = -(1 + x + ... + x**(r-2))
+        coords = hist[:, :-1]
+        coords -= hist[:, -1:]
+    else:
+        coords = table @ hist
+    return coords.reshape(groups, ctx.degree, n)
 
 
 def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:

@@ -188,10 +188,50 @@ def test_census_logs_counters_and_stage_timings(caplog):
     (record,) = [r for r in caplog.records if r.name == "golaypairs"]
     assert record.levelno == logging.DEBUG
     message = record.getMessage()
-    assert "q=4 m=2: 64 representatives swept" in message
-    assert "256 pairs re-verified" in message
+    assert "q=4 m=2: 64 representatives swept, 40 distinct fingerprints" in message
+    assert "32 hash candidates, 0 rejected by the row check" in message
+    assert "32 matched representative pairs, 256 pairs re-verified" in message
     for stage in ("sweep", "join", "expansion"):
         assert f"{stage} " in message
+
+
+def census_counts(caplog, q, m):
+    """The pair ids of (q, m) and its DEBUG counters before the stage timings."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="golaypairs"):
+        pairs = ids_of(enumerate_all_gaps(q, m), q)
+    (record,) = [r for r in caplog.records if r.name == "golaypairs"]
+    counts = [int(w) for w in record.getMessage().split(";")[0].split() if w.isdigit()]
+    return pairs, dict(zip(("reps", "distinct", "candidates", "rejected", "matched", "pairs"), counts))
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [lambda width: np.zeros(width, dtype=np.int64), lambda width: np.eye(1, width, dtype=np.int64)[0]],
+    ids=["zero", "first column"],
+)
+def test_exactness_rests_on_the_row_check(monkeypatch, caplog, weights):
+    # every row hashes to 0, or to its first coordinate, so hash runs hold
+    # distinct rows and the row check has to reject most candidates
+    import golaypairs.census as census
+
+    spaces = ((2, 1), (3, 1), (4, 1), (2, 2), (5, 1), (6, 1), (3, 2), (4, 2), (2, 3))
+    rejected = 0
+    for q, m in spaces:
+        slow = sorted(quadratic_all_gaps(q, m))
+        pairs, exact = census_counts(caplog, q, m)
+        assert pairs == slow and exact["rejected"] == 0, (q, m)
+        for chunk in (census.CHUNK, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(census, "CHUNK", chunk)
+                patch.setattr(census, "_weights", weights)
+                pairs, counts = census_counts(caplog, q, m)
+            assert pairs == slow, (q, m, chunk)
+            assert counts["distinct"] == exact["distinct"], (q, m, chunk)
+            assert counts["matched"] == exact["matched"], (q, m, chunk)
+            assert counts["candidates"] - counts["rejected"] == counts["matched"], (q, m, chunk)
+            rejected += counts["rejected"]
+    assert rejected > 0
 
 
 def test_verify_theorem_logs_certification_statistics(caplog):
@@ -304,6 +344,42 @@ def test_fingerprint_rows_are_narrow():
     assert _row_layout(2, 5) == (121, np.dtype(np.int8))
     # a dimension-0 row is padded to one column
     assert _row_layout(5, 0) == (1, np.dtype(np.int8))
+
+
+def test_join_estimate_bounds_the_join_and_keeps_the_refusals():
+    import tracemalloc
+
+    from golaypairs.census import (
+        _MAX_BYTES, _distinct, _join_bytes, _matches, _row_layout, _sweep,
+    )
+
+    # what the join holds, rows and hashes plus its peak while it sorts,
+    # matches and counts, on spaces of many chunks
+    for q, m in ((5, 3), (6, 3), (2, 4)):
+        reps = q ** (1 << m) // q
+        width, dtype = _row_layout(q, m)
+        rows, hashes = _sweep(q, m, reps, width, dtype, 1)
+        tracemalloc.start()
+        try:
+            order = np.argsort(hashes)
+            keys = hashes[order]
+            _matches(rows, order, keys)
+            _distinct(rows, order, keys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = rows.nbytes + hashes.nbytes + peak
+        assert held <= _join_bytes(reps, width * dtype.itemsize), (q, m)
+    # a space is refused exactly when 2 * row + 8 bytes per representative
+    # pass the cap, and the estimate is never below the join's row + 24
+    for q in range(2, 65):
+        for m in range(7):
+            reps = q ** ((1 << m) - 1)
+            width, dtype = _row_layout(q, m)
+            row = width * dtype.itemsize
+            estimate = _join_bytes(reps, row)
+            assert (estimate > _MAX_BYTES) == (reps * (2 * row + 8) > _MAX_BYTES), (q, m)
+            assert estimate >= reps * (row + 24), (q, m)
 
 
 def test_report_serialization():

@@ -296,6 +296,32 @@ def test_coords_agree_with_canonical(case, data):
             assert tuple(coords[k, :, s].tolist()) == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((4096, 2187, 3125, 30, 210, 2310, 12, 4095)), st.data())
+def test_radical_reduction_equals_the_dense_table(q, data):
+    # prime powers, squarefree composites and mixed moduli; the dense
+    # (phi(q), q) product is the oracle and lives only here
+    if data.draw(st.booleans()):
+        m = data.draw(st.integers(0, 2))
+        plan, cells = _cube_plan(m), 1 << m
+    else:
+        cells = data.draw(st.integers(1, 8))
+        plan = _sequence_plan(cells)
+    entry = st.one_of(st.sampled_from((0, q - 1)), st.integers(0, q - 1))
+    per = data.draw(st.integers(1, 2))
+    rows = data.draw(st.lists(
+        st.lists(st.lists(entry, min_size=cells, max_size=cells), min_size=per, max_size=per),
+        min_size=1, max_size=2,
+    ))
+    n = len(plan.order)
+    lo = data.draw(st.integers(0, n))
+    hi = data.draw(st.integers(lo, n))
+    table = np.array(rows, dtype=np.int64)
+    want = get_context(q).table @ _histograms(plan, table, q, lo, hi)
+    got = _coords(plan, table, q, lo, hi)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 @contextmanager
 def sliced_plans(size):
     """Plans rebuilt with ``_SLICE`` = size; cached plans are dropped before

@@ -9,9 +9,11 @@ import pytest
 from golaypairs import (
     BudgetExceededError,
     QaryArray,
+    StandardParams,
     all_shifts,
     autocorrelation,
     combine,
+    construct_standard,
     correlation_spectrum,
     get_context,
     half_shifts,
@@ -163,6 +165,20 @@ def test_is_gap_requires_matching_shapes():
         is_gap(X1X2, QaryArray(2, 1, (0, 1)))
     with pytest.raises(ValueError):
         is_gap(X1X2, QaryArray(4, 2, (0, 0, 0, 1)))
+
+
+def test_standard_pairs_at_large_moduli_are_gaps_and_a_moved_cell_breaks_them():
+    # reduction through the radical's table: 2 for both, with s = 32 and 2048
+    rng = random.Random(64)
+    for q in (64, 4096):
+        pi = list(range(1, 11))
+        rng.shuffle(pi)
+        c = tuple(rng.randrange(q) for _ in pi)
+        f, g = construct_standard(StandardParams(q, 10, tuple(pi), c, rng.randrange(q), 1))
+        assert is_gap(f, g), q
+        moved = list(f.entries)
+        moved[rng.randrange(1 << 10)] += 1
+        assert not is_gap(QaryArray(q, 10, tuple(v % q for v in moved)), g), q
 
 
 def test_reverse():
