@@ -8,16 +8,15 @@ coefficient contains both; the connected components of that relation give the
 finest partition of the variables across which f splits into an exact sum of
 block functions.
 
-The subset transform has two paths chosen by size.  Below ``_NUMPY_MIN``
-entries pure Python is faster, 4.4 us against numpy's 18 us at m = 3, where
-decomposition recursion and the census make most calls.  Numpy wins from
-m = 7 on, 58 us against 85 us, and takes 162 us against 880 us at m = 10
-(one core of a 2-core x86-64 host, Python 3.11, numpy 2.4).
+The one subset transform, :func:`_subset_transform`, serves every caller:
+these functions, standard form, its recognition and the decomposition's
+split of a whole stack of pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -25,29 +24,39 @@ import numpy as np
 from .errors import PartitionTooFineError
 from .qarray import QaryArray, combine, restrict
 
-_NUMPY_MIN = 128
+@lru_cache(maxsize=None)
+def _subset_matrix(cells: int, sign: int) -> np.ndarray:
+    """The subset transform on ``cells`` entries as a read-only int64
+    matrix: entry (t, u) is sign**(|u| - |t|) when t is a subset of u."""
+    t = np.arange(cells)
+    odd = np.array([bin(x).count("1") & 1 for x in range(cells)])
+    matrix = np.where((t[:, None] & t) == t[:, None], sign ** (odd[:, None] ^ odd), 0)
+    matrix.flags.writeable = False
+    return matrix
 
 
-def _subset_transform(vals: list[int], m: int, q: int, sign: int) -> list[int]:
-    """Subset Moebius (sign -1: values to ANF) or zeta (sign 1) transform mod q.
+def _subset_transform(rows, q: int, sign: int) -> np.ndarray:
+    """Subset Moebius (sign -1: values to ANF) or zeta (sign 1) transform
+    mod q along the last axis of ``rows``, entries in 0..q-1.
 
-    Small inputs are transformed in place, and so is any input with q above
-    2**62, where an int64 sum of two residues could overflow.
+    Up to 32 cells it is one product with :func:`_subset_matrix`, whose sums
+    stay below q * cells.  Past that it is one step per variable, reduced
+    once at the end while q * cells < 2**62 and at every step otherwise.
+    Past q = 2**62 it works on Python integers.
     """
-    n = len(vals)
-    if n >= _NUMPY_MIN and q <= 1 << 62:
-        a = np.array(vals, dtype=np.int64)
-        for k in range(m):
-            b = a.reshape(-1, 2, 1 << k)
-            b[:, 1, :] = (b[:, 1, :] + sign * b[:, 0, :]) % q
-        return a.tolist()
-    for k in range(m):
-        bit = 1 << k
-        step = bit << 1
-        for base in range(0, n, step):
-            for t in range(base + bit, base + step):
-                vals[t] = (vals[t] + sign * vals[t - bit]) % q
-    return vals
+    out = np.array(rows, dtype=np.int64 if q <= 1 << 62 else object)
+    cells = out.shape[-1]
+    exact = out.dtype != object and q * cells < 1 << 62
+    if exact and cells <= 32:
+        return (out @ _subset_matrix(cells, sign)) % q
+    bit = 1
+    while bit < cells:
+        blocks = out.reshape(-1, 2, bit)
+        blocks[:, 1] += sign * blocks[:, 0]
+        if not exact:
+            blocks[:, 1] %= q
+        bit <<= 1
+    return out % q if exact else out
 
 
 @dataclass(frozen=True, eq=True)
@@ -78,7 +87,7 @@ class Anf:
 
 def to_anf(f: QaryArray) -> Anf:
     """Exact ANF of f via the subset Moebius transform."""
-    lam = _subset_transform(list(f.entries), f.m, f.q, -1)
+    lam = _subset_transform(f.entries, f.q, -1).tolist()
     coeffs = {}
     for mask, c in enumerate(lam):
         if c:
@@ -94,7 +103,7 @@ def from_anf(a: Anf) -> QaryArray:
         for v in subset:
             mask |= 1 << (v - 1)
         dense[mask] = coeff
-    return QaryArray(a.q, a.m, tuple(_subset_transform(dense, a.m, a.q, 1)))
+    return QaryArray(a.q, a.m, tuple(_subset_transform(dense, a.q, 1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -149,7 +158,7 @@ def interaction_components(f: QaryArray) -> VarPartition:
     Variables i and j land in the same block iff some ANF monomial with a
     nonzero coefficient contains both.
     """
-    lam = _subset_transform(list(f.entries), f.m, f.q, -1)
+    lam = _subset_transform(f.entries, f.q, -1).tolist()
     return VarPartition(f.m, _components(f.m, (mask for mask, c in enumerate(lam) if c)))
 
 

@@ -21,8 +21,9 @@ from typing import Iterable
 
 import numpy as np
 
-# The reduction table holds phi(q) * q int64 entries, 8 B each: 134 MB at
-# q = 4093, built in about 0.1 s.  Larger moduli are refused before it is built.
+# The reduction table holds phi(r) * r int64 entries, 8 B each, for the
+# radical r of q: 134 MB at the prime q = 4093, built in about 0.1 s, and 16 B
+# at q = 4096.  Larger moduli are refused before it is built.
 _MAX_Q = 4096
 # get_context keeps contexts whose tables together take at most this many
 # bytes: one table of a modulus near 4096 and small ones.
@@ -84,41 +85,41 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
 class CycContext:
     """Shared arithmetic context for a fixed root order q.
 
-    Holds the q-th cyclotomic polynomial, its degree phi(q), the reduction
-    ``table``, a read-only int64 (phi(q), q) array whose column d is x**d
-    modulo that polynomial, and its largest absolute entry ``max_entry``.
-    With r = ``radical``, the product of the distinct primes of q, and
-    s = q / r, Phi_q(x) = Phi_r(x**s), so x**(a*s + b) reduces to the
-    sum of ``radical_table[i, a] * x**(i*s + b)``: ``radical_table`` is
-    ``table[::s, ::s]``, the (phi(r), r) table of r.
+    Holds the q-th cyclotomic polynomial, its degree phi(q), the radical r
+    of q (the product of its distinct primes), the reduction ``table`` and
+    its largest absolute entry ``max_entry``.  With s = q / r,
+    Phi_q(x) = Phi_r(x**s), so x**(a*s + b) reduces to the sum of
+    ``table[i, a] * x**(i*s + b)``: ``table`` is the read-only int64
+    (phi(r), r) array whose column a is x**a modulo Phi_r, and every column
+    of the (phi(q), q) table of q is one of its columns, spread out.
     Elements carry a reference to their context; mixing contexts raises.
     Moduli above 4096 are refused with ``ValueError``.
     """
 
-    __slots__ = ("q", "phi", "degree", "table", "max_entry", "radical", "radical_table")
+    __slots__ = ("q", "phi", "degree", "radical", "table", "max_entry")
 
     def __init__(self, q: int):
         _check_modulus(q)
         self.q = q
         self.phi = cyclotomic_polynomial(q)
-        deg = self.degree = len(self.phi) - 1
-        # column d < deg is x**d; each later one is x times the one before,
-        # with x**deg replaced by -(phi[0] + ... + phi[deg-1] x**(deg-1))
-        table = np.eye(deg, q, dtype=np.int64)
-        low = np.array(self.phi[:-1], dtype=np.int64)
-        for d in range(deg, q):
-            table[1:, d] = table[:-1, d - 1]
-            if table[-1, d - 1]:
-                table[:, d] -= table[-1, d - 1] * low
+        self.degree = len(self.phi) - 1
+        r = self.radical = prod(_primes(q))
+        poly = cyclotomic_polynomial(r)
+        deg = len(poly) - 1
+        # column a < deg is x**a; each later one is x times the one before,
+        # with x**deg replaced by -(poly[0] + ... + poly[deg-1] x**(deg-1))
+        table = np.eye(deg, r, dtype=np.int64)
+        low = np.array(poly[:-1], dtype=np.int64)
+        for a in range(deg, r):
+            table[1:, a] = table[:-1, a - 1]
+            if table[-1, a - 1]:
+                table[:, a] -= table[-1, a - 1] * low
         # every step's terms are at most this product, so no step overflowed
         self.max_entry = max(int(table.max()), -int(table.min()))
-        if self.max_entry * (1 + max(map(abs, self.phi))) >= 1 << 63:
+        if self.max_entry * (1 + max(map(abs, poly))) >= 1 << 63:
             raise ValueError(f"reduction table too large for int64 at q={q}")
         table.flags.writeable = False
         self.table = table
-        self.radical = prod(_primes(q))
-        step = q // self.radical
-        self.radical_table = table[::step, ::step]
 
     def zero(self) -> "CycElement":
         return CycElement(self, (0,) * self.q)
@@ -183,7 +184,8 @@ def get_context(q: int) -> CycContext:
         ctx = _contexts.get(q)
         if ctx is None:
             _check_modulus(q)
-            held = (len(cyclotomic_polynomial(q)) - 1) * q * 8
+            r = prod(_primes(q))
+            held = (len(cyclotomic_polynomial(r)) - 1) * r * 8
             held += sum(c.table.nbytes for c in _contexts.values())
             while _contexts and held > _CACHE_BYTES:
                 held -= _contexts.pop(next(iter(_contexts))).table.nbytes
@@ -270,17 +272,23 @@ class CycElement:
         """Remainder of the exponent polynomial modulo the cyclotomic polynomial.
 
         A canonical form of length phi(q); two elements are equal as complex
-        numbers iff their canonical forms coincide.  Columns d < phi(q) of
-        the reduction table are unit vectors and are not read.
+        numbers iff their canonical forms coincide.  With q = r * s for the
+        radical r, exponents a*s + b with a < phi(r) are already reduced, and
+        each later multiplicity adds column a of the reduction table to the
+        coordinates i*s + b.
         """
         ctx, counts = self.ctx, self.counts
+        s = ctx.q // ctx.radical
         out = list(counts[: ctx.degree])
-        for d in range(ctx.degree, ctx.q):
-            mult = counts[d]
-            if mult:
-                for i, rv in enumerate(ctx.table[:, d].tolist()):
-                    if rv:
-                        out[i] += mult * rv
+        for a in range(len(ctx.table), ctx.radical):
+            mults = counts[a * s : a * s + s]
+            if any(mults):
+                col = ctx.table[:, a].tolist()
+                for b, mult in enumerate(mults):
+                    if mult:
+                        for i, rv in enumerate(col):
+                            if rv:
+                                out[i * s + b] += mult * rv
         return tuple(out)
 
     def is_zero(self) -> bool:

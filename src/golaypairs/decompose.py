@@ -327,7 +327,7 @@ def recognize_standard(f: QaryArray, g: QaryArray) -> StandardParams | None:
     ]
     if len(starts) != min(m, 1):
         return None
-    lam = _subset_transform(list(fe), m, q, -1)
+    lam = _subset_transform(fe, q, -1).tolist()
     path = starts
     while len(path) < m:
         bit = 1 << (path[-1] - 1)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boolfun import _components
+from .boolfun import _components, _subset_transform
 from .qarray import QaryArray, _spread_masks, _trusted
 from .standard import StandardParams
 
@@ -196,37 +196,6 @@ def _parts(q: int, shape: _Shape, nodes: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _moebius(k: int) -> np.ndarray:
-    """The subset Moebius transform on k variables as an int64 matrix:
-    values times it are the ANF coefficients, before the remainder mod q."""
-    t = np.arange(1 << k)
-    sign = 1 - 2 * (np.array([bin(x).count("1") for x in range(1 << k)]) & 1)
-    return _frozen(np.where((t[:, None] & t) == t[:, None], sign[:, None] * sign, 0))[0]
-
-
-def _anf(rows: np.ndarray, q: int) -> np.ndarray:
-    """Subset Moebius transform mod q along the last axis: values to ANF.
-
-    Up to 32 cells in int64 it is one product with :func:`_moebius`, whose
-    sums stay below 32 q; past that, one subtraction per variable, reduced
-    once at the end below 2**62 / cells.
-    """
-    cells = rows.shape[-1]
-    if rows.dtype != object and cells <= 32:
-        return (rows @ _moebius(cells.bit_length() - 1)) % q
-    out = rows.copy()
-    exact = out.dtype != object and q * cells < 1 << 62
-    bit = 1
-    while bit < cells:
-        blocks = out.reshape(-1, 2, bit)
-        blocks[:, 1] -= blocks[:, 0]
-        if not exact:
-            blocks[:, 1] %= q
-        bit <<= 1
-    return out % q if exact else out
-
-
-@lru_cache(maxsize=None)
 def _monomials(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The cell masks 0 .. 2**k - 1, and those of two or more variables."""
     t = np.arange(1 << k)
@@ -245,7 +214,7 @@ def _common_vars(q: int, k: int, halves: np.ndarray) -> np.ndarray:
     monomials meets are the others.  Components are found once per distinct
     set of monomials of two or more variables.
     """
-    anf = _anf(halves, q)
+    anf = _subset_transform(halves, q, -1)
     cells, multi = _monomials(k)
     f0, g0 = anf[:, 0], anf[:, 1]
     differ = np.bitwise_or.reduce((f0 != g0) * cells, axis=1)

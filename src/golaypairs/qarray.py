@@ -28,11 +28,11 @@ per array.  The plan cuts its batches into runs of whole shifts of at most
 per kernel call, so a call's temporaries hold at most
 groups * rows * ``_SLICE`` keys (more only for a single longer shift): for
 a pair, about 1 MiB each, which stays in cache.  Canonical coordinates
-come from the histograms through the table of the radical r of q, which
-the modulus's ``CycContext`` holds: with q = r * s, Phi_q(x) = Phi_r(x**s),
-so the histograms are reshaped to r rows of s * shifts counts and reduced
-along r, s**2 times less work than the (phi(q), q) table.  For a prime r
-the reduction is one subtraction of the last row.  Coordinates are exact in
+come from the histograms through the reduction table of the radical r of
+q, the one table the modulus's ``CycContext`` holds: with q = r * s,
+Phi_q(x) = Phi_r(x**s), so the histograms are reshaped to r rows of
+s * shifts counts and reduced along r.  For a prime r the reduction is one
+subtraction of the last row.  Coordinates are exact in
 int64 while the cells times the table's largest entry stay below 2**62:
 true for every q the context admits, and checked on every call, which
 raises ``ValueError`` if not.
@@ -394,7 +394,7 @@ def _coords(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.
         raise ValueError(f"canonical coordinates too large for an exact int64 sweep at q={q}")
     hist = _histograms(plan, rows, q, lo, hi)
     groups, _, n = hist.shape
-    r, table = ctx.radical, ctx.radical_table
+    r, table = ctx.radical, ctx.table
     # exponent a*s + b on axis 1 becomes (a, b * n + shift)
     hist = hist.reshape(groups, r, q // r * n)
     if len(table) == r - 1:  # r prime: x**(r-1) = -(1 + x + ... + x**(r-2))

@@ -88,7 +88,7 @@ def construct_standard(params: StandardParams) -> tuple[QaryArray, QaryArray]:
         anf[(1 << (pi[k] - 1)) | (1 << (pi[k + 1] - 1))] = half
     for k, cv in enumerate(params.c):
         anf[1 << k] = cv
-    fe = _subset_transform(anf, m, q, 1)
+    fe = _subset_transform(anf, q, 1).tolist()
     start_bit = 1 << (pi[0] - 1) if m else 0
     ge = [
         (v + (half if t & start_bit else 0) + params.c_prime) % q

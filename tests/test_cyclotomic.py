@@ -208,19 +208,21 @@ def test_invalid_modulus_rejected():
 def test_reduction_table_matches_the_python_recurrence(qs):
     for q in qs:
         ctx = CycContext(q)  # uncached, so each large table is freed
+        r = ctx.radical
+        phi_r = cyclotomic_polynomial(r)
         table = ctx.table
-        assert table.shape == (ctx.degree, q) and table.dtype == np.int64
+        assert table.shape == (len(phi_r) - 1, r) and table.dtype == np.int64
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 7
-        top = 0
-        for d, col in enumerate(reduction_columns(ctx.phi, q)):
-            assert table[:, d].tolist() == col, (q, d)
-            top = max(top, *map(abs, col))
+        for a, col in enumerate(reduction_columns(phi_r, r)):
+            assert table[:, a].tolist() == col, (q, a)
+        # the largest entry of the full (phi(q), q) table
+        top = max(max(map(abs, col)) for col in reduction_columns(ctx.phi, q))
         assert ctx.max_entry == top
 
 
-@pytest.mark.parametrize("q", [4, 6, 12, 105])
+@pytest.mark.parametrize("q", [4, 6, 12, 105, 8, 9, 27, 64, 72, 100])
 def test_canonical_is_exact_past_int64(q):
     rng = random.Random(q)
     ctx = get_context(q)

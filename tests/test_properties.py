@@ -71,7 +71,9 @@ from golaypairs import (
     verify_certificate,
 )
 from golaypairs import certify, qarray
+from golaypairs.boolfun import _subset_transform
 from golaypairs.certify import _certify
+from golaypairs.cyclotomic import cyclotomic_polynomial
 from golaypairs.forest import _join, _param_objects, _param_rows, _recombine, _shape, _sub_rows
 from golaypairs.qarray import (
     _coords,
@@ -84,6 +86,7 @@ from golaypairs.qarray import (
 
 from helpers import (
     DEEPER_LEFT_BREAK,
+    _moebius,
     _spread,
     block_sum,
     brute_finest_partition,
@@ -94,6 +97,7 @@ from helpers import (
     join_partitions,
     random_entries,
     random_params_tuple,
+    reduction_columns,
     reference_certify,
     reference_decompose,
     reference_join,
@@ -317,7 +321,8 @@ def test_radical_reduction_equals_the_dense_table(q, data):
     lo = data.draw(st.integers(0, n))
     hi = data.draw(st.integers(lo, n))
     table = np.array(rows, dtype=np.int64)
-    want = get_context(q).table @ _histograms(plan, table, q, lo, hi)
+    dense = np.array(list(reduction_columns(cyclotomic_polynomial(q), q)), dtype=np.int64).T
+    want = dense @ _histograms(plan, table, q, lo, hi)
     got = _coords(plan, table, q, lo, hi)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
@@ -410,6 +415,31 @@ def block_functions(draw, max_m=10):
 
 def random_table(rng, q, vars_):
     return [rng.randrange(q) for _ in range(1 << len(vars_))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from((2, 3, 4, 10, 2**56 + 2, 2**62 - 2, 2**62, 2**62 + 2, 2**70)),
+    st.integers(0, 10),
+    st.integers(0, 3),
+    st.randoms(use_true_random=False),
+)
+def test_subset_transform_matches_the_oracle_and_zeta_inverts_it(q, m, n, rng):
+    # one flat row for n = 0, else an (n, 2, cells) stack; the int64
+    # exactness edges lie between the moduli, and 32 cells at m = 5
+    cells = 1 << m
+    flat = [
+        [rng.choice((0, q - 1, rng.randrange(q))) for _ in range(cells)]
+        for _ in range(max(2 * n, 1))
+    ]
+    rows = flat[0] if n == 0 else [flat[2 * i : 2 * i + 2] for i in range(n)]
+    anf = _subset_transform(rows, q, -1)
+    assert anf.shape == ((cells,) if n == 0 else (n, 2, cells))
+    got = anf.reshape(-1, cells).tolist()
+    assert got == [_moebius(row, q) for row in flat]
+    back = _subset_transform(anf, q, 1).reshape(-1, cells).tolist()
+    assert back == flat
+    assert all(type(v) is int for row in got + back for v in row)
 
 
 @settings(max_examples=60)
