@@ -1,11 +1,12 @@
 """Exhaustive census of complementary pairs over small array spaces.
 
-Every array is fingerprinted by the exact canonical coordinates of its
-autocorrelation at the kept half of the nonzero shifts (the other half is
-determined by conjugate symmetry).  Two arrays form a complementary pair
-exactly when their fingerprints are negatives of each other.  The sweep
-runs on the correlation kernel of :mod:`golaypairs.qarray` that
-:func:`~golaypairs.qarray.is_gap` runs on, with one row group per array.
+Every array is fingerprinted by the exact coordinates, in the kernel's CRT
+basis, of its autocorrelation at the kept half of the nonzero shifts (the
+other half is determined by conjugate symmetry).  Two arrays form a
+complementary pair exactly when their fingerprints are negatives of each
+other.  The sweep runs on the correlation kernel of
+:mod:`golaypairs.qarray` that :func:`~golaypairs.qarray.is_gap` runs on,
+with one row group per array.
 
 The sweep is quotiented by the additive constant.  An autocorrelation
 depends only on differences of entries, so f and f + c share a
@@ -21,9 +22,9 @@ only the m! q^m base pairs are built (see :func:`enumerate_standard`).
 
 The join is a sorted search on a linear hash, checked row by row.
 Fingerprint rows are held once, in one contiguous array in representative
-order.  A canonical coordinate is at most 2^m times the largest reduction
-entry in absolute value, so each row is stored in the narrowest signed
-dtype holding that bound (int8 for every space with m >= 2 inside
+order.  A coordinate is a +- sum of disjoint histogram entries, so it is
+at most 2^m in absolute value, and each row is stored in the narrowest
+signed dtype holding that bound (int8 for every space with m >= 2 inside
 ``DEFAULT_BUDGET``), where negation cannot overflow.  Each row also gets an
 int64 hash, its dot product with fixed odd weights, wrapping; the hash is
 linear, so the negated row hashes to the negated hash.  The hashes are
@@ -95,13 +96,11 @@ def _row_layout(q: int, m: int) -> tuple[int, np.dtype]:
 
     A row has phi(q) coordinates per half shift; at m = 0 it is padded to
     one zero column so it is never empty.  The dtype is the
-    narrowest signed one holding -bound - 1, so it holds +-bound for the
-    bound 2^m times the context's largest reduction entry, and negating a
-    row cannot overflow.
+    narrowest signed one holding -2^m - 1, so it holds the coordinates'
+    bound +-2^m, and negating a row cannot overflow.
     """
-    ctx = get_context(q)
-    width = max(ctx.degree * ((3**m - 1) // 2), 1)
-    return width, np.min_scalar_type(-(ctx.max_entry << m) - 1)
+    width = max(get_context(q).degree * ((3**m - 1) // 2), 1)
+    return width, np.min_scalar_type(-(1 << m) - 1)
 
 
 def _entries(q: int, m: int, reps) -> np.ndarray:
@@ -132,7 +131,7 @@ def _chunk_rows(
     sig = _coords(plan, table, q, 0, len(plan.order)).reshape(n, -1)
     if max(int(sig.max(initial=0)), -int(sig.min(initial=0))) > np.iinfo(dtype).max:
         raise VerificationError(
-            "canonical coordinate outside its proven bound"
+            "fingerprint coordinate outside its proven bound"
         )  # pragma: no cover - internal guard
     rows = np.zeros((n, width), dtype=dtype)
     rows[:, : sig.shape[1]] = sig

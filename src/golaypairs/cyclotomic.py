@@ -7,27 +7,26 @@ of signed integer multiplicities: ``counts[d]`` is the multiplicity of
 canonical (for q = 4, ``1 + zeta**2`` and ``0`` denote the same value), but
 zero testing is exact and decidable: a sum of q-th roots of unity vanishes
 iff the q-th cyclotomic polynomial divides its exponent polynomial.  Equality
-is zero testing of the difference.  The one width check is made when the
-int64 reduction table of a modulus is built; :meth:`CycElement.canonical`
-reads its entries as Python integers, so it is exact for any multiplicities.
+is zero testing of the difference.  :meth:`CycElement.canonical` divides
+by that polynomial on Python integers, so it is exact for any
+multiplicities and needs no table.  The correlation kernel reduces in
+another Z-basis, whose order of exponents the context fixes.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from math import prod
 from typing import Iterable
 
 import numpy as np
 
-# The reduction table holds phi(r) * r int64 entries, 8 B each, for the
-# radical r of q: 134 MB at the prime q = 4093, built in about 0.1 s, and 16 B
-# at q = 4096.  Larger moduli are refused before it is built.
+# canonical divides in (q - phi(q)) times the nonzero coefficients of
+# Phi_q Python steps: at q = 4095, 0.08 s for an element with q small
+# multiplicities and 0.12 s with 70-bit ones.  A correlation histogram has
+# q bins per group and shift, so at this cap one shift of a stack of 64
+# pairs fills qarray._BINS.
 _MAX_Q = 4096
-# get_context keeps contexts whose tables together take at most this many
-# bytes: one table of a modulus near 4096 and small ones.
-_CACHE_BYTES = 1 << 28
 
 
 def _primes(q: int) -> list[int]:
@@ -85,41 +84,34 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
 class CycContext:
     """Shared arithmetic context for a fixed root order q.
 
-    Holds the q-th cyclotomic polynomial, its degree phi(q), the radical r
-    of q (the product of its distinct primes), the reduction ``table`` and
-    its largest absolute entry ``max_entry``.  With s = q / r,
-    Phi_q(x) = Phi_r(x**s), so x**(a*s + b) reduces to the sum of
-    ``table[i, a] * x**(i*s + b)``: ``table`` is the read-only int64
-    (phi(r), r) array whose column a is x**a modulo Phi_r, and every column
-    of the (phi(q), q) table of q is one of its columns, spread out.
+    Holds the q-th cyclotomic polynomial ``phi``, its degree phi(q), the
+    distinct ``primes`` of q in ascending order and ``order``, the read-only
+    int64 position of every exponent in the correlation kernel's coordinate
+    order.  With r the product of the primes and q = r * s, exponent
+    a*s + b goes to c*s + b, where c has the mixed-radix digits
+    (a mod p_1, ..., a mod p_k), the last prime's lowest, so the kernel
+    reduces along one axis per prime (see :mod:`golaypairs.qarray`).
     Elements carry a reference to their context; mixing contexts raises.
     Moduli above 4096 are refused with ``ValueError``.
     """
 
-    __slots__ = ("q", "phi", "degree", "radical", "table", "max_entry")
+    __slots__ = ("q", "phi", "degree", "primes", "order")
 
     def __init__(self, q: int):
-        _check_modulus(q)
+        if not 1 <= q <= _MAX_Q:
+            raise ValueError(f"q must lie in 1..{_MAX_Q}, got {q}")
         self.q = q
         self.phi = cyclotomic_polynomial(q)
         self.degree = len(self.phi) - 1
-        r = self.radical = prod(_primes(q))
-        poly = cyclotomic_polynomial(r)
-        deg = len(poly) - 1
-        # column a < deg is x**a; each later one is x times the one before,
-        # with x**deg replaced by -(poly[0] + ... + poly[deg-1] x**(deg-1))
-        table = np.eye(deg, r, dtype=np.int64)
-        low = np.array(poly[:-1], dtype=np.int64)
-        for a in range(deg, r):
-            table[1:, a] = table[:-1, a - 1]
-            if table[-1, a - 1]:
-                table[:, a] -= table[-1, a - 1] * low
-        # every step's terms are at most this product, so no step overflowed
-        self.max_entry = max(int(table.max()), -int(table.min()))
-        if self.max_entry * (1 + max(map(abs, poly))) >= 1 << 63:
-            raise ValueError(f"reduction table too large for int64 at q={q}")
-        table.flags.writeable = False
-        self.table = table
+        self.primes = tuple(_primes(q))
+        s = q // prod(self.primes)
+        a, b = np.divmod(np.arange(q, dtype=np.int64), s)
+        c = np.zeros(q, dtype=np.int64)
+        for p in self.primes:
+            c = c * p + a % p
+        order = c * s + b
+        order.flags.writeable = False
+        self.order = order
 
     def zero(self) -> "CycElement":
         return CycElement(self, (0,) * self.q)
@@ -156,42 +148,13 @@ class CycContext:
         return f"CycContext(q={self.q})"
 
 
-def _check_modulus(q: int) -> None:
-    if not 1 <= q <= _MAX_Q:
-        raise ValueError(f"q must lie in 1..{_MAX_Q}, got {q}")
-
-
-_contexts: dict[int, CycContext] = {}  # oldest first
-_misses = 0  # contexts built by get_context
-_lock = threading.Lock()
-
-
+@lru_cache(maxsize=256)
 def get_context(q: int) -> CycContext:
     """Shared per-q context; contexts are immutable and safe to cache.
 
-    Contexts are kept while their reduction tables take at most
-    ``_CACHE_BYTES`` together.  The oldest ones are dropped before a new
-    table is built, so a process holds the cap plus the one table it
-    builds, and a cycle through a few small moduli never rebuilds one.
-
     Raises ``ValueError`` for q < 1 and for q above 4096.
     """
-    global _misses
-    ctx = _contexts.get(q)
-    if ctx is not None:
-        return ctx
-    with _lock:
-        ctx = _contexts.get(q)
-        if ctx is None:
-            _check_modulus(q)
-            r = prod(_primes(q))
-            held = (len(cyclotomic_polynomial(r)) - 1) * r * 8
-            held += sum(c.table.nbytes for c in _contexts.values())
-            while _contexts and held > _CACHE_BYTES:
-                held -= _contexts.pop(next(iter(_contexts))).table.nbytes
-            ctx = _contexts[q] = CycContext(q)
-            _misses += 1
-        return ctx
+    return CycContext(q)
 
 
 class CycElement:
@@ -272,24 +235,20 @@ class CycElement:
         """Remainder of the exponent polynomial modulo the cyclotomic polynomial.
 
         A canonical form of length phi(q); two elements are equal as complex
-        numbers iff their canonical forms coincide.  With q = r * s for the
-        radical r, exponents a*s + b with a < phi(r) are already reduced, and
-        each later multiplicity adds column a of the reduction table to the
-        coordinates i*s + b.
+        numbers iff their canonical forms coincide.  Long division on Python
+        integers, top exponent first: Phi_q is monic of degree phi(q), so the
+        multiplicity of x**(phi(q) + j) is taken off x**(j + i) times each
+        nonzero coefficient of x**i below the top.
         """
-        ctx, counts = self.ctx, self.counts
-        s = ctx.q // ctx.radical
-        out = list(counts[: ctx.degree])
-        for a in range(len(ctx.table), ctx.radical):
-            mults = counts[a * s : a * s + s]
-            if any(mults):
-                col = ctx.table[:, a].tolist()
-                for b, mult in enumerate(mults):
-                    if mult:
-                        for i, rv in enumerate(col):
-                            if rv:
-                                out[i * s + b] += mult * rv
-        return tuple(out)
+        phi, deg = self.ctx.phi, self.ctx.degree
+        low = [(i, c) for i, c in enumerate(phi[:deg]) if c]
+        out = list(self.counts)
+        for top in range(len(out) - 1, deg - 1, -1):
+            mult = out[top]
+            if mult:
+                for i, c in low:
+                    out[top - deg + i] -= mult * c
+        return tuple(out[:deg])
 
     def is_zero(self) -> bool:
         return not any(self.canonical())

@@ -27,22 +27,28 @@ per array.  The plan cuts its batches into runs of whole shifts of at most
 ``_SLICE`` (shift, cell) combinations, and the correlations pass one batch
 per kernel call, so a call's temporaries hold at most
 groups * rows * ``_SLICE`` keys (more only for a single longer shift): for
-a pair, about 1 MiB each, which stays in cache.  Canonical coordinates
-come from the histograms through the reduction table of the radical r of
-q, the one table the modulus's ``CycContext`` holds: with q = r * s,
-Phi_q(x) = Phi_r(x**s), so the histograms are reshaped to r rows of
-s * shifts counts and reduced along r.  For a prime r the reduction is one
-subtraction of the last row.  Coordinates are exact in
-int64 while the cells times the table's largest entry stay below 2**62:
-true for every q the context admits, and checked on every call, which
-raises ``ValueError`` if not.
+a pair, about 1 MiB each, which stays in cache.
+
+Verdicts read exact coordinates in the CRT basis.  For the distinct
+primes p_1, ..., p_k of q, r their product and q = r * s,
+Phi_q(x) = Phi_r(x**s), and Z[zeta_r] is the tensor product of the
+Z[zeta_p_i], with zeta_r**a the product of omega_i**(a mod p_i) (Lam and
+Leung, J. Algebra 224, 2000; Lyubashevsky, Peikert and Regev, Eurocrypt
+2013).  So the kernel counts the histograms in the context's ``order``,
+reshapes them to (groups, p_1, ..., p_k, s * shifts) and, along each
+prime's axis, subtracts the last slice from the rest and drops it:
+omega**(p-1) = -(1 + ... + omega**(p-2)).  For a prime power that is the
+power basis.  A coordinate is a +- sum of at most 2**k disjoint histogram
+entries, so it is exact in int64, and the basis change is a fixed
+bijection, so it vanishes exactly when the power-basis remainder does.
 
 Complementarity verdicts come from one kernel, :func:`_gaps`, which takes
 a stack of pairs and returns one verdict per pair; :func:`is_gap` and
 :func:`is_gcp` pass a stack of one, and the census and certificate checks
-pass one stack per dimension.  The cube plan's first batch holds the
-2**(m-1) full-support shifts, each of which overlaps in one antipodal pair
-of cells, and the batches after it hold the rest.  Only the pairs that
+pass one stack per dimension; a kernel call counts at most ``_BINS``
+histogram bins.  The cube plan's first batch holds the 2**(m-1)
+full-support shifts, each of which overlaps in one antipodal pair of
+cells, and the batches after it hold the rest.  Only the pairs that
 cancel on one batch are correlated on the next, so a pair with one cell
 changed fails after 2**(m-1) pair lookups, while a true pair pays for all
 (4**m - 2**m) / 2 of them.
@@ -63,6 +69,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -80,6 +87,15 @@ _MAX_PLAN_BYTES = 1 << 28
 # other and 2**17, 2**18 up to 9% slower.  2**16 makes the fewest kernel
 # calls of the fast sizes: nine batches at m = 10, none cut up to m = 8.
 _SLICE = 1 << 16
+
+# Most histogram bins, groups * q * shifts, in one kernel call of _gaps
+# unless it is one shift: 2 MiB of int64 counts, one core's L2.  Timed on
+# one true pair at m = 10 on the host above: at q = 4096, 2**16 to 2**18
+# took 0.07 to 0.09 s, 2**20 0.12 s and no cut 0.21 s at 356 MB peak RSS
+# (52 MB with the cut); at q = 4094, 2**18 was the fastest at 0.16 s.  A
+# plan batch holds at most 6,315 shifts up to m = 11, so a single pair is
+# cut only for q > 41.
+_BINS = 1 << 18
 
 
 def _json_int(value) -> int:
@@ -347,26 +363,32 @@ def _sequence_plan(length: int) -> _ShiftPlan:
 
 
 @lru_cache(maxsize=256)
-def _residues(q: int, n: int) -> np.ndarray:
-    """Read-only int64 table of length 2q whose entry v is (v mod q) * n."""
-    table = np.tile(np.arange(q, dtype=np.int64) * n, 2)
+def _residues(q: int, n: int, crt: bool) -> np.ndarray:
+    """Read-only int64 table of length 2q whose entry v is d * n for
+    d = v mod q, or with ``crt`` the position of d in the context's
+    ``order`` times n."""
+    table = np.tile((get_context(q).order if crt else np.arange(q)) * n, 2)
     table.flags.writeable = False
     return table
 
 
-def _histograms(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
+def _histograms(
+    plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int, crt: bool = False
+) -> np.ndarray:
     """Exponent histograms of plan shifts lo .. hi-1, one per row group.
 
     ``rows`` is an int64 array of shape (groups, rows per group, cells),
     entries in 0..q-1.  Entry (k, d, s - lo) counts the pairs (i, j) of plan
     shift s and the rows r of group k with r[i] - r[j] = d mod q: the
-    multiplicity of zeta**d in the group's summed autocorrelations.  One
-    bincount over (k * q + d) * (hi - lo) + s - lo covers every group and
-    shift.  The differences q + r[i] - r[j] lie in 1 .. 2q-1, so one gather
-    through :func:`_residues` gives d * (hi - lo) without a remainder.  The
-    gather writes over the keys; clip mode, which never clips a key in
-    range, is what lets numpy do that without a buffer.  Besides the result,
-    the call allocates rows + q and two arrays of one key per row and pair.
+    multiplicity of zeta**d in the group's summed autocorrelations.  With
+    ``crt`` that count sits at d's position in the context's ``order``
+    instead.  One bincount over (k * q + d) * (hi - lo) + s - lo covers
+    every group and shift.  The differences q + r[i] - r[j] lie in
+    1 .. 2q-1, so one gather through :func:`_residues` gives d * (hi - lo)
+    without a remainder.  The gather writes over the keys; clip mode, which
+    never clips a key in range, is what lets numpy do that without a
+    buffer.  Besides the result, the call allocates rows + q and two arrays
+    of one key per row and pair.
     """
     n = hi - lo
     groups = len(rows)
@@ -375,33 +397,31 @@ def _histograms(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) ->
     a, b = plan.starts[lo], plan.starts[hi]
     keys = (rows + q).take(plan.later[a:b], axis=2)
     keys -= rows.take(plan.earlier[a:b], axis=2)
-    _residues(q, n).take(keys, out=keys, mode="clip")
+    _residues(q, n, crt).take(keys, out=keys, mode="clip")
     keys += np.arange(-lo, groups * q * n - lo, q * n).reshape(groups, 1, 1)
     keys += plan.shift[a:b]
     return np.bincount(keys.ravel(), minlength=groups * q * n).reshape(groups, q, n)
 
 
 def _coords(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
-    """Canonical coordinates of the :func:`_histograms` of plan shifts
-    lo .. hi-1: entry (k, i, s - lo) is coordinate i of row group k's summed
-    autocorrelation at plan shift s, reduced through the radical's table
-    (see the module docstring); for a prime radical, in place, as a view of
-    the histograms.  A group of at most two rows of ``cells``
-    entries counts at most 2 * cells pairs per shift, so a coordinate stays
-    below 2 * cells * ``max_entry``, which must be below 2**63."""
+    """Coordinates in the CRT basis (see the module docstring) of the
+    :func:`_histograms` of plan shifts lo .. hi-1: entry (k, i, s - lo) is
+    coordinate i of row group k's summed autocorrelation at plan shift s.
+    The histograms are counted in CRT order and reduced in place, one
+    slice subtraction per prime; unless q has two or more distinct primes
+    the result is a view of them."""
     ctx = get_context(q)
-    if rows.shape[2] * ctx.max_entry >= 1 << 62:
-        raise ValueError(f"canonical coordinates too large for an exact int64 sweep at q={q}")
-    hist = _histograms(plan, rows, q, lo, hi)
+    primes = ctx.primes
+    hist = _histograms(plan, rows, q, lo, hi, crt=True)
     groups, _, n = hist.shape
-    r, table = ctx.radical, ctx.table
-    # exponent a*s + b on axis 1 becomes (a, b * n + shift)
-    hist = hist.reshape(groups, r, q // r * n)
-    if len(table) == r - 1:  # r prime: x**(r-1) = -(1 + x + ... + x**(r-2))
-        coords = hist[:, :-1]
-        coords -= hist[:, -1:]
-    else:
-        coords = table @ hist
+    coords = hist.reshape(groups, *primes, q // prod(primes) * n)
+    head = ()
+    for _ in primes:
+        # omega**(p-1) = -(1 + omega + ... + omega**(p-2)) along the next axis
+        head += (slice(None),)
+        last = coords[head + (-1, None)]
+        coords = coords[head + (slice(-1),)]
+        coords -= last
     return coords.reshape(groups, ctx.degree, n)
 
 
@@ -410,21 +430,25 @@ def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:
     plan shift, as one bool per group.
 
     ``rows`` is array-like of shape (groups, rows per group, cells), entries
-    in 0..q-1.  Batches run in plan order, and only the groups that cancel
-    on one batch are passed into the next.  A batch on which every group
-    cancels, the common case in a census, costs one count of its
-    coordinates and no indexing.
+    in 0..q-1.  Batches run in plan order, each cut into runs of whole
+    shifts of at most ``_BINS`` histogram bins (one shift if it alone has
+    more), and only the groups that cancel on one run are passed into the
+    next.  A run on which every group cancels, the common case in a census,
+    costs one count of its coordinates and no indexing.
     """
     rows = np.asarray(rows, dtype=np.int64)
     verdicts = np.zeros(len(rows), dtype=bool)
     alive = np.arange(len(rows))
     for lo, hi in plan.batches:
-        if not len(alive):
-            break
-        coords = _coords(plan, rows, q, lo, hi)
-        if np.count_nonzero(coords):
-            cancel = ~coords.any(axis=(1, 2))
-            alive, rows = alive[cancel], rows[cancel]
+        while lo < hi and len(alive):
+            stop = hi
+            if (hi - lo) * len(alive) * q > _BINS:
+                stop = lo + max(_BINS // (len(alive) * q), 1)
+            coords = _coords(plan, rows, q, lo, stop)
+            if np.count_nonzero(coords):
+                cancel = ~coords.any(axis=(1, 2))
+                alive, rows = alive[cancel], rows[cancel]
+            lo = stop
     verdicts[alive] = True
     return verdicts
 

@@ -9,6 +9,9 @@ import cmath
 import random
 from functools import lru_cache
 from itertools import permutations, product
+from math import gcd, prod
+
+import numpy as np
 
 
 @lru_cache(maxsize=None)
@@ -31,6 +34,37 @@ def reduction_columns(phi, q: int):
         cur = [0] + cur[:-1]
         if top:
             cur = [c - top * p for c, p in zip(cur, phi)]
+
+
+def crt_exponents(q: int) -> list[int]:
+    """The exponent d of the root zeta**d that each coordinate of the CRT
+    basis of Z[zeta_q] stands for, in coordinate order.
+
+    For the distinct primes p_1 < ... < p_k of q, r their product and
+    q = r * s, the coordinate with mixed-radix digits (j_1, ..., j_k, b),
+    j_i < p_i - 1 and b < s, is zeta**(a * s + b) for the a < r with
+    a = j_i mod p_i for every i.
+    """
+    primes = [p for p in range(2, q + 1) if q % p == 0 and all(p % d for d in range(2, p))]
+    s = q // prod(primes)
+    by_digits = {tuple(a % p for p in primes): a for a in range(q // s)}
+    digits = product(*(range(p - 1) for p in primes))
+    return [by_digits[js] * s + b for js in digits for b in range(s)]
+
+
+def embeddings_vanish(counts) -> np.ndarray:
+    """Whether each sum of counts[..., d] zeta**d is zero, q the length of
+    the last axis, from its values under every embedding zeta -> zeta**u,
+    u a unit mod q, in complex floats (a discrete Fourier transform).
+
+    A nonzero algebraic integer has a norm, the product of those values,
+    of absolute value at least 1, so one of the values is at least 1 in
+    absolute value; the float error on small counts is far below 1/2.
+    """
+    counts = np.asarray(counts)
+    q = counts.shape[-1]
+    units = [u for u in range(q) if gcd(u, q) == 1]
+    return (np.abs(np.fft.fft(counts)[..., units]) < 0.5).all(axis=-1)
 
 
 def cyc_to_complex(element) -> complex:

@@ -73,7 +73,6 @@ from golaypairs import (
 from golaypairs import certify, qarray
 from golaypairs.boolfun import _subset_transform
 from golaypairs.certify import _certify
-from golaypairs.cyclotomic import cyclotomic_polynomial
 from golaypairs.forest import _join, _param_objects, _param_rows, _recombine, _shape, _sub_rows
 from golaypairs.qarray import (
     _coords,
@@ -91,7 +90,9 @@ from helpers import (
     block_sum,
     brute_finest_partition,
     brute_histograms,
+    crt_exponents,
     cyc_to_complex,
+    embeddings_vanish,
     float_autocorrelation,
     float_is_gap,
     join_partitions,
@@ -284,7 +285,8 @@ def test_histograms_match_the_brute_oracle(case, data):
 @settings(max_examples=100)
 @given(kernel_cases(), st.data())
 def test_coords_agree_with_canonical(case, data):
-    # the kernel's product and CycElement.canonical read the one table
+    # the CRT coordinates, taken to the power basis through the oracle's
+    # x**d mod Phi_q of each basis root, are the long-division remainders
     q, plan, shifts, rows = case
     n = len(shifts)
     lo = data.draw(st.integers(0, n))
@@ -294,17 +296,22 @@ def test_coords_agree_with_canonical(case, data):
     hist = _histograms(plan, table, q, lo, hi)
     coords = _coords(plan, table, q, lo, hi)
     assert coords.shape == (len(rows), ctx.degree, hi - lo)
+    columns = list(reduction_columns(ctx.phi, q))
+    change = np.array([columns[d] for d in crt_exponents(q)], dtype=np.int64).T
+    power = change @ coords
     for k in range(len(rows)):
         for s in range(hi - lo):
             want = CycElement(ctx, tuple(hist[k, :, s].tolist())).canonical()
-            assert tuple(coords[k, :, s].tolist()) == want
+            assert tuple(power[k, :, s].tolist()) == want
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((4096, 2187, 3125, 30, 210, 2310, 12, 4095)), st.data())
 def test_radical_reduction_equals_the_dense_table(q, data):
-    # prime powers, squarefree composites and mixed moduli; the dense
-    # (phi(q), q) product is the oracle and lives only here
+    # prime powers, squarefree composites and mixed moduli.  The dense
+    # table is the (q, q) Fourier table of the embeddings zeta -> zeta**u,
+    # applied by np.fft in the oracle: under each, the histograms minus the
+    # coordinates put back on their basis roots vanish
     if data.draw(st.booleans()):
         m = data.draw(st.integers(0, 2))
         plan, cells = _cube_plan(m), 1 << m
@@ -321,10 +328,12 @@ def test_radical_reduction_equals_the_dense_table(q, data):
     lo = data.draw(st.integers(0, n))
     hi = data.draw(st.integers(lo, n))
     table = np.array(rows, dtype=np.int64)
-    dense = np.array(list(reduction_columns(cyclotomic_polynomial(q), q)), dtype=np.int64).T
-    want = dense @ _histograms(plan, table, q, lo, hi)
+    basis = crt_exponents(q)
     got = _coords(plan, table, q, lo, hi)
-    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert (got.dtype, got.shape) == (np.int64, (len(rows), len(basis), hi - lo))
+    diff = _histograms(plan, table, q, lo, hi)
+    diff[:, basis] -= got
+    assert embeddings_vanish(np.moveaxis(diff, 1, -1)).all()
 
 
 @contextmanager
@@ -377,6 +386,29 @@ def test_sliced_plans_agree_with_float_oracle_row_by_row(case, size):
         for lo, hi in plan.batches[1:]:
             assert hi - lo == 1 or starts[hi] - starts[lo] <= size
         assert _gaps(plan, q, rows).tolist() == expected
+
+
+@settings(max_examples=40)
+@given(sliced_stacks(), st.sampled_from((1, 50, 400)))
+def test_bin_bound_cuts_kernel_calls_and_keeps_verdicts(case, bins):
+    q, m, rows = case
+    expected = [float_is_gap(q, m, f, g) for f, g in rows]
+    calls = []
+
+    def spy(plan, stack, q, lo, hi):
+        calls.append((len(stack), lo, hi))
+        return _coords(plan, stack, q, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qarray, "_BINS", bins)
+        patch.setattr(qarray, "_coords", spy)
+        assert _gaps(_cube_plan(m), q, rows).tolist() == expected
+    assert all(hi - lo == 1 or groups * q * (hi - lo) <= bins for groups, lo, hi in calls)
+    # the calls run through the shifts in order, and through all of them
+    # while a pair is alive
+    bounds = [0] + [end for _, lo, hi in calls for end in (lo, hi)]
+    assert bounds[:-1:2] == bounds[1::2]
+    assert bounds[-1] == len(_cube_plan(m).order) or not any(expected)
 
 
 @settings(max_examples=300)

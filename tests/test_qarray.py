@@ -25,7 +25,7 @@ from golaypairs import (
 
 from golaypairs.qarray import _SLICE, _cube_plan, _sequence_plan
 
-from helpers import float_autocorrelation, random_entries
+from helpers import float_autocorrelation, float_is_gap, random_entries
 
 X1X2 = QaryArray(2, 2, (0, 0, 0, 1))
 
@@ -167,18 +167,36 @@ def test_is_gap_requires_matching_shapes():
         is_gap(X1X2, QaryArray(4, 2, (0, 0, 0, 1)))
 
 
+def _standard_and_moved(rng, q, m):
+    pi = list(range(1, m + 1))
+    rng.shuffle(pi)
+    c = tuple(rng.randrange(q) for _ in pi)
+    f, g = construct_standard(StandardParams(q, m, tuple(pi), c, rng.randrange(q), 1))
+    moved = list(f.entries)
+    moved[rng.randrange(1 << m)] += rng.randrange(1, q)
+    return f, g, QaryArray(q, m, tuple(v % q for v in moved))
+
+
 def test_standard_pairs_at_large_moduli_are_gaps_and_a_moved_cell_breaks_them():
-    # reduction through the radical's table: 2 for both, with s = 32 and 2048
+    # prime powers: one subtraction along the prime 2, with s = 32 and 2048
     rng = random.Random(64)
     for q in (64, 4096):
-        pi = list(range(1, 11))
-        rng.shuffle(pi)
-        c = tuple(rng.randrange(q) for _ in pi)
-        f, g = construct_standard(StandardParams(q, 10, tuple(pi), c, rng.randrange(q), 1))
-        assert is_gap(f, g), q
-        moved = list(f.entries)
-        moved[rng.randrange(1 << 10)] += 1
-        assert not is_gap(QaryArray(q, 10, tuple(v % q for v in moved)), g), q
+        f, g, moved = _standard_and_moved(rng, q, 10)
+        assert is_gap(f, g) and not is_gap(moved, g), q
+
+
+@pytest.mark.parametrize("q", [2310, 4090, 4092, 4094])
+def test_composite_radicals_at_large_moduli_agree_with_the_float_oracle(q):
+    # radicals 2*3*5*7*11, 2*5*409, 2*3*11*31 (s = 2) and 2*23*89
+    rng = random.Random(q)
+    for m in (1, 2, 3):
+        for _ in range(3):
+            f, g, moved = _standard_and_moved(rng, q, m)
+            for a, b in ((f, g), (moved, g)):
+                assert is_gap(a, b) == float_is_gap(q, m, a.entries, b.entries), (q, m)
+    # a true pair at m = 8: minutes through a dense (phi(r), r) table product
+    f, g, moved = _standard_and_moved(rng, q, 8)
+    assert is_gap(f, g) and not is_gap(moved, g)
 
 
 def test_reverse():
