@@ -237,6 +237,21 @@ def test_polynomial_at_a_large_modulus_is_fast():
     assert time.perf_counter() - start < 0.1
 
 
+def test_context_cache_drops_tables_before_building_past_its_byte_cap():
+    # the cap is a count of contexts; each holds one permutation of q int64
+    # entries, so the cache holds at most maxsize * 8 * 4096 bytes of tables
+    maxsize = get_context.cache_info().maxsize
+    get_context.cache_clear()
+    held = [get_context(q) for q in range(1, maxsize + 2)]
+    assert get_context.cache_info().currsize == maxsize
+    assert sum(c.order.nbytes for c in held[1:]) <= maxsize * 8 * 4096
+    # the least recently used context, q = 1, was dropped; the rest stay
+    assert get_context(2) is held[1]
+    assert get_context(maxsize + 1) is held[-1]
+    assert get_context(1) is not held[0]
+    assert get_context.cache_info().currsize == maxsize
+
+
 def test_context_cache_is_bounded_and_holds_a_cycle_of_four():
     assert get_context.cache_info().maxsize is not None
     contexts = {q: get_context(q) for q in (2, 4, 8, 10)}
