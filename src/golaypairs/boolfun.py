@@ -22,7 +22,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import PartitionTooFineError
-from .qarray import QaryArray, combine, restrict
+from .qarray import QaryArray, _integers, combine, restrict
 
 @lru_cache(maxsize=None)
 def _subset_matrix(cells: int, sign: int) -> np.ndarray:
@@ -68,17 +68,18 @@ class Anf:
     coeffs: Mapping[frozenset, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.q < 1 or self.m < 0:
-            raise ValueError(f"need q >= 1 and m >= 0, got q={self.q}, m={self.m}")
+        q, m = _integers(self.q, self.m)
+        if q < 1 or m < 0:
+            raise ValueError(f"need q >= 1 and m >= 0, got q={q}, m={m}")
         clean = {}
         for subset, coeff in self.coeffs.items():
-            s = frozenset(int(v) for v in subset)
-            if any(v < 1 or v > self.m for v in s):
-                raise ValueError(f"monomial {set(s)} out of range for m={self.m}")
-            c = int(coeff) % self.q
+            s = frozenset(_integers(*subset))
+            if any(v < 1 or v > m for v in s):
+                raise ValueError(f"monomial {set(s)} out of range for m={m}")
+            c = _integers(coeff)[0] % q
             if c:
                 clean[s] = c
-        object.__setattr__(self, "coeffs", clean)
+        self.__dict__.update(q=q, m=m, coeffs=clean)
 
     @property
     def degree(self) -> int:
@@ -114,17 +115,18 @@ class VarPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
-        norm = tuple(sorted(tuple(sorted(int(v) for v in b)) for b in self.blocks))
+        (m,) = _integers(self.m)
+        if m < 0:
+            raise ValueError(f"m must be nonnegative, got {m}")
+        norm = tuple(sorted(tuple(sorted(_integers(*b))) for b in self.blocks))
         seen: list[int] = []
         for b in norm:
             if not b:
                 raise ValueError("empty block")
             seen.extend(b)
-        if sorted(seen) != list(range(1, self.m + 1)):
-            raise ValueError(f"blocks {norm} do not partition 1..{self.m}")
-        object.__setattr__(self, "blocks", norm)
+        if sorted(seen) != list(range(1, m + 1)):
+            raise ValueError(f"blocks {norm} do not partition 1..{m}")
+        self.__dict__.update(m=m, blocks=norm)
 
 
 def _components(m: int, monomials: Iterable[int]) -> tuple[tuple[int, ...], ...]:

@@ -76,7 +76,7 @@ import numpy as np
 from .cyclotomic import get_context
 from .certify import _certify
 from .errors import BudgetExceededError, OddModulusError, VerificationError
-from .qarray import QaryArray, _coords, _cube_plan, _trusted, is_gap
+from .qarray import QaryArray, _coords, _cube_plan, _integers, _trusted, is_gap
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
@@ -287,8 +287,9 @@ def enumerate_all_gaps(
     :class:`BudgetExceededError` before any work if the space holds more
     than ``budget`` arrays or its join would need more than ``_MAX_BYTES``,
     and after the join if its pairs might; :class:`ValueError` for a
-    negative budget.
+    negative budget or a q or m that is not an integer.
     """
+    q, m = _integers(q, m)
     if q < 2:
         raise ValueError(f"modulus must be at least 2, got {q}")
     if m < 0:
@@ -365,6 +366,7 @@ def enumerate_standard(q: int, m: int) -> list[tuple[QaryArray, QaryArray]]:
     would pass ``_MAX_BYTES`` at ``_PAIR_BYTES`` each; no census that its
     own pair refusal admits is refused here.
     """
+    q, m = _integers(q, m)
     if q < 2 or q % 2:
         raise OddModulusError(f"standard pairs require even q, got {q}")
     if m < 0:
@@ -437,6 +439,7 @@ def verify_theorem(
     of which is checked once per batch), and the peak RSS.
     """
     t0 = time.perf_counter()
+    q, m = _integers(q, m)
     gaps = enumerate_all_gaps(q, m, budget=budget, workers=workers)
     total = q ** (1 << m)
     gap_keys = {(f.entries, g.entries) for f, g in gaps}

@@ -4,10 +4,12 @@
 by the one its decomposition states; :func:`~golaypairs.decompose.
 verify_certificate` runs it on a batch of one, and the census on each batch
 of its pairs.  A loaded certificate is converted into the forest of
-:mod:`golaypairs.forest`, and the checks that compare what it states with
-what it states are made on the way: C1 and C2, which come before a node's
-subtree; C3 to C5 and the sizes of C6, which come after it; and C7 to C9.
-A node that fails one of the first five is kept out of the levels.
+:mod:`golaypairs.forest` in one pass, children first, and the checks that
+compare what it states with what it states are made on the way: C1 and
+C2, which come before a node's subtree; C3 to C5 and the sizes of C6, which
+come after it; and C7 to C9.  An object that passes the first five takes
+the next row of its level at once, and one that fails them is kept out of
+the levels; each shape's rows are stacked once, at the end.
 
 Then, bottom-up, each level rebuilds its node pairs from its children's and
 checks every node at once: C6, the stored sub-pairs against the rebuilt
@@ -57,41 +59,42 @@ from .qarray import QaryArray, _cube_plan, _gaps
 
 
 class _Conversion:
-    """Certificate objects met so far, by id, with their shape checks."""
+    """Certificate objects met so far, by id, with their nodes, and the level
+    sizes, shape buckets, failures and children of the forest they make."""
 
-    __slots__ = ("index", "nodes", "failures", "kids", "place")
+    __slots__ = ("index", "sizes", "buckets", "failures", "kids")
 
     def __init__(self) -> None:
-        self.index: dict[int, int] = {}
-        self.nodes: list = []  # keeps each object, so that its id stays its own
-        self.failures: list = []  # (pre, bad, stated) messages of each node
-        self.kids: list = []
-        self.place: list = []
+        self.index: dict = {}  # id -> (node, object); holding the object keeps its id
+        self.sizes: list[int] = [0]
+        self.buckets: dict = {}  # shape -> (row, children, stated values) per object
+        self.failures: dict = {}
+        self.kids: dict = {}
 
 
 def _fits(array, q: int, m: int) -> bool:
     return isinstance(array, QaryArray) and (array.q, array.m) == (q, m)
 
 
-def _convert(conv: _Conversion, node) -> int:
-    """Index of ``node`` in ``conv``, converting its subtree first if new.
+def _convert(conv: _Conversion, node) -> tuple[int, int]:
+    """The forest node of ``node``, converting its subtree first if new.
 
-    A node is placed in the levels, as (q, m, z1, z2, entries of (a, b, c,
-    d), stated parameters) or as a leaf (q, 0, c0, c'), when it passes C1 and
-    C2 (which come before its subtree) and, if inner, C3 to C5 and the
-    sizes of C6 (which come after it); otherwise its first failure is kept.
-    C7 to C9 compare values the certificate states with each other, so they
-    are checked here too, and kept for after C6.
+    An object that passes C1 and C2 (which come before its subtree) and, if
+    inner, C3 to C5 and the sizes of C6 (which come after it) takes the next
+    row of level m, into the bucket of its shape with the values it states;
+    any other object is (-1, i), the i-th met, and keeps its first failure.
+    C7 to C9 compare stated values with each other, so they are checked here
+    too, and kept for after C6.
     """
-    i = conv.index.get(id(node))
-    if i is not None:
-        return i
+    found = conv.index.get(id(node))
+    if found is not None:
+        return found[0]
     q, m, params = node.q, node.m, node.params
-    pre = bad = stated = kids = place = None
+    pre = bad = stated = kids = key = None
     if (params.q, params.m) != (q, m):
         pre = f"node parameters do not have the node's q={q} and m={m}"
     elif m == 0:
-        place = (q, 0, params.c0, params.c_prime)
+        key, values = (q, 0), (params.c0, params.c_prime)
     elif node.split_var != m:
         pre = f"split variable {node.split_var} is not the highest ({m})"
     else:
@@ -110,60 +113,48 @@ def _convert(conv: _Conversion, node) -> int:
             bad = _VALUE_FAILURES[1]
         else:
             a, b, c = split.a.entries, split.b.entries, split.c.entries
-            place = (q, m, z1, z2, (a, b, c, node.d.entries), params)
+            key, values = (q, m, z1, z2), ((a, b, c, node.d.entries), params)
             if split.f0_const != a[0] or split.g0_const != b[0]:
                 stated = _VALUE_FAILURES[2]
             elif c[0] != 0:
                 stated = _VALUE_FAILURES[3]
             elif node.e != node.left.params.c_prime or node.e_prime != node.right.params.c_prime:
                 stated = _VALUE_FAILURES[4]
-    conv.index[id(node)] = len(conv.nodes)
-    conv.nodes.append(node)
-    conv.failures.append((pre, bad, stated))
-    conv.kids.append(kids)
-    conv.place.append(place)
-    return len(conv.nodes) - 1
+    where = (-1, len(conv.index))
+    if key is not None:
+        conv.sizes += [0] * (m + 1 - len(conv.sizes))
+        where = (m, conv.sizes[m])
+        conv.sizes[m] += 1
+        conv.buckets.setdefault(key, []).append((where[1], kids, values))
+    conv.index[id(node)] = where, node
+    for kind, message in enumerate((pre, bad, stated)):
+        if message is not None:
+            conv.failures[kind, where] = _FAILED + message
+    # the children of the nodes outside the levels, and of those with a child outside
+    if kids is not None and min(where[0], kids[0][0], kids[1][0]) < 0:
+        conv.kids[where] = kids
+    return where
 
 
 def _certificates(q: int, certs: Sequence) -> _Forest:
-    """The forest of the certificates ``certs``, converted into levels."""
+    """The forest of the certificates ``certs``, converted in one pass, each
+    shape's bucket stacked once at the end."""
     conv = _Conversion()
-    roots = [_convert(conv, cert) for cert in certs]
-    members: dict = {}  # the placed objects by shape, in order
-    for i, p in enumerate(conv.place):
-        if p is not None:
-            members.setdefault(p[:4] if p[1] else p[:2], []).append(i)
-    dtype = _dtype(max([q] + [key[0] for key in members]))
-    sizes = [0] * (max([key[1] for key in members], default=0) + 1)
-    where = [(-1, i) for i in range(len(conv.place))]  # the node of each object
-    for key, nodes in members.items():
-        k = key[1]
-        for row, i in enumerate(nodes, sizes[k]):
-            where[i] = (k, row)
-        sizes[k] += len(nodes)
-    levels = [_Level(size, [], []) for size in sizes]
-    for key, nodes in members.items():
-        gq, k = key[:2]
-        start = where[nodes[0]][1]
-        rows = np.arange(start, start + len(nodes))
-        column = [conv.place[i] for i in nodes]
-        if not k:
-            c0, cp = np.array([p[2:] for p in column], dtype=dtype).T
-            levels[0].leaves.append((gq, rows, c0, cp))
+    roots = np.array([_convert(conv, cert) for cert in certs], dtype=np.intp)
+    dtype = _dtype(max([q] + [key[0] for key in conv.buckets]))
+    levels = [_Level(size, [], []) for size in conv.sizes]
+    for (gq, k, *split), bucket in conv.buckets.items():
+        rows, kids, values = zip(*bucket)
+        rows = np.array(rows, dtype=np.intp)
+        if not k:  # values are (c0, c')
+            levels[0].leaves.append((gq, rows, *np.array(values, dtype=dtype).T))
             continue
-        left, right = np.array([[row if k >= 0 else -1 for k, row in
-                                 (where[conv.kids[i][side]] for i in nodes)] for side in (0, 1)],
+        left, right = np.array([[row if j >= 0 else -1 for j, row in side] for side in zip(*kids)],
                                dtype=np.intp)
-        levels[k].groups.append(_Group(gq, _shape(*key[2:]), rows, left, right,
-                                       _sub_rows(dtype, [p[4] for p in column]),
-                                       _param_rows(dtype, [p[5] for p in column])))
-    failures = {(kind, where[i]): _FAILED + message
-                for i, found in enumerate(conv.failures)
-                for kind, message in enumerate(found) if message is not None}
-    # the children of the nodes outside the levels, and of those with a child outside
-    kids = {where[i]: (where[k[0]], where[k[1]]) for i, k in enumerate(conv.kids)
-            if k is not None and (where[i][0] < 0 or where[k[0]][0] < 0 or where[k[1]][0] < 0)}
-    return _Forest(dtype, levels, np.array([where[i] for i in roots], dtype=np.intp), failures, kids)
+        subs, params = zip(*values)
+        levels[k].groups.append(_Group(gq, _shape(*split), rows, left, right,
+                                       _sub_rows(dtype, subs), _param_rows(dtype, params)))
+    return _Forest(dtype, levels, roots, conv.failures, conv.kids)
 
 
 def _derive(forest: _Forest) -> list[np.ndarray]:

@@ -5,7 +5,9 @@ level of the forest: int64 entries up to ``_INT64_MAX_Q``, Python integers
 past it.  Each level holds every distinct node once, so a sub-pair that
 repeats within a pair or across a census batch is one row, and its inner
 nodes are grouped by shape (q, m, z1, z2).  Everything a node of one shape
-does is a gather through index arrays cached per (z1, z2): the split of its
+does is a gather through index arrays cached per (z1, z2), built on the
+map from a cube cell to its point on a block that
+:func:`~golaypairs.qarray.combine` reads too: the split of its
 x_m = 0 half into (a, b) and c, and the join of sub-pairs (a, b) and (c, d)
 into the node pair, which is both the forced form that the decomposition
 checks and the rebuild that the certifier checks (see
@@ -31,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .boolfun import _components, _subset_transform
-from .qarray import QaryArray, _spread_masks, _trusted
+from .qarray import QaryArray, _block_index, _spread_masks, _trusted
 from .standard import StandardParams
 
 # Stacks hold int64 entries up to this modulus: the largest sum, the
@@ -134,11 +136,8 @@ def _shape(z1: tuple[int, ...], z2: tuple[int, ...]) -> _Shape:
     sp2 = np.array(_spread_masks(z2), dtype=np.intp)
     h1, h2 = len(sp1), len(sp2)
     half, row = h1 * h2, h1 + h2  # a, c in the first row of the stack, b, d in the second
-    cells = sp1[:, None] | sp2
-    i1 = np.empty(half, dtype=np.intp)
-    i2 = np.empty(half, dtype=np.intp)
-    i1[cells] = np.arange(h1)[:, None]
-    i2[cells] = np.arange(h2)
+    k = len(z1) + len(z2)
+    i1, i2 = (_block_index(k, z).astype(np.intp) for z in (z1, z2))
     r1 = h1 - 1 - i1
     cut = np.array([np.concatenate((sp1, sp2)), np.concatenate((2 * half + sp1, half + sp2))])
     base = np.array([[0] * row, [2 * half + sp1[-1]] * row])
@@ -151,7 +150,7 @@ def _shape(z1: tuple[int, ...], z2: tuple[int, ...]) -> _Shape:
     sign = np.where(np.arange(2 * half) < half, 1, -1).astype(factor)
     right = np.concatenate((h1 + i2, row + h1 + i2))[None]
     index = np.intp if small else np.min_scalar_type(4 * half)
-    return _Shape(len(z1) + len(z2) + 1, z1, z2,
+    return _Shape(k + 1, z1, z2,
                   *_frozen(cut.astype(index), base.astype(index), shift, left.astype(index),
                            sign, right.astype(index), *_mixing(z1, z2, factor)))
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .cyclotomic import CycElement, get_context
-from .qarray import QaryArray, _spread_masks, _trusted, all_shifts
+from .qarray import QaryArray, _integers, _spread_masks, _trusted, all_shifts
 
 
 @dataclass(frozen=True)
@@ -37,22 +37,26 @@ class GenFun:
     coeffs: tuple[CycElement, ...]
 
     def __post_init__(self):
-        support = frozenset(int(v) for v in self.support)
-        if any(v < 1 or v > self.m for v in support):
-            raise ValueError(f"support {set(support)} out of range for m={self.m}")
-        object.__setattr__(self, "support", support)
+        q, m = _integers(self.q, self.m)
+        if m < 0:
+            raise ValueError(f"m must be nonnegative, got {m}")
+        support = frozenset(_integers(*self.support))
+        if any(v < 1 or v > m for v in support):
+            raise ValueError(f"support {set(support)} out of range for m={m}")
         coeffs = tuple(self.coeffs)
-        if len(coeffs) != 1 << self.m:
-            raise ValueError(f"expected {1 << self.m} coefficients")
-        if any(c.ctx.q != self.q for c in coeffs):
+        if len(coeffs) != 1 << m:
+            raise ValueError(f"expected {1 << m} coefficients")
+        if not all(isinstance(c, CycElement) for c in coeffs):
+            raise ValueError("coefficients must be CycElement values")
+        if any(c.ctx.q != q for c in coeffs):
             raise ValueError("coefficient context mismatch")
+        self.__dict__.update(q=q, m=m, support=support, coeffs=coeffs)
         mask = self.support_mask
         for t, c in enumerate(coeffs):
             if t & ~mask and not c.is_zero():
                 raise ValueError(
                     f"nonzero coefficient at monomial {t:b} outside support"
                 )
-        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def support_mask(self) -> int:

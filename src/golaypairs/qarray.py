@@ -558,21 +558,20 @@ def _spread_masks(vars_: tuple[int, ...]) -> list[int]:
     return masks
 
 
-def _two_block_fill(
-    q: int,
-    m: int,
-    z1: tuple[int, ...],
-    vals1: Sequence[int],
-    z2: tuple[int, ...],
-    vals2: Sequence[int],
-) -> tuple[int, ...]:
-    """Entries of x -> vals1[x|z1] + vals2[x|z2] mod q; z1, z2 partition 1..m."""
-    out = [0] * (1 << m)
-    sp2 = _spread_masks(z2)
-    for m1, v1 in zip(_spread_masks(z1), vals1):
-        for m2, v2 in zip(sp2, vals2):
-            out[m1 | m2] = (v1 + v2) % q
-    return tuple(out)
+@lru_cache(maxsize=256)
+def _block_index(m: int, vars_: tuple[int, ...]) -> np.ndarray:
+    """Read-only array, in the smallest unsigned dtype, whose entry t is the
+    point of the subcube on ``vars_`` that cube cell t of dimension m
+    projects to: bit j of it is bit ``vars_[j] - 1`` of t.  It inverts
+    :func:`_spread_masks` on that map's cells, so a block function reads its
+    value at cell t through it."""
+    cells = np.arange(1 << m)
+    index = np.zeros(1 << m, dtype=np.intp)
+    for j, v in enumerate(vars_):
+        index |= (cells >> (v - 1) & 1) << j
+    index = index.astype(np.min_scalar_type((1 << len(vars_)) - 1))
+    index.flags.writeable = False
+    return index
 
 
 def restrict(f: QaryArray, vars_: Sequence[int]) -> QaryArray:
@@ -598,11 +597,12 @@ def combine(
 
     Inverse of block separation: each (vars, array) contributes its value at
     the projection of the global point onto ``vars``.  Blocks must be disjoint
-    but need not cover all m variables.  The constant and the blocks fold
-    into one block, which :func:`_two_block_fill` adds to zero on the rest.
+    but need not cover all m variables.  Each block adds one gather through
+    :func:`_block_index` to the constant, on Python integers, so the sum is
+    exact for every q.
     """
     vars_: tuple[int, ...] = ()
-    vals = [constant]
+    gathers = []
     for block_vars, arr in blocks:
         vt = tuple(block_vars)
         if arr.q != q or arr.m != len(vt):
@@ -610,7 +610,6 @@ def combine(
         vars_ += vt
         if any(v < 1 or v > m for v in vt) or len(set(vars_)) != len(vars_):
             raise ValueError(f"bad or overlapping block variables {vt}")
-        vals = [a + b for b in arr.entries for a in vals]
-    rest = tuple(v for v in range(1, m + 1) if v not in vars_)
-    zeros = (0,) * (1 << len(rest))
-    return QaryArray(q, m, _two_block_fill(q, m, vars_, vals, rest, zeros))
+        gathers.append(np.array(arr.entries, dtype=object).take(_block_index(m, vt)))
+    total = sum(gathers, np.full(1 << m, constant, dtype=object))
+    return QaryArray(q, m, tuple((total % q).tolist()))

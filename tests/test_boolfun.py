@@ -112,6 +112,27 @@ def test_impossible_shapes_are_refused():
         VarPartition(-1, ())
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        (4, 2, {frozenset({1}): 1.5}),
+        (4, 2, {frozenset({1.7}): 1}),
+        (4, 2, {frozenset({1}): "3"}),
+        (4.5, 2, {}),
+        (4, 2.0, {}),
+    ],
+)
+def test_anf_rejects_fields_that_are_not_integers(args):
+    with pytest.raises(ValueError):
+        Anf(*args)
+
+
+@pytest.mark.parametrize("args", [(2, ((1.9, 2),)), (2.0, ((1, 2),)), (1, (("1",),))])
+def test_var_partition_rejects_fields_that_are_not_integers(args):
+    with pytest.raises(ValueError):
+        VarPartition(*args)
+
+
 def test_var_partition_validation():
     assert VarPartition(3, ((3, 1), (2,))).blocks == ((1, 3), (2,))
     with pytest.raises(ValueError):

@@ -150,6 +150,20 @@ def test_input_validation():
         enumerate_standard(2, -1)
 
 
+@pytest.mark.parametrize("fn", [enumerate_all_gaps, enumerate_standard, verify_theorem])
+@pytest.mark.parametrize("q, m", [(2.0, 1), (2, 1.0), ("2", 1), (4.5, 2)])
+def test_a_modulus_or_dimension_that_is_not_an_integer_is_a_value_error(fn, q, m):
+    with pytest.raises(ValueError, match="expected integers"):
+        fn(q, m)
+
+
+def test_numpy_integers_are_a_modulus_and_dimension():
+    q, m = np.int64(2), np.int64(1)
+    assert enumerate_all_gaps(q, m) == enumerate_all_gaps(2, 1)
+    assert enumerate_standard(q, m) == enumerate_standard(2, 1)
+    assert verify_theorem(q, m).to_json_dict() == verify_theorem(2, 1).to_json_dict()
+
+
 def test_worker_count_is_clamped_to_chunks_and_cpus():
     import os
 

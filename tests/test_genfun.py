@@ -225,3 +225,24 @@ def test_genfun_validates_support_and_contexts():
         GenFun(2, 1, frozenset({1}), (ctx.root(0),))
     with pytest.raises(ValueError):
         GenFun(4, 1, frozenset({1}), (ctx.root(0), ctx.root(1)))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 1, frozenset({1}), (1, -1)),
+        (2, -1, frozenset(), ()),
+        (2, 1.0, frozenset({1}), "roots"),
+        (2.0, 1, frozenset({1}), "roots"),
+        (2, 1, frozenset({1.5}), "roots"),
+    ],
+)
+def test_genfun_rejects_fields_of_the_wrong_type(args):
+    from golaypairs import GenFun
+
+    ctx = get_context(2)
+    q, m, support, coeffs = args
+    if coeffs == "roots":
+        coeffs = (ctx.root(0), ctx.root(1))
+    with pytest.raises(ValueError):
+        GenFun(q, m, support, coeffs)
