@@ -21,8 +21,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .cyclotomic import _integers
 from .errors import PartitionTooFineError
-from .qarray import QaryArray, _integers, combine, restrict
+from .qarray import QaryArray, combine, restrict
 
 @lru_cache(maxsize=None)
 def _subset_matrix(cells: int, sign: int) -> np.ndarray:

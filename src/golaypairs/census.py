@@ -42,10 +42,12 @@ held to the same cap: after the join, the matched representatives bound the
 number of pairs, and a census whose pairs would take more than
 ``_MAX_BYTES`` at ``_PAIR_BYTES`` each is refused before they are built.
 
-Fingerprints are computed in chunks of ``CHUNK`` representatives.  Per
-chunk the kernel holds one int64 key per representative and overlap pair and
-one int64 count per representative, residue and half shift: 0.9 MB and
-3.4 MB at (8,3).  With ``workers > 1`` the chunks are farmed out to a
+Fingerprints are computed in chunks of at most ``CHUNK`` representatives,
+cut so that a chunk's histogram holds at most ``qarray._BINS`` counts, one
+int64 per representative, residue and half shift.  The kernel also holds one
+int64 key per representative and overlap pair: at (8,3) a chunk is 2,520
+representatives, 2.1 MB of counts and 0.6 MB of keys, and at (4095,1) it is
+64.  With ``workers > 1`` the chunks are farmed out to a
 process pool and merged back in order, so reports are byte-for-byte
 identical for every worker count.  Each call logs one DEBUG record with its
 counters and stage timings on the ``golaypairs`` logger, which is silent by
@@ -73,10 +75,10 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .cyclotomic import get_context
+from .cyclotomic import _integers, get_context
 from .certify import _certify
 from .errors import BudgetExceededError, OddModulusError, VerificationError
-from .qarray import QaryArray, _coords, _cube_plan, _integers, _trusted, is_gap
+from .qarray import _BINS, QaryArray, _coords, _cube_plan, _trusted, is_gap
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
@@ -141,9 +143,12 @@ def _chunk_rows(
 def _sweep(
     q: int, m: int, reps: int, width: int, dtype: np.dtype, workers: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fingerprint rows and hashes of every representative, in order."""
-    starts = range(0, reps, CHUNK)
-    tasks = [(q, m, a, min(a + CHUNK, reps), width, dtype) for a in starts]
+    """Fingerprint rows and hashes of every representative, in order, in
+    tasks of at most ``CHUNK`` representatives whose histograms hold at
+    most ``_BINS`` counts (one representative if it alone has more)."""
+    shifts = max(len(_cube_plan(m).order), 1)  # none at m = 0
+    size = max(1, min(CHUNK, _BINS // (q * shifts)))
+    tasks = [(q, m, a, min(a + size, reps), width, dtype) for a in range(0, reps, size)]
     rows = np.empty((reps, width), dtype=dtype)
     hashes = np.empty(reps, dtype=np.int64)
     chunks = _run(_chunk_rows, tasks, workers)

@@ -23,7 +23,8 @@ walk of its certificate fails (C1 and C2 before a node's subtree, the rest
 after it), then C13, then its correlation failures in the order in which
 that walk first met each dimension; that order is recovered only for the
 pairs that fail.  No check is skipped, and every pair that meets a failing
-node fails.
+node fails.  The checks count nothing: a decomposed batch's census counters
+come from one pass of their own down its levels (:func:`_counters`).
 """
 from __future__ import annotations
 
@@ -176,14 +177,11 @@ def _derive(forest: _Forest) -> list[np.ndarray]:
 class _Walk(NamedTuple):
     """The bottom-up pass over a forest, per level with a spare last row:
     ``pairs`` the node pairs rebuilt from the leaves, ``done`` whether a row
-    was rebuilt, ``rows`` the inner nodes of each dimension up to the
-    correlation depth in a row's subtree, ``codes`` the first of C6, C10
-    and C11 that a row failed (0 for none), and ``alive`` whether its whole
-    subtree passed."""
+    was rebuilt, ``codes`` the first of C6, C10 and C11 that a row failed
+    (0 for none), and ``alive`` whether its whole subtree passed."""
 
     pairs: list[np.ndarray]
     done: list[np.ndarray]
-    rows: list[np.ndarray]
     codes: list[np.ndarray]
     alive: list[np.ndarray]
 
@@ -216,15 +214,12 @@ def _check(forest: _Forest, params: list[np.ndarray] | None, max_corr_dim: int) 
     (where a certificate states parameters; ``params`` are the derived
     ones) and C11 (up to ``max_corr_dim``) on each node whose children were
     rebuilt."""
-    depth = max(0, min(max_corr_dim, len(forest.levels) - 1))
     stated = {node for kind, node in forest.failures if kind == 2}
     whole = not forest.failures  # so far every node was rebuilt and passed
-    unit = np.eye(depth + 1, dtype=np.int64)  # a node's own row, by dimension
-    pairs, done, counts, codes, alive = [], [], [], [], []
+    pairs, done, codes, alive = [], [], [], []
     for k, level in enumerate(forest.levels):
         built = np.zeros((level.size + 1, 2, 1 << k), dtype=forest.dtype)
         ok, passed = np.zeros((2, level.size + 1), dtype=bool)
-        below = np.zeros((level.size + 1, depth + 1), dtype=np.int64)
         code = np.zeros(level.size + 1, dtype=np.int8)
         for gq, rows, c0, cp in level.leaves:
             built[rows, 0, 0], built[rows, 1, 0] = c0, (c0 + cp) % gq
@@ -265,17 +260,14 @@ def _check(forest: _Forest, params: list[np.ndarray] | None, max_corr_dim: int) 
                 passed[rows] = (first == 0) & alive[k1].take(left) & alive[k2].take(right)
                 whole = False
             ok[rows] = True
-            mine = counts[k1].take(left, axis=0) + counts[k2].take(right, axis=0)
-            below[rows] = mine + unit[k] if k <= depth else mine
         for level_of, row in stated:
             if level_of == k:
                 passed[row] = False
         pairs.append(built)
         done.append(ok)
-        counts.append(below)
         codes.append(code)
         alive.append(passed)
-    return _Walk(pairs, done, counts, codes, alive)
+    return _Walk(pairs, done, codes, alive)
 
 
 def _dimensions_met(forest: _Forest, broken: list, node: tuple[int, int], depth: int,
@@ -293,16 +285,12 @@ def _dimensions_met(forest: _Forest, broken: list, node: tuple[int, int], depth:
 
 def _correlate(
     forest: _Forest, walk: _Walk, q: int, roots: np.ndarray, max_corr_dim: int
-) -> tuple[dict[int, int], dict[int, str]]:
+) -> dict[int, str]:
     """C15: each distinct inner node pair of dimension at most
     ``max_corr_dim`` that passed every check below it is correlated once.
-    Returns the rows per dimension below the passing ``roots``, each node
-    counted as often as they meet it, and the message of each root (by
-    position) that meets a node that failed."""
+    Returns the message of each of the passing ``roots`` (by position) that
+    meets a node that failed."""
     depth = max(0, min(max_corr_dim, len(forest.levels) - 1))
-    counts = np.zeros(depth + 1, dtype=np.int64)
-    for k in set(roots[:, 0].tolist()):
-        counts += walk.rows[k].take(roots[roots[:, 0] == k, 1], axis=0).sum(axis=0)
     broken: list = []
     for k in range(1, depth + 1):
         nodes = np.flatnonzero(walk.alive[k][:-1])
@@ -317,25 +305,37 @@ def _correlate(
         dim = next((d for d, bad in met.items() if bad), None)
         if dim is not None:
             failed[j] = f"{_FAILED}a node pair of dimension {dim} is not complementary"
-    return {dim: n for dim, n in enumerate(counts.tolist()) if dim and n}, failed
+    return failed
 
 
-def _shared(forest: _Forest) -> tuple[int, int]:
-    """The distinct sub-pairs of a decomposed forest, and the walks of inner
-    sub-certificates that a walk of its roots sharing each distinct one
-    would reuse: the inner children met from the roots and from each
-    distinct inner sub-certificate, less those sub-certificates."""
+def _counters(
+    forest: _Forest, roots: np.ndarray, max_corr_dim: int
+) -> tuple[dict[int, int], tuple[int, int]]:
+    """The census's counters of a decomposed forest, in one pass down its
+    levels: the inner nodes of each dimension up to ``max_corr_dim`` below
+    the passing ``roots``, each counted as often as a walk of them meets
+    it; the distinct sub-pairs; and the walks of inner sub-certificates
+    that a walk of all its roots sharing each distinct one would reuse:
+    the inner children met from the roots and from each distinct inner
+    sub-certificate, less those sub-certificates."""
     offsets = np.cumsum([0] + [level.size for level in forest.levels])
     met = np.zeros(offsets[-1], dtype=bool)
     inner_kids = np.zeros(offsets[-1], dtype=np.int64)
-    for k, level in enumerate(forest.levels):
-        for g in level.groups:
+    walked = np.bincount(offsets[roots[:, 0]] + roots[:, 1], minlength=offsets[-1])
+    for k in range(len(forest.levels) - 1, 0, -1):
+        for g in forest.levels[k].groups:
             k1, k2 = len(g.shape.z1), len(g.shape.z2)
-            met[offsets[k1] + g.left] = met[offsets[k2] + g.right] = True
-            inner_kids[offsets[k] + g.rows] = (k1 > 0) + (k2 > 0)
+            rows, left, right = offsets[k] + g.rows, offsets[k1] + g.left, offsets[k2] + g.right
+            met[left] = met[right] = True
+            inner_kids[rows] = (k1 > 0) + (k2 > 0)
+            np.add.at(walked, left, walked[rows])
+            np.add.at(walked, right, walked[rows])
+    depth = min(max_corr_dim, len(forest.levels) - 1)
+    counts = {k: int(walked[offsets[k] : offsets[k + 1]].sum()) for k in range(1, depth + 1)}
     inner = np.flatnonzero(met[offsets[1] :]) + offsets[1]
     walks = inner_kids[offsets[forest.roots[:, 0]] + forest.roots[:, 1]].sum()
-    return int(met.sum()), int(walks + inner_kids[inner].sum()) - len(inner)
+    shared = int(met.sum()), int(walks + inner_kids[inner].sum()) - len(inner)
+    return {k: n for k, n in counts.items() if n}, shared
 
 
 def _certify(
@@ -349,10 +349,9 @@ def _certify(
     Pair i is certified by ``certs[i]`` (a ``DecompositionCertificate``),
     or, when ``certs`` is None, by the certificate its decomposition
     states.  Returns the first failure message of each failing pair, keyed
-    by its index; the correlation rows per dimension, counted per pair; the
-    distinct sub-pairs and reused sub-certificate walks of :func:`_shared`
-    for a decomposed batch, (0, 0) for given certificates; and the seconds
-    spent decomposing and checking, and correlating.
+    by its index; the counters of :func:`_counters` for a decomposed batch,
+    {} and (0, 0) for given certificates; and the seconds spent decomposing
+    and checking, and correlating.
     """
     t0 = time.perf_counter()
     if not pairs:
@@ -385,10 +384,9 @@ def _certify(
     if np.count_nonzero(passed) < len(passed):
         for i in np.flatnonzero(alive & ~passed).tolist():
             failures[i] = _FAILED + "replayed pair differs from the claimed pair"
-    shared = _shared(forest) if certs is None else (0, 0)
-    t1 = time.perf_counter()
     passing = np.flatnonzero(passed)
-    counts, broken = _correlate(forest, walk, q, roots[passing], max_corr_dim)
-    for j, message in broken.items():
+    census = _counters(forest, roots[passing], max_corr_dim) if certs is None else ({}, (0, 0))
+    t1 = time.perf_counter()
+    for j, message in _correlate(forest, walk, q, roots[passing], max_corr_dim).items():
         failures[int(passing[j])] = message
-    return failures, counts, shared, t1 - t0, time.perf_counter() - t1
+    return failures, *census, t1 - t0, time.perf_counter() - t1

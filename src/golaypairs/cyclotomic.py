@@ -15,6 +15,7 @@ another Z-basis, whose order of exponents the context fixes.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import prod
 from typing import Iterable
@@ -27,6 +28,14 @@ import numpy as np
 # q bins per group and shift, so at this cap one shift of a stack of 64
 # pairs fills qarray._BINS.
 _MAX_Q = 4096
+
+
+def _integers(*values) -> tuple[int, ...]:
+    """``values`` as ints; numpy integers pass, floats and strings raise."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"expected integers: {exc}") from None
 
 
 def _primes(q: int) -> list[int]:
@@ -43,7 +52,7 @@ def _primes(q: int) -> list[int]:
     return primes
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     """Coefficients of the q-th cyclotomic polynomial, ascending degree.
 
@@ -59,6 +68,7 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(4)
     (1, 0, 1)
     """
+    (q,) = _integers(q)
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     if q == 1:
@@ -92,12 +102,14 @@ class CycContext:
     (a mod p_1, ..., a mod p_k), the last prime's lowest, so the kernel
     reduces along one axis per prime (see :mod:`golaypairs.qarray`).
     Elements carry a reference to their context; mixing contexts raises.
-    Moduli above 4096 are refused with ``ValueError``.
+    A modulus that is not an integer in 1..4096 is refused with
+    ``ValueError``.
     """
 
     __slots__ = ("q", "phi", "degree", "primes", "order")
 
     def __init__(self, q: int):
+        (q,) = _integers(q)
         if not 1 <= q <= _MAX_Q:
             raise ValueError(f"q must lie in 1..{_MAX_Q}, got {q}")
         self.q = q
@@ -148,11 +160,12 @@ class CycContext:
         return f"CycContext(q={self.q})"
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def get_context(q: int) -> CycContext:
     """Shared per-q context; contexts are immutable and safe to cache.
 
-    Raises ``ValueError`` for q < 1 and for q above 4096.
+    Raises ``ValueError`` for a q that is not an integer, for q < 1 and for
+    q above 4096; ``typed`` keeps a float q from hitting an int's entry.
     """
     return CycContext(q)
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .cyclotomic import CycElement, get_context
-from .qarray import QaryArray, _integers, _spread_masks, _trusted, all_shifts
+from .cyclotomic import CycElement, _integers, get_context
+from .qarray import QaryArray, _spread_masks, _trusted, all_shifts
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,6 @@ itself a frozenset of ints.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -74,7 +73,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycElement, get_context
+from .cyclotomic import CycElement, _integers, get_context
 from .errors import BudgetExceededError
 
 # A cube plan build peaks at about 26 bytes per (shift, overlap cell)
@@ -105,12 +104,14 @@ def _json_int(value) -> int:
     return value
 
 
-def _integers(*values) -> tuple[int, ...]:
-    """``values`` as ints; numpy integers pass, floats and strings raise."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise ValueError(f"expected integers: {exc}") from None
+def _dims(q, m) -> tuple[int, int]:
+    """q and m as ints, q positive and m nonnegative, else ``ValueError``."""
+    q, m = _integers(q, m)
+    if q < 1:
+        raise ValueError(f"q must be positive, got {q}")
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    return q, m
 
 
 def _trusted(cls, *values):
@@ -133,11 +134,7 @@ class QaryArray:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        q, m = _integers(self.q, self.m)
-        if q < 1:
-            raise ValueError(f"q must be positive, got {q}")
-        if m < 0:
-            raise ValueError(f"m must be nonnegative, got {m}")
+        q, m = _dims(self.q, self.m)
         entries = _integers(*self.entries)
         if len(entries) != 1 << min(m, 63):  # no tuple holds 2**63 entries
             count = 1 << m if m < 63 else f"2**{m}"
@@ -148,11 +145,13 @@ class QaryArray:
 
     @classmethod
     def constant(cls, q: int, value: int, m: int = 0) -> "QaryArray":
+        q, m = _dims(q, m)
         return cls(q, m, ((value % q),) * (1 << m))
 
     @classmethod
     def from_function(cls, q: int, m: int, fn) -> "QaryArray":
         """Tabulate ``fn(bits)`` over all m-bit points; values reduced mod q."""
+        q, m = _dims(q, m)
         ent = []
         for t in range(1 << m):
             bits = tuple((t >> k) & 1 for k in range(m))
@@ -234,10 +233,10 @@ def _validate_shift(m: int, tau: Sequence[int]) -> tuple[int, ...]:
 
 def all_shifts(m: int) -> Iterable[tuple[int, ...]]:
     """All 3**m shift vectors, in deterministic lexicographic order."""
-    return product((-1, 0, 1), repeat=m)
+    return product((-1, 0, 1), repeat=_integers(m)[0])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so a float m is checked, not found
 def half_shifts(m: int) -> tuple[tuple[int, ...], ...]:
     """One representative from each {tau, -tau} pair of nonzero shifts.
 
@@ -523,6 +522,7 @@ def is_gap(f: QaryArray, g: QaryArray) -> bool:
 
 def sequence_autocorrelation(q: int, s: Sequence[int], tau: int) -> CycElement:
     """Aperiodic autocorrelation of a q-ary sequence at integer shift tau."""
+    (tau,) = _integers(tau)
     length = len(s)
     if not -length < tau < length:
         raise ValueError(f"shift {tau} out of range for length {length}")
@@ -580,7 +580,7 @@ def restrict(f: QaryArray, vars_: Sequence[int]) -> QaryArray:
     ``vars_`` must be strictly increasing 1-based variable indices; the result
     is an array of dimension len(vars_) in the induced local coordinates.
     """
-    vt = tuple(vars_)
+    vt = _integers(*vars_)
     if list(vt) != sorted(set(vt)) or vt and (vt[0] < 1 or vt[-1] > f.m):
         raise ValueError(f"bad variable subset {vt} for m={f.m}")
     entries = tuple(f.entries[s] for s in _spread_masks(vt))
@@ -601,6 +601,7 @@ def combine(
     :func:`_block_index` to the constant, on Python integers, so the sum is
     exact for every q.
     """
+    q, m = _dims(q, m)
     vars_: tuple[int, ...] = ()
     gathers = []
     for block_vars, arr in blocks:

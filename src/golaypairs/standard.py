@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .boolfun import _subset_transform
+from .cyclotomic import _integers
 from .errors import OddModulusError
-from .qarray import QaryArray, _integers, _json_int, _trusted
+from .qarray import QaryArray, _json_int, _trusted
 
 
 @dataclass(frozen=True)

@@ -360,6 +360,35 @@ def test_fingerprint_rows_are_narrow():
     assert _row_layout(5, 0) == (1, np.dtype(np.int8))
 
 
+def test_sweep_chunks_keep_the_histogram_bound(monkeypatch):
+    import tracemalloc
+
+    import golaypairs.census as census
+
+    # a chunk's histogram holds at most _BINS counts: at (4095, 1) a whole
+    # CHUNK of representatives would count 134 MB of them in one call
+    enumerate_all_gaps(4095, 1)  # the context and plan, outside the trace
+    tracemalloc.start()
+    try:
+        assert enumerate_all_gaps(4095, 1) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
+    sizes = []
+    chunk_rows = census._chunk_rows
+
+    def spy(q, m, start, stop, width, dtype):
+        sizes.append(stop - start)
+        return chunk_rows(q, m, start, stop, width, dtype)
+
+    monkeypatch.setattr(census, "_chunk_rows", spy)
+    for q, m, size in ((4095, 1, 64), (5, 3, 4032), (4, 3, 4096), (3, 0, 1)):
+        sizes.clear()
+        enumerate_all_gaps(q, m)
+        assert max(sizes) == size and sum(sizes) == q ** ((1 << m) - 1), (q, m)
+
+
 def test_join_estimate_bounds_the_join_and_keeps_the_refusals():
     import tracemalloc
 

@@ -3,10 +3,12 @@
 import random
 import time
 
+import numpy as np
 import pytest
 import sympy
 
 from golaypairs import CycElement, VerificationError, cyclotomic_polynomial, get_context
+from golaypairs.cyclotomic import CycContext
 
 from helpers import cyc_to_complex, poly_divmod_exact
 
@@ -198,6 +200,16 @@ def test_invalid_modulus_rejected():
     for q in (4097, 100003):
         with pytest.raises(ValueError, match="4096"):
             get_context(q)
+
+
+@pytest.mark.parametrize("fn", [get_context, CycContext, cyclotomic_polynomial])
+@pytest.mark.parametrize("q", [4.0, 4.5, "4"])
+def test_a_modulus_that_is_not_an_integer_is_a_value_error(fn, q):
+    fn(4)  # a cached int's entry is not the float's
+    with pytest.raises(ValueError, match="expected integers"):
+        fn(q)
+    ctx = get_context(np.int64(4))
+    assert type(ctx.q) is int and ctx == get_context(4)
 
 
 _DIVISION_MODULI = [4, 6, 12, 105, 8, 9, 27, 64, 72, 100]

@@ -104,6 +104,7 @@ from helpers import (
     reference_walk,
     standard_table,
 )
+from test_census import shared_counters
 
 EVEN = st.sampled_from((2, 4, 6, 8, 10, 12))
 
@@ -665,8 +666,8 @@ def correlated_rows():
 @given(standard_params(6, st.sampled_from((2, 4, 6, 8, 10))))
 def test_walk_rows_are_the_inner_node_pairs(params):
     # the rows are the inner nodes' pairs, rebuilt here by replaying each
-    # subtree: each distinct one is correlated once, each node is counted,
-    # and none is of dimension 0
+    # subtree: each distinct one is correlated once, each node of a
+    # decomposed batch is counted, and none is of dimension 0
     f, g = construct_standard(params)
     _, cert = decompose(f, g)
     nodes = inner_nodes(cert)
@@ -683,7 +684,10 @@ def test_walk_rows_are_the_inner_node_pairs(params):
             assert {dim: Counter(rows) for dim, rows in seen.items()} == {
                 dim: Counter(set(pairs)) for dim, pairs in want.items()
             }
-            assert counts == {dim: sum(pairs.values()) for dim, pairs in want.items()}
+            if certs is None:  # the census counters are counted for it alone
+                assert counts == {dim: sum(pairs.values()) for dim, pairs in want.items()}
+            else:
+                assert counts == {}
 
 
 ROOT_TAMPERS = {
@@ -822,16 +826,17 @@ def outcome(decomposer, f, g):
 @example((4, [DEEPER_LEFT_BREAK, DEEPER_LEFT_BREAK[::-1]], ["clean", "a"], 6))
 def test_stacked_certifier_agrees_with_the_reference_recursion(case):
     # the same certificate JSON or not-a-pair message per pair, and the same
-    # failure message per pair and rows per dimension for the batch, as the
-    # node-by-node recursion the stacked certifier replaced; a failure is
-    # the first one that recursion's depth-first walk meets
+    # failure message per pair (and, for the decomposed batch, rows per
+    # dimension) as the node-by-node recursion the stacked certifier
+    # replaced; a failure is the first one that recursion's depth-first
+    # walk meets
     q, rows, kinds, depth = case
     pairs = [arrays(q, row) for row in rows]
     for f, g in pairs:
         assert outcome(decompose, f, g) == outcome(reference_decompose, f, g)
     assert _certify(q, depth, pairs)[:2] == reference_certify(q, depth, pairs)
     certs = batch_certificates(q, rows, kinds)
-    assert _certify(q, depth, pairs, certs)[:2] == reference_certify(q, depth, pairs, certs)
+    assert _certify(q, depth, pairs, certs)[0] == reference_certify(q, depth, pairs, certs)[0]
 
 
 def alone(f, g, depth):
@@ -874,6 +879,34 @@ def test_batch_shared_certification_equals_fresh_per_pair_calls(case):
     assert [failures.get(i) for i in range(len(pairs))] == [
         verdict(f, g, cert, depth) for (f, g), cert in zip(pairs, certs)
     ]
+
+
+@settings(max_examples=60)
+@given(st.sampled_from((2, 4, 6, 8)), st.integers(1, 5), st.integers(0, 2**32),
+       st.lists(st.booleans(), min_size=1, max_size=8))
+def test_census_counters_count_the_walks_of_the_passing_pairs(q, m, seed, moved):
+    # a batch of standard pairs of dimension m, those flagged with a cell
+    # moved; the rows per dimension are those of the reference walks of the
+    # pairs that pass, and on an all-standard batch the distinct sub-pairs
+    # and reused walks are those of certificates decomposed one at a time
+    rng = random.Random(seed)
+    rows = []
+    for move in moved:
+        row = standard_row(rng, q, m)
+        rows.append(moved_row(rng, q, m, row) if move else row)
+    want = Counter()
+    for row in rows:
+        try:
+            walked = reference_walk(reference_decompose(*arrays(q, row)), m)[2]
+        except (NotAGapError, VerificationError):
+            continue
+        want.update(dim for dim, _, _ in walked)
+    pairs = [arrays(q, row) for row in rows]
+    failures, counts, shared, *_ = _certify(q, m, pairs)
+    assert counts == want
+    assert {rows[i] for i in failures} == {row for row, move in zip(rows, moved) if move}
+    if not any(moved):
+        assert shared == shared_counters(pairs)
 
 
 def split_by(on_left):

@@ -58,6 +58,31 @@ def test_validation():
     assert all(type(v) is int for v in (f.q, f.m, *f.entries))
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (is_gcp, (2.0, (0, 1), (0, 0))),
+        (sequence_autocorrelation, (2.0, (0, 1), 1)),
+        (sequence_autocorrelation, (2, (0, 1), 1.0)),
+        (combine, (2, 1.0, [])),
+        (QaryArray.constant, (2, 1, 1.0)),
+        (QaryArray.from_function, (2, 1.0, sum)),
+        (all_shifts, (1.0,)),
+        (half_shifts, (1.0,)),
+        (restrict, (X1X2, [1.0])),
+        (QaryArray.constant, (0, 1)),
+        (QaryArray.from_function, (0, 1, sum)),
+        (QaryArray.constant, (2, 1, -1)),
+    ],
+)
+def test_public_entries_refuse_bad_moduli_dimensions_and_shifts(fn, args):
+    # the integer versions are cached first: a float must not find their entry
+    get_context(2)
+    half_shifts(1)
+    with pytest.raises(ValueError, match="expected integers|must be positive|nonnegative"):
+        fn(*args)
+
+
 def test_constant_and_arithmetic():
     c = QaryArray.constant(4, 6, m=2)
     assert c.entries == (2, 2, 2, 2)
