@@ -7,12 +7,13 @@ of its pairs.  A loaded certificate is converted into the forest of
 :mod:`golaypairs.forest` in one pass, children first, and the checks that
 compare what it states with what it states are made on the way: C1 and
 C2, which come before a node's subtree; C3 to C5 and the sizes of C6, which
-come after it; and C7 to C9.  An object that passes the first five takes
-the next row of its level at once, and one that fails them is kept out of
-the levels; each shape's rows are stacked once, at the end.
+come after it; and C7 to C9.  An object that passes the first five, and
+whose children are in the levels, takes the next row of its level at once;
+any other is kept out of the levels, so every inner node in a level has
+both children in them.  Each shape's rows are stacked once, at the end.
 
-Then, bottom-up, each level rebuilds its node pairs from its children's and
-checks every node at once: C6, the stored sub-pairs against the rebuilt
+Then, bottom-up, each level rebuilds every node pair from its children's
+and checks every node at once: C6, the stored sub-pairs against the rebuilt
 ones, and C10, stated parameters against the recombined ones.  C11, the
 factor product of generating functions, runs once per distinct input of a
 node shape.  Each root is compared with its claimed pair (C13), and each
@@ -84,8 +85,10 @@ def _convert(conv: _Conversion, node) -> tuple[int, int]:
     inner, C3 to C5 and the sizes of C6 (which come after it) takes the next
     row of level m, into the bucket of its shape with the values it states;
     any other object is (-1, i), the i-th met, and keeps its first failure.
-    C7 to C9 compare stated values with each other, so they are checked here
-    too, and kept for after C6.
+    An object with a child outside the levels stays outside too: a
+    depth-first walk meets the child's failure before any of its own.  C7 to
+    C9 compare stated values with each other, so they are checked here too,
+    and kept for after C6.
     """
     found = conv.index.get(id(node))
     if found is not None:
@@ -122,7 +125,7 @@ def _convert(conv: _Conversion, node) -> tuple[int, int]:
             elif node.e != node.left.params.c_prime or node.e_prime != node.right.params.c_prime:
                 stated = _VALUE_FAILURES[4]
     where = (-1, len(conv.index))
-    if key is not None:
+    if key is not None and (kids is None or min(kids[0][0], kids[1][0]) >= 0):
         conv.sizes += [0] * (m + 1 - len(conv.sizes))
         where = (m, conv.sizes[m])
         conv.sizes[m] += 1
@@ -131,8 +134,7 @@ def _convert(conv: _Conversion, node) -> tuple[int, int]:
     for kind, message in enumerate((pre, bad, stated)):
         if message is not None:
             conv.failures[kind, where] = _FAILED + message
-    # the children of the nodes outside the levels, and of those with a child outside
-    if kids is not None and min(where[0], kids[0][0], kids[1][0]) < 0:
+    if kids is not None and where[0] < 0:
         conv.kids[where] = kids
     return where
 
@@ -150,8 +152,7 @@ def _certificates(q: int, certs: Sequence) -> _Forest:
         if not k:  # values are (c0, c')
             levels[0].leaves.append((gq, rows, *np.array(values, dtype=dtype).T))
             continue
-        left, right = np.array([[row if j >= 0 else -1 for j, row in side] for side in zip(*kids)],
-                               dtype=np.intp)
+        left, right = np.array([[row for _, row in side] for side in zip(*kids)], dtype=np.intp)
         subs, params = zip(*values)
         levels[k].groups.append(_Group(gq, _shape(*split), rows, left, right,
                                        _sub_rows(dtype, subs), _param_rows(dtype, params)))
@@ -160,11 +161,10 @@ def _certificates(q: int, certs: Sequence) -> _Forest:
 
 def _derive(forest: _Forest) -> list[np.ndarray]:
     """The packed parameters of every node (see :func:`_recombine`),
-    recombined bottom-up from the leaves, per level with a spare last row
-    for the children outside the levels."""
+    recombined bottom-up from the leaves, per level."""
     out: list[np.ndarray] = []
     for k, level in enumerate(forest.levels):
-        params = np.zeros((level.size + 1, 2 * k + 2), dtype=forest.dtype)
+        params = np.zeros((level.size, 2 * k + 2), dtype=forest.dtype)
         for _, rows, c0, cp in level.leaves:
             params[rows, 0], params[rows, 1] = c0, cp
         for g in level.groups:
@@ -175,13 +175,12 @@ def _derive(forest: _Forest) -> list[np.ndarray]:
 
 
 class _Walk(NamedTuple):
-    """The bottom-up pass over a forest, per level with a spare last row:
-    ``pairs`` the node pairs rebuilt from the leaves, ``done`` whether a row
-    was rebuilt, ``codes`` the first of C6, C10 and C11 that a row failed
-    (0 for none), and ``alive`` whether its whole subtree passed."""
+    """The bottom-up pass over a forest, per level: ``pairs`` the node pairs
+    rebuilt from the leaves, ``codes`` the first of C6, C10 and C11 that a
+    row failed (0 for none), and ``alive`` whether its whole subtree
+    passed."""
 
     pairs: list[np.ndarray]
-    done: list[np.ndarray]
     codes: list[np.ndarray]
     alive: list[np.ndarray]
 
@@ -212,36 +211,29 @@ def _factor_products_agree(q: int, shape: _Shape, a: np.ndarray, c: np.ndarray,
 def _check(forest: _Forest, params: list[np.ndarray] | None, max_corr_dim: int) -> _Walk:
     """Rebuild every node pair bottom-up and run the value checks C6, C10
     (where a certificate states parameters; ``params`` are the derived
-    ones) and C11 (up to ``max_corr_dim``) on each node whose children were
-    rebuilt."""
+    ones) and C11 (up to ``max_corr_dim``) on every inner node.  A node
+    whose forced form broke has no group and keeps a zero row, from which
+    the nodes above it are rebuilt; they fail through it."""
     stated = {node for kind, node in forest.failures if kind == 2}
-    whole = not forest.failures  # so far every node was rebuilt and passed
-    pairs, done, codes, alive = [], [], [], []
+    whole = not forest.failures  # so far every node passed
+    pairs, codes, alive = [], [], []
     for k, level in enumerate(forest.levels):
-        built = np.zeros((level.size + 1, 2, 1 << k), dtype=forest.dtype)
-        ok, passed = np.zeros((2, level.size + 1), dtype=bool)
-        code = np.zeros(level.size + 1, dtype=np.int8)
+        built = np.zeros((level.size, 2, 1 << k), dtype=forest.dtype)
+        passed = np.zeros(level.size, dtype=bool)
+        code = np.zeros(level.size, dtype=np.int8)
         for gq, rows, c0, cp in level.leaves:
             built[rows, 0, 0], built[rows, 1, 0] = c0, (c0 + cp) % gq
-            ok[rows] = passed[rows] = True
+            passed[rows] = True
         for g in level.groups:
             k1, k2 = len(g.shape.z1), len(g.shape.z2)
-            rows, left, right, subs, claims = g.rows, g.left, g.right, g.subs, g.params
-            if not whole:
-                ready = done[k1].take(left) & done[k2].take(right)
-                if np.count_nonzero(ready) < len(ready):
-                    if not np.count_nonzero(ready):
-                        continue
-                    rows, left, right, subs = rows[ready], left[ready], right[ready], subs[ready]
-                    claims = None if claims is None else claims[ready]
-            rebuilt = _stack_subs(pairs[k1].take(left, axis=0), pairs[k2].take(right, axis=0))
-            pair = built[rows] = _join(g.q, g.shape, rebuilt)
+            rebuilt = _stack_subs(pairs[k1].take(g.left, axis=0), pairs[k2].take(g.right, axis=0))
+            pair = built[g.rows] = _join(g.q, g.shape, rebuilt)
             found = []  # (code, failing rows) of C6, C10 and C11
-            differ = subs != rebuilt
+            differ = g.subs != rebuilt
             if np.count_nonzero(differ):
                 found.append((1, differ.any(axis=(1, 2))))
-            if claims is not None:
-                differ = claims != params[k].take(rows, axis=0)
+            if g.params is not None:
+                differ = g.params != params[k].take(g.rows, axis=0)
                 if np.count_nonzero(differ):
                     found.append((5, differ.any(axis=1)))
             if k <= max_corr_dim:
@@ -251,23 +243,21 @@ def _check(forest: _Forest, params: list[np.ndarray] | None, max_corr_dim: int) 
                 if np.count_nonzero(agree) < len(agree):
                     found.append((6, ~agree))
             if whole and not found:
-                passed[rows] = True
+                passed[g.rows] = True
             else:
-                first = np.zeros(len(rows), dtype=np.int8)
+                first = np.zeros(len(g.rows), dtype=np.int8)
                 for value, failed in reversed(found):
                     first[failed] = value
-                code[rows] = first
-                passed[rows] = (first == 0) & alive[k1].take(left) & alive[k2].take(right)
+                code[g.rows] = first
+                passed[g.rows] = (first == 0) & alive[k1].take(g.left) & alive[k2].take(g.right)
                 whole = False
-            ok[rows] = True
         for level_of, row in stated:
             if level_of == k:
                 passed[row] = False
         pairs.append(built)
-        done.append(ok)
         codes.append(code)
         alive.append(passed)
-    return _Walk(pairs, done, codes, alive)
+    return _Walk(pairs, codes, alive)
 
 
 def _dimensions_met(forest: _Forest, broken: list, node: tuple[int, int], depth: int,
@@ -293,7 +283,7 @@ def _correlate(
     depth = max(0, min(max_corr_dim, len(forest.levels) - 1))
     broken: list = []
     for k in range(1, depth + 1):
-        nodes = np.flatnonzero(walk.alive[k][:-1])
+        nodes = np.flatnonzero(walk.alive[k])
         if len(nodes):
             verdicts = _gaps(_cube_plan(k), q, walk.pairs[k].take(nodes, axis=0))
             if np.count_nonzero(verdicts) < len(nodes):
@@ -377,10 +367,10 @@ def _certify(
         failures[i] = _first_failure(forest, walk.codes, tuple(roots[i].tolist()))
     passed = alive & fits
     for k, (idx, stack) in claimed.items():
-        if k < len(walk.pairs):  # roots that did not pass read the spare last row
-            rows = np.where(passed.take(idx), roots[idx, 1], -1)
-            same = walk.pairs[k].take(rows, axis=0) == stack
-            passed[idx] &= same.reshape(len(idx), -1).all(axis=1)
+        at = passed.take(idx)
+        if np.count_nonzero(at):
+            same = walk.pairs[k].take(roots[idx[at], 1], axis=0) == stack[at]
+            passed[idx[at]] = same.reshape(len(same), -1).all(axis=1)
     if np.count_nonzero(passed) < len(passed):
         for i in np.flatnonzero(alive & ~passed).tolist():
             failures[i] = _FAILED + "replayed pair differs from the claimed pair"

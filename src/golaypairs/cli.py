@@ -23,6 +23,7 @@ import argparse
 import json
 import logging
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from .census import _MAX_BYTES, DEFAULT_BUDGET, verify_theorem
@@ -163,6 +164,7 @@ def _cmd_census(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)  # built once: argparse's set-up costs twenty parses
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="golaypairs",

@@ -42,6 +42,7 @@ import numpy as np
 
 from .boolfun import _subset_transform
 from .certify import _certificates, _certify, _check, _derive
+from .cyclotomic import _integers
 from .errors import NotAGapError, OddModulusError, VerificationError
 from .forest import (
     _array,
@@ -122,10 +123,16 @@ def extract_d(
     reports whether the forced forms f1 = -b* + d and g1 = -a* + q/2 + d hold
     at every point.  A false flag means the original pair cannot have been
     complementary.  This is the decomposition's forced-form check run on a
-    batch of one.
+    batch of one; a split that does not fit the halves is a ``ValueError``.
     """
-    shape = _shape(tuple(split.z1_vars), tuple(split.z2_vars))
-    return _forced_d(f1.q, shape, split.a.entries, split.b.entries, f1.entries, g1.entries)
+    q, m, z1, z2 = f1.q, f1.m, tuple(split.z1_vars), tuple(split.z2_vars)
+    if (g1.q, g1.m) != (q, m):
+        raise ValueError("shape or modulus mismatch")
+    if sorted(_integers(*z1, *z2)) != list(range(1, m + 1)):
+        raise ValueError(f"z1={z1} and z2={z2} do not partition the variables 1..{m}")
+    if any((x.q, x.m) != (q, len(z)) for x, z in ((split.a, z1), (split.b, z1), (split.c, z2))):
+        raise ValueError(f"a, b and c do not have q={q} and the dimensions of z1 and z2")
+    return _forced_d(q, _shape(z1, z2), split.a.entries, split.b.entries, f1.entries, g1.entries)
 
 
 @dataclass(frozen=True)
@@ -238,7 +245,7 @@ def decompose(
         raise NotAGapError(_first_failure(forest, codes, tuple(forest.roots[0].tolist())))
     built: list[list] = []
     for k, (level, params) in enumerate(zip(forest.levels, _derive(forest))):
-        found = _param_objects(q, k, params[:-1])
+        found = _param_objects(q, k, params)
         nodes: list = [DecompositionCertificate(q, 0, p) for p in found] if k == 0 else [None] * level.size
         for grp in level.groups:
             z1, z2 = grp.shape.z1, grp.shape.z2
@@ -270,7 +277,7 @@ def replay(cert: DecompositionCertificate) -> tuple[QaryArray, QaryArray]:
     forest = _certificates(cert.q, [cert])
     walk = _check(forest, _derive(forest), 0)
     k, row = forest.roots[0].tolist()
-    if k < 0 or not walk.done[k][row]:
+    if k < 0:
         raise VerificationError(_first_failure(forest, walk.codes, (k, row)))
     f, g = walk.pairs[k][row].tolist()
     return _array(cert.q, k, f), _array(cert.q, k, g)

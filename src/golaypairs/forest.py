@@ -325,10 +325,10 @@ class _Group(NamedTuple):
     """The inner nodes of one shape (q, m, z1, z2) in a level.
 
     ``rows`` are their rows in level m; ``left`` and ``right`` the rows of
-    their sub-certificates in levels len(z1) and len(z2), -1 for one outside
-    the levels; ``subs`` their stored sub-pairs as (n, 2, points) rows
-    (a | c, b | d).  ``params`` are the node parameters a certificate
-    states, packed, or None for a decomposition, which states none.
+    their sub-certificates in levels len(z1) and len(z2); ``subs`` their
+    stored sub-pairs as (n, 2, points) rows (a | c, b | d).  ``params`` are
+    the node parameters a certificate states, packed, or None for a
+    decomposition, which states none.
     """
 
     q: int
@@ -357,8 +357,8 @@ class _Forest(NamedTuple):
     itself shows: kind 0 one that comes before its subtree (C1, C2, or a
     broken forced form of a decomposition), 1 one that comes after it (C3
     to C5, the sizes of C6) and 2 one of C7 to C9, which come after C6.
-    ``kids`` maps a node that is outside the levels or has a child outside
-    them to its two children; the groups give the other children.
+    ``kids`` maps a node outside the levels to its two children, if it has
+    any; the groups give the children of the nodes in the levels.
     """
 
     dtype: object
@@ -460,10 +460,10 @@ def _claimed(dtype, pairs) -> dict[int, tuple[np.ndarray, np.ndarray]]:
 
 def _children(forest: _Forest, node: tuple[int, int]) -> tuple:
     """The two children of ``node``, or none."""
-    if node in forest.kids:
-        return forest.kids[node]
     k, row = node
-    for g in forest.levels[k].groups if k > 0 else ():
+    if k < 0:
+        return forest.kids.get(node, ())
+    for g in forest.levels[k].groups:
         at = np.flatnonzero(g.rows == row)
         if len(at):
             j = int(at[0])

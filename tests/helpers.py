@@ -503,6 +503,42 @@ def reference_walk(node, max_corr_dim: int):
     return f, g, rows
 
 
+def reference_replay(node):
+    """(f entries, g entries) that a certificate's leaves rebuild, its stored
+    arrays unread.  If some node fails a check of its shape (C1 to C5, the
+    sizes of C6), which leaves no pair to rebuild, raises the first failure
+    of the walk, ``reference_walk(node, 0)``'s."""
+    from golaypairs import QaryArray, construct_standard
+
+    def rebuild(node):
+        q, m = node.q, node.m
+        if (node.params.q, node.params.m) != (q, m):
+            return None
+        if m == 0:
+            f, g = construct_standard(node.params)
+            return f.entries, g.entries
+        if node.split_var != m:
+            return None
+        left, right = rebuild(node.left), rebuild(node.right)
+        split = node.split
+        z1, z2 = tuple(split.z1_vars), tuple(split.z2_vars)
+        sized = [
+            isinstance(arr, QaryArray) and (arr.q, arr.m) == (q, len(z))
+            for arr, z in ((split.a, z1), (split.b, z1), (split.c, z2), (node.d, z2))
+        ]
+        if (left is None or right is None or sorted(z1 + z2) != list(range(1, m))
+                or (node.left.q, node.right.q) != (q, q)
+                or (node.left.m, node.right.m) != (len(z1), len(z2)) or not all(sized)):
+            return None
+        return reference_join(q, z1, z2, *left, *right)
+
+    pair = rebuild(node)
+    if pair is None:
+        reference_walk(node, 0)
+        raise AssertionError("the walk meets no failure below a node that fails its shape")
+    return pair
+
+
 def reference_certify(q: int, max_corr_dim: int, pairs, certs=None):
     """(failures, rows per dimension) of a batch, pair by pair: the first
     failure message of each failing pair by index, a walk failure before

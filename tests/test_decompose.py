@@ -9,6 +9,7 @@ import pytest
 
 from golaypairs import (
     DecompositionCertificate,
+    GcdSplit,
     NotAGapError,
     OddModulusError,
     QaryArray,
@@ -177,6 +178,37 @@ def test_extract_d_reads_only_a_b_and_the_halves():
         s = gcd_normalized(f0, g0)
         moved = dataclasses.replace(s, c=s.c + 1)
         assert extract_d(f1, g1, moved) == extract_d(f1, g1, s)
+
+
+def _fitted(z1, z2, a, b, c):
+    return GcdSplit(z1, z2, a, b, c, a.entries[0], b.entries[0])
+
+
+ONE, TWO = QaryArray(4, 1, (2, 1)), QaryArray(4, 2, (2, 1, 0, 3))
+HALVES = QaryArray(4, 2, (0, 1, 2, 3)), QaryArray(4, 2, (3, 0, 2, 1))
+
+
+@pytest.mark.parametrize("halves, split", [
+    pytest.param((HALVES[0], QaryArray(8, 2, (0,) * 4)), _fitted((1,), (2,), ONE, ONE, ONE),
+                 id="g1-modulus"),
+    pytest.param((HALVES[0], ONE), _fitted((1,), (2,), ONE, ONE, ONE), id="g1-dimension"),
+    pytest.param(HALVES, _fitted((1,), (2,), TWO, TWO, ONE), id="a-b-wider-than-z1"),
+    pytest.param(HALVES, _fitted((1, 2), (), ONE, ONE, QaryArray(4, 0, (0,))),
+                 id="a-b-narrower-than-z1"),
+    pytest.param(HALVES, _fitted((1,), (2,), ONE, ONE, TWO), id="c-wider-than-z2"),
+    pytest.param(HALVES, _fitted((1,), (2,), QaryArray(6, 1, (2, 1)), ONE, ONE), id="a-modulus"),
+    pytest.param(HALVES, _fitted((1,), (2,), ONE, ONE, QaryArray(8, 1, (0, 1))), id="c-modulus"),
+    pytest.param(HALVES, _fitted((1,), (), ONE, ONE, QaryArray(4, 0, (0,))), id="z2-missing"),
+    pytest.param(HALVES, _fitted((1,), (1,), ONE, ONE, ONE), id="z1-z2-overlap"),
+    pytest.param(HALVES, _fitted((1,), (3,), ONE, ONE, ONE), id="z2-out-of-range"),
+    pytest.param(HALVES, _fitted((1.0,), (2,), ONE, ONE, ONE), id="z1-float"),
+])
+def test_extract_d_rejects_a_split_that_does_not_fit_its_halves(halves, split):
+    # each case breaks one fit of the split to the halves; a fitting split
+    # of these halves passes
+    extract_d(*HALVES, _fitted((1,), (2,), ONE, ONE, ONE))
+    with pytest.raises(ValueError):
+        extract_d(*halves, split)
 
 
 def test_decompose_worked_example():

@@ -101,6 +101,7 @@ from helpers import (
     reference_certify,
     reference_decompose,
     reference_join,
+    reference_replay,
     reference_walk,
     standard_table,
 )
@@ -736,12 +737,28 @@ def test_shared_and_reloaded_certificates_get_the_same_verdict(params, tamper):
         assert verdict(f, g, cert) is None
 
 
+# Tampers that break a check of the node's shape: C2, C3 and C5 (or C6, if
+# the children's dimensions are equal).
+SHAPE_TAMPERS = {
+    "split_var": ROOT_TAMPERS["split_var"],
+    "z2_vars": lambda c: dataclasses.replace(
+        c, split=dataclasses.replace(c.split, z2_vars=c.split.z2_vars + (c.m,))
+    ),
+    "children": ROOT_TAMPERS["children"],
+}
+# Kinds that tamper both inner children of a node: a value check (C6, C9,
+# C10) on the left and a shape check on the right.
+BOTH_TAMPERS = tuple(f"both {v} {s}" for v in ("a", "e", "params") for s in SHAPE_TAMPERS)
+
+
 @st.composite
 def certification_batches(draw):
     """(q, rows, kinds, depth): one batch of pairs of dimensions up to 6, in
     drawn order, and for each row the kind of certificate it is given
-    (clean, reloaded from JSON, or one of ``ROOT_TAMPERS`` at the root or at
-    an inner child of the root), certified up to
+    (clean, reloaded from JSON, one of ``ROOT_TAMPERS`` at the root or at
+    an inner child of the root, one of ``BOTH_TAMPERS``, or "grandchild":
+    an inner grandchild's split variable moved below its parent's offset
+    ``e``, a shape failure below a value failure), certified up to
     dimension ``depth``.  A row is a standard pair, an earlier row met
     again, a standard pair with one cell moved, or the node pair joined from
     two sub-pairs each of which may have a cell moved, which breaks below
@@ -768,7 +785,8 @@ def certification_batches(draw):
         else:
             rows.append(standard_row(rng, q, m))
     cert_kinds = st.sampled_from(
-        ("clean", "reloaded", *ROOT_TAMPERS, *(f"child {name}" for name in ROOT_TAMPERS))
+        ("clean", "reloaded", *ROOT_TAMPERS, *(f"child {name}" for name in ROOT_TAMPERS),
+         *BOTH_TAMPERS, "grandchild")
     )
     certs = draw(st.lists(cert_kinds, min_size=len(rows), max_size=len(rows)))
     return q, rows, certs, draw(st.integers(0, 6))
@@ -779,11 +797,29 @@ def arrays(q, row):
     return QaryArray(q, m, row[0]), QaryArray(q, m, row[1])
 
 
+def inner_paths(cert, path=()):
+    """(path, node) of each inner node of ``cert``, preorder; a path is the
+    sides taken from the root."""
+    if not cert.is_leaf:
+        yield path, cert
+        for side in ("left", "right"):
+            yield from inner_paths(getattr(cert, side), path + (side,))
+
+
+def tampered_at(cert, path, tamper):
+    """``cert`` with its node at ``path`` replaced by ``tamper`` of it."""
+    if not path:
+        return tamper(cert)
+    below = tampered_at(getattr(cert, path[0]), path[1:], tamper)
+    return dataclasses.replace(cert, **{path[0]: below})
+
+
 def batch_certificates(q, rows, kinds):
     """One certificate per row, of the kind drawn for it.  A non-pair gets
     the certificate of a fixed standard pair of its dimension.  Equal rows
     share one clean certificate, and a tampered root shares its children
-    with it."""
+    with it.  The two-node kinds tamper the first nodes in preorder that
+    have the shape they need, and leave a certificate without one clean."""
     clean: dict = {}
     certs = []
     for row, kind in zip(rows, kinds):
@@ -806,6 +842,19 @@ def batch_certificates(q, rows, kinds):
                 cert = dataclasses.replace(cert, **{side: tampered})
         elif kind in ROOT_TAMPERS and not cert.is_leaf:
             cert = ROOT_TAMPERS[kind](cert)
+        elif kind.startswith("both "):
+            value, shape = kind.split()[1:]
+            both = (path for path, node in inner_paths(cert)
+                    if not node.left.is_leaf and not node.right.is_leaf)
+            path = next(both, None)
+            if path is not None:
+                cert = tampered_at(cert, path + ("left",), ROOT_TAMPERS[value])
+                cert = tampered_at(cert, path + ("right",), SHAPE_TAMPERS[shape])
+        elif kind == "grandchild":
+            path = next((path for path, _ in inner_paths(cert) if len(path) == 2), None)
+            if path is not None:
+                cert = tampered_at(cert, path, SHAPE_TAMPERS["split_var"])
+                cert = tampered_at(cert, path[:1], ROOT_TAMPERS["e"])
         certs.append(cert)
     return certs
 
@@ -837,6 +886,20 @@ def test_stacked_certifier_agrees_with_the_reference_recursion(case):
     assert _certify(q, depth, pairs)[:2] == reference_certify(q, depth, pairs)
     certs = batch_certificates(q, rows, kinds)
     assert _certify(q, depth, pairs, certs)[0] == reference_certify(q, depth, pairs, certs)[0]
+    # replay raises exactly when a node fails a check of its shape, with
+    # the walk's first failure, and otherwise rebuilds the leaves' pair
+    for cert in certs:
+        assert replayed(replay, cert) == replayed(reference_replay, cert)
+
+
+def replayed(replayer, cert):
+    """The entries of the pair ``replayer`` rebuilds from ``cert``, or the
+    message it raises."""
+    try:
+        f, g = replayer(cert)
+    except VerificationError as exc:
+        return str(exc)
+    return (f.entries, g.entries) if isinstance(f, QaryArray) else (f, g)
 
 
 def alone(f, g, depth):
