@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .cyclotomic import _integers
 from .forest import (
     _FAILED,
     _VALUE_FAILURES,
@@ -78,11 +79,20 @@ def _fits(array, q: int, m: int) -> bool:
     return isinstance(array, QaryArray) and (array.q, array.m) == (q, m)
 
 
+def _partitions(vars_: tuple, m: int) -> bool:
+    """Whether ``vars_`` are integers that list 1 .. m-1 once each."""
+    try:
+        return sorted(_integers(*vars_)) == list(range(1, m))
+    except ValueError:
+        return False
+
+
 def _convert(conv: _Conversion, node) -> tuple[int, int]:
     """The forest node of ``node``, converting its subtree first if new.
 
     An object that passes C1 and C2 (which come before its subtree) and, if
-    inner, C3 to C5 and the sizes of C6 (which come after it) takes the next
+    inner, has its split and both children (checked with C2) and passes C3
+    to C5 and the sizes of C6 (which come after it) takes the next
     row of level m, into the bucket of its shape with the values it states;
     any other object is (-1, i), the i-th met, and keeps its first failure.
     An object with a child outside the levels stays outside too: a
@@ -101,12 +111,14 @@ def _convert(conv: _Conversion, node) -> tuple[int, int]:
         key, values = (q, 0), (params.c0, params.c_prime)
     elif node.split_var != m:
         pre = f"split variable {node.split_var} is not the highest ({m})"
+    elif any(part is None for part in (node.split, node.left, node.right)):
+        pre = "inner node lacks its split or a sub-certificate"
     else:
         kids = (_convert(conv, node.left), _convert(conv, node.right))
         split = node.split
         z1, z2 = tuple(split.z1_vars), tuple(split.z2_vars)
         k1, k2 = len(z1), len(z2)
-        if sorted(z1 + z2) != list(range(1, m)):
+        if not _partitions(z1 + z2, m):
             bad = "split variable sets do not partition the remaining variables"
         elif node.left.q != q or node.right.q != q:
             bad = "sub-certificates do not have the node's modulus"

@@ -46,12 +46,13 @@ Complementarity verdicts come from one kernel, :func:`_gaps`, which takes
 a stack of pairs and returns one verdict per pair; :func:`is_gap` and
 :func:`is_gcp` pass a stack of one, and the census and certificate checks
 pass one stack per dimension; a kernel call counts at most ``_BINS``
-histogram bins.  The cube plan's first batch holds the 2**(m-1)
-full-support shifts, each of which overlaps in one antipodal pair of
-cells, and the batches after it hold the rest.  Only the pairs that
-cancel on one batch are correlated on the next, so a pair with one cell
-changed fails after 2**(m-1) pair lookups, while a true pair pays for all
-(4**m - 2**m) / 2 of them.
+histogram bins.  The cube plan lists first the 2**(m-1) full-support
+shifts, each of which overlaps in one antipodal pair of cells.  From m = 6
+on they are a batch of their own, and the batches after it hold the rest.
+Only the pairs that cancel on one batch are correlated on the next, so a
+pair with one cell changed fails after 2**(m-1) pair lookups, while a true
+pair pays for all (4**m - 2**m) / 2 of them.  Below m = 6 a kernel call is
+mostly fixed cost, so the whole plan is one batch: one call decides a pair.
 
 Validation happens at the boundary: public constructors and every
 ``from_json_dict`` check their input.  Internal code builds a value
@@ -95,6 +96,15 @@ _SLICE = 1 << 16
 # plan batch holds at most 6,315 shifts up to m = 11, so a single pair is
 # cut only for q > 41.
 _BINS = 1 << 18
+
+# Least m at which the cube plan's full-support shell is a batch of its own.
+# One _coords call on one pair at q = 4, best of 5 timeit runs on the host
+# above, over the shell only against the whole plan: 7.6 against 8.0 us at
+# m = 3 (28 overlap pairs), 7.7 against 13.0 us at m = 5 (496), 8.4 against
+# 26.3 us at m = 6 (2,016) and 9.5 against 655 us at m = 8 (32,640).  Below
+# m = 6 a call is mostly fixed cost: a separate shell batch would nearly
+# double what a true pair pays and save a non-pair at most 5 us.
+_SHELL_BATCH = 6
 
 
 def _json_int(value) -> int:
@@ -306,9 +316,11 @@ def _cube_plan(m: int) -> _ShiftPlan:
     (1, 0); coordinate 1 is the top digit, so the shift's position in
     :func:`all_shifts` follows from the digits.  A stable sort groups the
     combinations by plan shift.  A shift in {-1, 1}**m overlaps in one
-    antipodal pair; those 2**(m-1) shifts form the first batch, so a broken
-    antipodal pair is found almost for free.  The rest follow in slices of
-    at most ``_SLICE`` combinations: one slice up to m = 8, eight at m = 10.
+    antipodal pair, and those 2**(m-1) shifts come first.  From m =
+    ``_SHELL_BATCH`` on they form the first batch, so a broken antipodal pair
+    is found almost for free, and the rest follow in slices of at most
+    ``_SLICE`` combinations: one slice up to m = 8, eight at m = 10.  Below
+    it the whole plan is one batch, in the same order.
     """
     if 32 * 4**m > _MAX_PLAN_BYTES:
         raise BudgetExceededError(
@@ -334,9 +346,10 @@ def _cube_plan(m: int) -> _ShiftPlan:
     shift = rank[half]
     perm = np.argsort(shift, kind="stable")
     n_shell = int(shell.sum())
+    batches = ((0, n_shell), (n_shell, zero)) if m >= _SHELL_BATCH else ((0, zero),)
     return _make_plan(
         later[kept][perm], earlier[kept][perm], shift[perm], counts[order],
-        order, ((0, n_shell), (n_shell, zero)), 1 << m,
+        order, batches, 1 << m,
     )
 
 
@@ -397,8 +410,11 @@ def _histograms(
     keys = (rows + q).take(plan.later[a:b], axis=2)
     keys -= rows.take(plan.earlier[a:b], axis=2)
     _residues(q, n, crt).take(keys, out=keys, mode="clip")
-    keys += np.arange(-lo, groups * q * n - lo, q * n).reshape(groups, 1, 1)
     keys += plan.shift[a:b]
+    if groups > 1:
+        keys += np.arange(-lo, groups * q * n - lo, q * n).reshape(groups, 1, 1)
+    elif lo:
+        keys -= lo
     return np.bincount(keys.ravel(), minlength=groups * q * n).reshape(groups, q, n)
 
 
@@ -436,18 +452,22 @@ def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:
     costs one count of its coordinates and no indexing.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    verdicts = np.zeros(len(rows), dtype=bool)
-    alive = np.arange(len(rows))
+    total = len(rows)
+    alive = None  # every group, until one fails
     for lo, hi in plan.batches:
-        while lo < hi and len(alive):
+        while lo < hi and len(rows):
             stop = hi
-            if (hi - lo) * len(alive) * q > _BINS:
-                stop = lo + max(_BINS // (len(alive) * q), 1)
+            if (hi - lo) * len(rows) * q > _BINS:
+                stop = lo + max(_BINS // (len(rows) * q), 1)
             coords = _coords(plan, rows, q, lo, stop)
             if np.count_nonzero(coords):
                 cancel = ~coords.any(axis=(1, 2))
-                alive, rows = alive[cancel], rows[cancel]
+                alive = np.flatnonzero(cancel) if alive is None else alive[cancel]
+                rows = rows[cancel]
             lo = stop
+    if alive is None:
+        return np.ones(total, dtype=bool)
+    verdicts = np.zeros(total, dtype=bool)
     verdicts[alive] = True
     return verdicts
 
@@ -511,8 +531,9 @@ def is_gap(f: QaryArray, g: QaryArray) -> bool:
     True iff the two autocorrelations cancel exactly at every nonzero shift.
     Work is halved via conjugate symmetry: checking one representative per
     {tau, -tau} pair is equivalent to checking all 3**m - 1 nonzero shifts.
-    The full-support shell is checked first and the remaining half shifts
-    only if it cancels.
+    From m = 6 on, the full-support shell is checked first and the
+    remaining half shifts only if it cancels; below that every half shift
+    is checked in one kernel call.
     """
     if f.q != g.q or f.m != g.m:
         raise ValueError("shape or modulus mismatch")

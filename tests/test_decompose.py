@@ -406,6 +406,50 @@ def test_reloaded_certificate_with_a_malformed_tree_fails_verification():
             verify_certificate(f, g, DecompositionCertificate.from_json_dict(bad))
 
 
+def _python_built():
+    # the root splits z1 = (1,), z2 = (2,) into two inner children of m = 1
+    f, g = construct_standard(StandardParams(4, 3, (1, 3, 2), (1, 0, 3), 1, 2))
+    cert = decompose(f, g)[1]
+    assert (cert.split.z1_vars, cert.split.z2_vars, cert.left.m, cert.right.m) == (
+        (1,), (2,), 1, 1,
+    )
+    return f, g, cert
+
+
+def _rejected(f, g, cert, message):
+    for check in (lambda: verify_certificate(f, g, cert), lambda: replay(cert)):
+        with pytest.raises(VerificationError) as exc:
+            check()
+        assert str(exc.value) == f"certificate verification failed: {message}"
+
+
+@pytest.mark.parametrize("side", ["z1_vars", "z2_vars"])
+def test_python_built_certificate_with_float_split_variables_fails_c3(side):
+    # 1.0 hashes and compares equal to 1, so a shape cached by an integer
+    # call must not let it through: the verdict is the same before and after
+    from golaypairs import forest
+
+    f, g, cert = _python_built()
+    floats = tuple(float(v) for v in getattr(cert.split, side))
+    bent = dataclasses.replace(cert, split=dataclasses.replace(cert.split, **{side: floats}))
+    message = "split variable sets do not partition the remaining variables"
+    forest._shape.cache_clear()
+    _rejected(f, g, bent, message)
+    verify_certificate(f, g, cert)
+    _rejected(f, g, bent, message)
+
+
+@pytest.mark.parametrize("field", ["split", "left", "right"])
+@pytest.mark.parametrize("node", ["root", "child"])
+def test_python_built_certificate_missing_a_part_fails_verification(field, node):
+    f, g, cert = _python_built()
+    if node == "root":
+        bent = dataclasses.replace(cert, **{field: None})
+    else:
+        bent = dataclasses.replace(cert, left=dataclasses.replace(cert.left, **{field: None}))
+    _rejected(f, g, bent, "inner node lacks its split or a sub-certificate")
+
+
 def test_certificate_worked_example_structure():
     f = QaryArray(2, 2, (0, 0, 0, 1))
     g = QaryArray(2, 2, (0, 1, 0, 0))

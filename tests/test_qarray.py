@@ -23,6 +23,7 @@ from golaypairs import (
     sequence_autocorrelation,
 )
 
+from golaypairs import qarray
 from golaypairs.qarray import _SLICE, _cube_plan, _sequence_plan
 
 from helpers import float_autocorrelation, float_is_gap, random_entries
@@ -372,3 +373,41 @@ def test_cube_plan_batches_slice_whole_shifts_after_the_shell():
     assert ends[-1] == len(plan.order) == (3**10 - 1) // 2
     for lo, hi in plan.batches[1:]:
         assert hi - lo == 1 or plan.starts[hi] - plan.starts[lo] <= _SLICE
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_cube_plan_is_one_batch_below_m6_and_cuts_the_shell_off_from_m6(m):
+    # the full-support shifts, one overlap pair each, come first either way
+    plan = _cube_plan(m)
+    shell = 1 << (m - 1)
+    counts = np.diff(plan.starts)
+    assert (counts[:shell] == 1).all() and (counts[shell:] > 1).all()
+    if m <= 5:
+        assert plan.batches == ((0, (3**m - 1) // 2),)
+    else:
+        assert plan.batches[0] == (0, shell)
+
+
+@pytest.mark.parametrize("q", [2, 4, 6])
+@pytest.mark.parametrize("m", range(1, 8))
+def test_is_gap_kernel_calls_one_below_m6_and_a_shell_break_stops_at_the_shell(q, m):
+    # one _coords call decides a pair below m = 6; from m = 6 a non-pair
+    # broken on the shell stops after the shell's call, a pair makes two
+    f, g, moved = _standard_and_moved(random.Random(10 * q + m), q, m)
+    whole, shell = (3**m - 1) // 2, 1 << (m - 1)
+    coords, calls = qarray._coords, []
+
+    def spy(plan, rows, q, lo, hi):
+        calls.append((lo, hi))
+        return coords(plan, rows, q, lo, hi)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qarray, "_coords", spy)
+        assert is_gap(f, g)
+        pair_calls, calls[:] = calls[:], []
+        assert not is_gap(moved, g)
+    if m <= 5:
+        assert pair_calls == calls == [(0, whole)]
+    else:
+        assert pair_calls == [(0, shell), (shell, whole)]
+        assert calls == [(0, shell)]
