@@ -53,14 +53,25 @@ identical for every worker count.  Each call logs one DEBUG record with its
 counters and stage timings on the ``golaypairs`` logger, which is silent by
 default.
 
-:func:`verify_theorem` then decomposes and certifies every censused pair
-of an even-q space at ``max_corr_dim = m`` with the stacked certifier of
-:mod:`golaypairs.certify`, in batches of ``CHUNK // (3 * m)`` pairs: 455 at
-m = 3, whose first batch at (4,3) holds 277 distinct sub-pairs in 7 node
-shapes, each shape one set of numpy stacks.  The batches run in census
-order, on a process pool when ``workers > 1``, and their witnesses are
-merged into one sorted set, so reports are again identical for every
-worker count.
+:func:`verify_theorem` then certifies one pair per constant class of an
+even-q space.  The shift rule: if (f, g) is the standard pair of
+(pi, c, c0, c'), then (f + a, g + b) is the standard pair of
+(pi, c, c0 + a, c' + b - a) (Davis and Jedwab, IEEE Trans. IT 45, 1999;
+Paterson, IEEE Trans. IT 46, 2000).  Proof: (f, g) is the base pair (f0, g0)
+of (pi, c, 0, 0) plus (c0, c0 + c'), so (f + a, g + b) is (f0, g0) plus
+(c0 + a, (c0 + a) + (c' + b - a)).  So a certificate of the class
+representative (f - f(0), g - g(0)) proves every member of its class
+standard, and the join's matched representative pairs, one per ordered
+class, are decomposed and certified at ``max_corr_dim = m`` with the stacked
+certifier of :mod:`golaypairs.certify`, in batches of ``CHUNK // (3 * m)``
+pairs: 455 at m = 3, so the 384 representatives at (4,3) are one batch,
+which decomposes 148 distinct sub-pairs, one set of numpy stacks per node
+shape.  If any representative fails, every censused pair is certified in
+the same batches, and that run's failures are the witnesses, so a failing
+census names the pairs that fail their own certificates.  The batches run
+in census order, on a process pool when ``workers > 1``, and their
+witnesses are merged into one sorted set, so reports are again identical
+for every worker count.
 """
 
 from __future__ import annotations
@@ -294,6 +305,16 @@ def enumerate_all_gaps(
     and after the join if its pairs might; :class:`ValueError` for a
     negative budget or a q or m that is not an integer.
     """
+    return _gap_classes(q, m, budget=budget, workers=workers)[0]
+
+
+def _gap_classes(
+    q: int, m: int, *, budget: int, workers: int
+) -> tuple[list[tuple[QaryArray, QaryArray]], np.ndarray]:
+    """The pairs of :func:`enumerate_all_gaps`, and the ids of the matched
+    representative pairs (r, s), r(0) = s(0) = 0, one row each in census
+    order: one pair per ordered class {(r + a, s + b)}, so both (r, s) and
+    (s, r) for r != s."""
     q, m = _integers(q, m)
     if q < 2:
         raise ValueError(f"modulus must be at least 2, got {q}")
@@ -354,7 +375,7 @@ def enumerate_all_gaps(
         q, m, reps, distinct, candidates, candidates - len(f_reps), len(f_reps), len(pairs),
         t1 - t0, t2 - t1, time.perf_counter() - t3,
     )
-    return pairs
+    return pairs, np.stack((f_reps, g_reps), axis=1)[np.lexsort((g_reps, f_reps))]
 
 
 def enumerate_standard(q: int, m: int) -> list[tuple[QaryArray, QaryArray]]:
@@ -427,29 +448,36 @@ def verify_theorem(
     """Check that every complementary pair in the space is standard.
 
     For even q the census set is compared against the standard sweep, and
-    every censused pair is additionally decomposed and its certificate
-    re-verified with literal correlation checks at every inner node.  The
-    pairs are certified in batches of ``CHUNK // (3 * m)`` in census order
-    (see the module docstring); within a batch each distinct sub-pair is
-    decomposed, checked and correlated once, so the batch size also sets
-    how often one is met again in another batch; with ``workers > 1`` the
-    batches run on a process pool and their witnesses are merged.  A standard pair missing from the census would mean the
-    sweep itself is broken and raises :class:`VerificationError`.  For odd
-    q the standard construction is empty in positive dimension, so every
-    censused pair is a witness; in dimension 0 all pairs are degenerate and
-    counted as standard.  One DEBUG record on the ``golaypairs`` logger
-    gives the stage timings, the correlation rows per dimension (one per
+    each constant class of census pairs {(r + a, s + b)} is decomposed and
+    certified through its representative (r, s), r(0) = s(0) = 0, with
+    literal correlation checks at every inner node; the shift rule of the
+    module docstring carries that certificate to the class's other members.
+    The representatives are certified in batches of ``CHUNK // (3 * m)`` in
+    census order; within a batch each distinct sub-pair is decomposed,
+    checked and correlated once, so the batch size also sets how often one
+    is met again in another batch; with ``workers > 1`` the batches run on
+    a process pool and their witnesses are merged.  If any representative
+    fails, every census pair is certified the same way, and the pairs that
+    fail then are the witnesses.  A standard pair missing from the census
+    would mean the sweep itself is broken and raises
+    :class:`VerificationError`.  For odd q the standard construction is
+    empty in positive dimension, so every censused pair is a witness; in
+    dimension 0 all pairs are degenerate and counted as standard.  One DEBUG
+    record on the ``golaypairs`` logger gives the census pairs, the class
+    representatives certified, the correlation rows per dimension (one per
     inner node of each certificate), the distinct sub-pairs decomposed, the
     sub-certificate walks reused (the inner sub-certificates met again, each
-    of which is checked once per batch), and the peak RSS.
+    of which is checked once per batch), the pairs certified after a
+    representative failed, summed over both runs when one did, the stage
+    timings and the peak RSS.
     """
     t0 = time.perf_counter()
     q, m = _integers(q, m)
-    gaps = enumerate_all_gaps(q, m, budget=budget, workers=workers)
+    gaps, matches = _gap_classes(q, m, budget=budget, workers=workers)
     total = q ** (1 << m)
     gap_keys = {(f.entries, g.entries) for f, g in gaps}
     std_s = walk_s = corr_s = 0.0
-    certified = decomposed = reused = 0
+    certified = recertified = decomposed = reused = 0
     rows: Counter[int] = Counter()
     if q % 2 == 0:
         t_std = time.perf_counter()
@@ -461,20 +489,28 @@ def verify_theorem(
                 f"{len(missing)} standard pairs missed by the census sweep"
             )  # pragma: no cover - internal guard
         witness_keys = gap_keys - std_keys
-        size = CHUNK // max(3 * m, 1)
-        tasks = [(q, m, gaps[a : a + size]) for a in range(0, len(gaps), size)]
-        results = _run(_certify, tasks, workers)
-        for (_, _, batch), (failed, counts, shared, walk, corr) in zip(tasks, results):
-            witness_keys.update(
-                (batch[i][0].entries, batch[i][1].entries) for i in failed
-            )
-            rows.update(counts)
-            decomposed += shared[0]
-            reused += shared[1]
-            walk_s += walk
-            corr_s += corr
         standard_count = len(std_keys)
-        certified = len(gaps)
+        del std_keys  # so the certification reuses its memory
+        entries = _entries(q, m, matches.ravel()).reshape(len(matches), 2, -1).tolist()
+        reps = [tuple(_trusted(QaryArray, q, m, tuple(e)) for e in pair) for pair in entries]
+        size = CHUNK // max(3 * m, 1)
+        # every census pair only if some representative fails
+        for pairs in (reps, gaps):
+            tasks = [(q, m, pairs[a : a + size]) for a in range(0, len(pairs), size)]
+            failed = set()
+            results = _run(_certify, tasks, workers)
+            for (_, _, batch), (failures, counts, shared, walk, corr) in zip(tasks, results):
+                failed.update((batch[i][0].entries, batch[i][1].entries) for i in failures)
+                rows.update(counts)
+                decomposed += shared[0]
+                reused += shared[1]
+                walk_s += walk
+                corr_s += corr
+            if not failed:
+                break
+            recertified = len(gaps)
+        witness_keys.update(failed)
+        certified = len(reps)
     elif m == 0:
         witness_keys = set()
         standard_count = len(gap_keys)
@@ -486,14 +522,15 @@ def verify_theorem(
         import resource  # POSIX only, so imported only for this record
 
         _log.debug(
-            "verify_theorem q=%d m=%d: %d pairs certified, correlation rows"
-            " per dimension %s, %d distinct sub-pairs decomposed, %d"
-            " sub-certificate walks reused; standard sweep %.3f s,"
+            "verify_theorem q=%d m=%d: %d pairs, %d class representatives"
+            " certified, correlation rows per dimension %s, %d distinct"
+            " sub-pairs decomposed, %d sub-certificate walks reused, %d pairs"
+            " certified after a representative failed; standard sweep %.3f s,"
             " decomposition and certificate walks %.3f s, batched correlation"
             " %.3f s (summed over batches); peak RSS %.1f MB (this process,"
             " so far)",
-            q, m, certified, dict(sorted(rows.items())), decomposed, reused,
-            std_s, walk_s, corr_s,
+            q, m, len(gap_keys), certified, dict(sorted(rows.items())), decomposed,
+            reused, recertified, std_s, walk_s, corr_s,
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         )
     return CensusReport(

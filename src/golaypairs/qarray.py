@@ -449,7 +449,8 @@ def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:
     shifts of at most ``_BINS`` histogram bins (one shift if it alone has
     more), and only the groups that cancel on one run are passed into the
     next.  A run on which every group cancels, the common case in a census,
-    costs one count of its coordinates and no indexing.
+    costs one count of its coordinates and no indexing, and a run on which
+    none cancels ends the call.
     """
     rows = np.asarray(rows, dtype=np.int64)
     total = len(rows)
@@ -462,6 +463,8 @@ def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:
             coords = _coords(plan, rows, q, lo, stop)
             if np.count_nonzero(coords):
                 cancel = ~coords.any(axis=(1, 2))
+                if not cancel.any():
+                    return np.zeros(total, dtype=bool)
                 alive = np.flatnonzero(cancel) if alive is None else alive[cancel]
                 rows = rows[cancel]
             lo = stop

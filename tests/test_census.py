@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from golaypairs import (
     BudgetExceededError,
     OddModulusError,
+    QaryArray,
     construct_standard,
     decompose,
     enumerate_all_gaps,
@@ -254,10 +256,12 @@ def test_verify_theorem_logs_certification_statistics(caplog):
     _, theorem = [r for r in caplog.records if r.name == "golaypairs"]
     assert theorem.levelno == logging.DEBUG
     message = theorem.getMessage()
-    # one row per inner node: the root pair and its dimension-1 child's pair;
-    # the dimension-0 sub-pairs have no shift to check
-    assert "q=4 m=2: 256 pairs certified" in message
-    assert "rows per dimension {1: 256, 2: 256}" in message
+    # one certificate per class representative, and one row per inner node:
+    # the root pair and its dimension-1 child's pair; the dimension-0
+    # sub-pairs have no shift to check
+    assert "q=4 m=2: 256 pairs, 32 class representatives certified" in message
+    assert "rows per dimension {1: 32, 2: 32}" in message
+    assert "0 pairs certified after a representative failed" in message
     for stage in ("standard sweep", "certificate walks", "batched correlation", "peak RSS"):
         assert f"{stage} " in message
 
@@ -279,16 +283,29 @@ def break_rows(monkeypatch, broken):
     monkeypatch.setattr(certify, "_gaps", patched)
 
 
-def certify_with_one_broken_pair(monkeypatch, q, m, index, workers, broken):
+def representative(q, pair):
+    """The class representative (f - f(0), g - g(0)) of the entry pair (f, g)."""
+    return tuple(tuple((v - e[0]) % q for v in e) for e in pair)
+
+
+def in_census_order(keys):
+    """Entry pairs sorted by id pair, ids comparing as reversed entries."""
+    return sorted(keys, key=lambda key: (key[0][::-1], key[1][::-1]))
+
+
+def certify_with_one_broken_pair(monkeypatch, q, m, index, workers, broken, whom):
     """``verify_theorem(q, m)`` with the certification of census pair
-    ``index`` broken, and that pair's entries; certification runs in
-    batches of 24 // (3 * m) pairs."""
+    ``index`` broken, or of its class representative (f - f(0), g - g(0))
+    when ``whom`` is "representative", and the entries of the broken pair;
+    certification runs in batches of 24 // (3 * m) pairs."""
     import golaypairs.census as census
 
     certify = importlib.import_module("golaypairs.certify")
     monkeypatch.setattr(census, "CHUNK", 24)
     f, g = enumerate_all_gaps(q, m)[index]
     target = (f.entries, g.entries)
+    if whom == "representative":
+        target = representative(q, target)
     if broken == "certificate":
         decomposition = certify._decomposition
 
@@ -315,12 +332,29 @@ def certify_with_one_broken_pair(monkeypatch, q, m, index, workers, broken):
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("broken", ("certificate", "correlation row"))
 def test_witness_is_the_one_pair_whose_certification_fails(monkeypatch, workers, broken):
-    # batches of 4 pairs
+    # batches of 4 pairs.  The class representative of census pair 129
+    # fails, so every census pair is certified, and the representative, a
+    # census pair itself, is the one that fails again
     report, target = certify_with_one_broken_pair(
-        monkeypatch, 4, 2, 129, workers, broken
+        monkeypatch, 4, 2, 129, workers, broken, "representative"
     )
+    assert target == ((0, 3, 0, 1), (0, 1, 0, 3))
     assert report.nonstandard_witnesses == (target,)
     assert not report.all_standard
+    assert report.gap_pair_count == report.standard_pair_count == 256
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("broken", ("certificate", "correlation row"))
+def test_a_pair_that_is_no_representative_is_never_certified(monkeypatch, workers, broken):
+    report, target = certify_with_one_broken_pair(
+        monkeypatch, 4, 2, 129, workers, broken, "pair"
+    )
+    # the shift rule stands in for the certificate of pair 129: it carries
+    # its representative's parameters (pi, c, c0, c') to (pi, c, c0 + a,
+    # c' + b - a) for the member (r + a, s + b)
+    assert target[0][0] or target[1][0]
+    assert report.all_standard and report.nonstandard_witnesses == ()
     assert report.gap_pair_count == report.standard_pair_count == 256
 
 
@@ -527,9 +561,12 @@ def shared_counters(pairs):
 def test_verify_theorem_logs_shared_subcertificate_counters(monkeypatch, caplog, workers):
     import golaypairs.census as census
 
-    # batches of 60 // 9 = 6 pairs
+    # batches of 60 // 9 = 6 class representatives (f - f(0), g - g(0)) of
+    # the census pairs, in census order
     monkeypatch.setattr(census, "CHUNK", 60)
-    pairs = enumerate_all_gaps(2, 3)
+    keys = {representative(2, (f.entries, g.entries)) for f, g in enumerate_all_gaps(2, 3)}
+    pairs = [(QaryArray(2, 3, fe), QaryArray(2, 3, ge)) for fe, ge in in_census_order(keys)]
+    assert len(pairs) == 48
     totals = [shared_counters(pairs[a : a + 6]) for a in range(0, len(pairs), 6)]
     decomposed, reused = (sum(column) for column in zip(*totals))
     assert reused > 0
@@ -596,3 +633,50 @@ def test_standard_sweep_over_memory_budget_is_refused_before_any_work():
     # the largest spaces the census itself admits
     assert len(enumerate_standard(8, 3)) == standard_count(8, 3) == 98_304
     assert len(enumerate_standard(512, 0)) == standard_count(512, 0) == 131_328
+
+
+# every space the census tests reach with an even q
+CLASS_SPACES = [(q, m) for q in (2, 4, 6) for m in range(4)] + [(8, 0), (8, 1), (8, 2), (2, 4)]
+
+
+def class_size(q, r, s):
+    """The census pairs of the class (r + a, s + b): those whose ids ascend."""
+    return sum(
+        tuple((v + a) % q for v in r)[::-1] <= tuple((v + b) % q for v in s)[::-1]
+        for a in range(q)
+        for b in range(q)
+    )
+
+
+@pytest.mark.parametrize("q, m", CLASS_SPACES)
+def test_certified_representatives_are_the_classes_of_the_census(monkeypatch, q, m):
+    import golaypairs.census as census
+
+    certify, certified = census._certify, []
+
+    def spy(q, max_corr_dim, pairs):
+        certified.extend((f.entries, g.entries) for f, g in pairs)
+        return certify(q, max_corr_dim, pairs)
+
+    monkeypatch.setattr(census, "_certify", spy)
+    report = verify_theorem(q, m)
+    assert report.all_standard
+    classes = Counter(representative(q, (f.entries, g.entries)) for f, g in enumerate_all_gaps(q, m))
+    # one certificate per class, in census order, and nothing else
+    assert certified == in_census_order(classes)
+    sizes = {(r, s): class_size(q, r, s) for r, s in certified}
+    assert sizes == classes
+    assert sum(sizes.values()) == report.gap_pair_count
+
+
+@pytest.mark.parametrize("q, m", CLASS_SPACES)
+def test_every_census_pair_certifies_on_its_own(q, m):
+    # the per-pair certification that the class route replaces, in its
+    # batches, still fails nowhere
+    import golaypairs.census as census
+    from golaypairs.certify import _certify
+
+    pairs = enumerate_all_gaps(q, m)
+    size = census.CHUNK // max(3 * m, 1)
+    for a in range(0, len(pairs), size):
+        assert _certify(q, m, pairs[a : a + size])[0] == {}, (q, m, a)

@@ -307,8 +307,8 @@ def test_debug_switch_writes_the_census_records_to_stderr(capsys):
     debug = capsys.readouterr()
     assert debug.out == plain.out
     (record,) = [line for line in debug.err.splitlines() if line.startswith("verify_theorem")]
-    assert "q=4 m=2: 256 pairs certified" in record
-    assert "rows per dimension {1: 256, 2: 256}" in record
+    assert "q=4 m=2: 256 pairs, 32 class representatives certified" in record
+    assert "rows per dimension {1: 32, 2: 32}" in record
     assert any(line.startswith("census q=4 m=2: 64 representatives") for line in debug.err.splitlines())
     # the handler goes with the call, and exit codes do not change
     assert logging.getLogger("golaypairs").handlers == []

@@ -15,10 +15,13 @@ certification of a batch that shares its sub-certificates against fresh
 per-pair calls and each pair's message against ``verify_certificate`` on
 that pair alone, and
 standard-form recognition against the cell-by-cell table of every standard
-pair.  Block sums (``combine``, the common-part split) and the cell
-placement of generating functions (``embed``, ``disjoint_product``) are
-checked against ``helpers.block_sum`` and ``helpers._spread``.  Two
-identities stand in for certificate checks that no certificate can fail:
+pair.  The shift rule on which the census certifies one pair per constant
+class is checked on its own: adding constants to a standard pair moves only
+its constant parameters, and both certificates verify.  Block sums
+(``combine``, the common-part split) and the cell placement of generating
+functions (``embed``, ``disjoint_product``) are checked against
+``helpers.block_sum`` and ``helpers._spread``.  Two identities stand in
+for certificate checks that no certificate can fail:
 recombined parameters expand to the pair rebuilt from the expansions of
 the sub-pair parameters, and the factor product of two generating functions
 is the generating function of their block sum.  Values that
@@ -175,6 +178,23 @@ def test_one_moved_cell_breaks_a_standard_pair(params, data):
     target[cell] = (target[cell] + 1) % q
     moved = QaryArray(q, m, tuple(target))
     assert not (is_gap(moved, g) if which else is_gap(f, moved))
+
+
+@settings(max_examples=100, deadline=None)
+@given(standard_params(max_m=6), st.data())
+def test_adding_constants_moves_only_the_constant_parameters(params, data):
+    # the shift rule on which the census certifies one pair per class:
+    # (f + a, g + b) has the parameters (pi, c, c0 + a, c' + b - a)
+    q, m = params.q, params.m
+    a, b = (data.draw(st.integers(0, q - 1)) for _ in range(2))
+    f, g = construct_standard(params)
+    moved = [QaryArray(q, m, tuple((v + k) % q for v in x.entries)) for x, k in ((f, a), (g, b))]
+    base, base_cert = decompose(f, g)
+    shifted, shifted_cert = decompose(*moved)
+    assert base == params
+    assert shifted == StandardParams(q, m, params.pi, params.c, params.c0 + a, params.c_prime + b - a)
+    verify_certificate(f, g, base_cert, max_corr_dim=m)
+    verify_certificate(*moved, shifted_cert, max_corr_dim=m)
 
 
 @settings(max_examples=150)
