@@ -3,9 +3,9 @@
 :func:`_certify` certifies a batch of pairs, each by its own certificate or
 by the one its decomposition states; :func:`~golaypairs.decompose.
 verify_certificate` runs it on a batch of one, and the census on each batch
-of its pairs.  A loaded certificate is converted into the forest of
-:mod:`golaypairs.forest` in one pass, children first, and the checks that
-compare what it states with what it states are made on the way: C1 and
+of its pairs.  A certificate, its types and parts checked by its constructors,
+is converted into the forest of :mod:`golaypairs.forest` in one pass, children
+first, and the checks that compare it with itself are made on the way: C1 and
 C2, which come before a node's subtree; C3 to C5 and the sizes of C6, which
 come after it; and C7 to C9.  An object that passes the first five, and
 whose children are in the levels, takes the next row of its level at once;
@@ -34,7 +34,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cyclotomic import _integers
 from .forest import (
     _FAILED,
     _VALUE_FAILURES,
@@ -75,30 +74,18 @@ class _Conversion:
         self.kids: dict = {}
 
 
-def _fits(array, q: int, m: int) -> bool:
-    return isinstance(array, QaryArray) and (array.q, array.m) == (q, m)
-
-
-def _partitions(vars_: tuple, m: int) -> bool:
-    """Whether ``vars_`` are integers that list 1 .. m-1 once each."""
-    try:
-        return sorted(_integers(*vars_)) == list(range(1, m))
-    except ValueError:
-        return False
-
-
 def _convert(conv: _Conversion, node) -> tuple[int, int]:
     """The forest node of ``node``, converting its subtree first if new.
 
     An object that passes C1 and C2 (which come before its subtree) and, if
-    inner, has its split and both children (checked with C2) and passes C3
-    to C5 and the sizes of C6 (which come after it) takes the next
+    inner, C3 to C5 and the sizes of C6 (which come after it) takes the next
     row of level m, into the bucket of its shape with the values it states;
     any other object is (-1, i), the i-th met, and keeps its first failure.
     An object with a child outside the levels stays outside too: a
     depth-first walk meets the child's failure before any of its own.  C7 to
     C9 compare stated values with each other, so they are checked here too,
-    and kept for after C6.
+    and kept for after C6.  The objects' constructors have checked their
+    types and parts, so every check compares what a certificate states.
     """
     found = conv.index.get(id(node))
     if found is not None:
@@ -111,21 +98,19 @@ def _convert(conv: _Conversion, node) -> tuple[int, int]:
         key, values = (q, 0), (params.c0, params.c_prime)
     elif node.split_var != m:
         pre = f"split variable {node.split_var} is not the highest ({m})"
-    elif any(part is None for part in (node.split, node.left, node.right)):
-        pre = "inner node lacks its split or a sub-certificate"
     else:
         kids = (_convert(conv, node.left), _convert(conv, node.right))
         split = node.split
-        z1, z2 = tuple(split.z1_vars), tuple(split.z2_vars)
+        z1, z2 = split.z1_vars, split.z2_vars
         k1, k2 = len(z1), len(z2)
-        if not _partitions(z1 + z2, m):
+        if sorted(z1 + z2) != list(range(1, m)):
             bad = "split variable sets do not partition the remaining variables"
         elif node.left.q != q or node.right.q != q:
             bad = "sub-certificates do not have the node's modulus"
         elif (node.left.m, node.right.m) != (k1, k2):
             bad = "sub-certificate dimensions do not match the split variable sets"
-        elif not (_fits(split.a, q, k1) and _fits(split.b, q, k1) and _fits(split.c, q, k2)
-                  and _fits(node.d, q, k2)):
+        elif any((x.q, x.m) != (q, k) for x, k in ((split.a, k1), (split.b, k1),
+                                                   (split.c, k2), (node.d, k2))):
             bad = _VALUE_FAILURES[1]
         else:
             a, b, c = split.a.entries, split.b.entries, split.c.entries

@@ -84,7 +84,8 @@ class GcdSplit:
 
     f0 = a + c and g0 = b + c with a, b on z1_vars and c on z2_vars, under the
     normalisation a(0) = f0(0), b(0) = g0(0), c(0) = 0.  No further block can
-    be moved from (a, b) into c.
+    be moved from (a, b) into c.  The constructor checks types only; whether
+    the parts fit is for :func:`extract_d` and the certifier (C3 to C8).
     """
 
     z1_vars: tuple[int, ...]
@@ -94,6 +95,16 @@ class GcdSplit:
     c: QaryArray
     f0_const: int
     g0_const: int
+
+    def __post_init__(self):
+        try:
+            z1, z2 = _integers(*self.z1_vars), _integers(*self.z2_vars)
+        except TypeError:  # not iterable
+            raise ValueError("z1_vars and z2_vars must be sequences of integers") from None
+        if not all(isinstance(x, QaryArray) for x in (self.a, self.b, self.c)):
+            raise ValueError("a, b and c must be QaryArray values")
+        f0, g0 = _integers(self.f0_const, self.g0_const)
+        self.__dict__.update(z1_vars=z1, z2_vars=z2, f0_const=f0, g0_const=g0)
 
 
 def gcd_normalized(f0: QaryArray, g0: QaryArray) -> GcdSplit:
@@ -110,7 +121,7 @@ def gcd_normalized(f0: QaryArray, g0: QaryArray) -> GcdSplit:
     """
     if f0.q != g0.q or f0.m != g0.m:
         raise ValueError("shape or modulus mismatch")
-    return GcdSplit(*_gcd_split(f0.q, f0.m, f0.entries, g0.entries), f0.entries[0],
+    return _trusted(GcdSplit, *_gcd_split(f0.q, f0.m, f0.entries, g0.entries), f0.entries[0],
                     g0.entries[0])
 
 
@@ -125,10 +136,10 @@ def extract_d(
     complementary.  This is the decomposition's forced-form check run on a
     batch of one; a split that does not fit the halves is a ``ValueError``.
     """
-    q, m, z1, z2 = f1.q, f1.m, tuple(split.z1_vars), tuple(split.z2_vars)
+    q, m, z1, z2 = f1.q, f1.m, split.z1_vars, split.z2_vars
     if (g1.q, g1.m) != (q, m):
         raise ValueError("shape or modulus mismatch")
-    if sorted(_integers(*z1, *z2)) != list(range(1, m + 1)):
+    if sorted(z1 + z2) != list(range(1, m + 1)):
         raise ValueError(f"z1={z1} and z2={z2} do not partition the variables 1..{m}")
     if any((x.q, x.m) != (q, len(z)) for x, z in ((split.a, z1), (split.b, z1), (split.c, z2))):
         raise ValueError(f"a, b and c do not have q={q} and the dimensions of z1 and z2")
@@ -143,7 +154,9 @@ class DecompositionCertificate:
     the split variable (always the highest), the common-part split, the
     recovered d with the offsets e, e' of its sub-pairs, the two
     sub-certificates, and the recombined parameters for its own pair.
-    Replaying the tree bottom-up rebuilds the pair exactly.
+    Replaying the tree bottom-up rebuilds the pair exactly.  The constructor
+    checks types and presence only; whether the values agree, down to their
+    ranges, is for the certifier (C1 to C13, :mod:`golaypairs.certify`).
     """
 
     q: int
@@ -156,6 +169,15 @@ class DecompositionCertificate:
     e_prime: int | None = None
     left: "DecompositionCertificate | None" = None
     right: "DecompositionCertificate | None" = None
+
+    def __post_init__(self):
+        inner = ("split_var", "e", "e_prime") if self.m != 0 else ()
+        values = _integers(self.q, self.m, *(getattr(self, name) for name in inner))
+        parts = (self.params,) + ((self.split, self.d, self.left, self.right) if inner else ())
+        types = (StandardParams, GcdSplit, QaryArray) + (DecompositionCertificate,) * 2
+        if not all(map(isinstance, parts, types)):
+            raise ValueError("params, split, d, left or right is missing or of the wrong type")
+        self.__dict__.update(zip(("q", "m") + inner, values))
 
     @property
     def is_leaf(self) -> bool:
@@ -246,17 +268,18 @@ def decompose(
     built: list[list] = []
     for k, (level, params) in enumerate(zip(forest.levels, _derive(forest))):
         found = _param_objects(q, k, params)
-        nodes: list = [DecompositionCertificate(q, 0, p) for p in found] if k == 0 else [None] * level.size
+        nodes: list = ([_trusted(DecompositionCertificate, q, 0, p) for p in found] if k == 0
+                       else [None] * level.size)
         for grp in level.groups:
             z1, z2 = grp.shape.z1, grp.shape.z2
             subs = _sub_pairs(grp.shape, grp.subs)
             for row, left, right, (a, b, c, d) in zip(grp.rows.tolist(), grp.left.tolist(),
                                                        grp.right.tolist(), subs):
                 lower, upper = built[len(z1)][left], built[len(z2)][right]
-                split = GcdSplit(z1, z2, _array(q, len(z1), a), _array(q, len(z1), b),
+                split = _trusted(GcdSplit, z1, z2, _array(q, len(z1), a), _array(q, len(z1), b),
                                  _array(q, len(z2), c), a[0], b[0])
-                nodes[row] = DecompositionCertificate(
-                    q, k, found[row], k, split, _array(q, len(z2), d),
+                nodes[row] = _trusted(
+                    DecompositionCertificate, q, k, found[row], k, split, _array(q, len(z2), d),
                     lower.params.c_prime, upper.params.c_prime, lower, upper,
                 )
         built.append(nodes)

@@ -55,9 +55,11 @@ pair pays for all (4**m - 2**m) / 2 of them.  Below m = 6 a kernel call is
 mostly fixed cost, so the whole plan is one batch: one call decides a pair.
 
 Validation happens at the boundary: public constructors and every
-``from_json_dict`` check their input.  Internal code builds a value
-unchecked through :func:`_trusted` only when its q and m come from validated
-objects and every entry is copied from one or reduced mod that q.  For a
+``from_json_dict`` check their input (those of ``DecompositionCertificate``
+and ``GcdSplit`` check types and presence only).  Internal code builds a
+value unchecked through :func:`_trusted` only when its q and m come from
+validated objects and every entry is copied from one or reduced mod that q;
+a certificate's other fields must be ints or values so built.  For a
 :class:`~golaypairs.genfun.GenFun` the entries are its coefficients, which
 must be built in the context of that q and vanish outside its support,
 itself a frozenset of ints.

@@ -4,7 +4,7 @@
 
 imports ``golaypairs`` from the directory SRC (a checkout's ``src``), so two
 trees can be compared on the same corpus: equal digests mean every outcome
-and message is the same.  The corpus of one SEED has three parts:
+and message is the same.  The corpus of one SEED has four parts:
 
 - ``tampered``: N certificates of standard pairs (q in {2, 4, 6, 8, 10}, m 1
   to 6), each dumped to JSON with one to three random edits (none, one time
@@ -14,17 +14,26 @@ and message is the same.  The corpus of one SEED has three parts:
 - ``batches``: N // 15 batches of standard pairs, one-cell-moved non-pairs
   and pairs joined from sub-pairs with a cell moved, decomposed and certified
   together: their messages, rows per dimension and sharing counters;
-- ``decompose``: each of those pairs' ``decompose`` outcome.
+- ``decompose``: each of those pairs' ``decompose`` outcome;
+- ``built``: N // 3 certificates of standard pairs edited in Python, not
+  through JSON: at a random node, one field of the node or of its split is
+  set with ``dataclasses.replace`` to None, a float, a numpy integer or a
+  value of another type, and the edited node is spliced back into the tree.
+  Its record is the outcome of that construction and, if it succeeds, of
+  ``verify_certificate`` and ``replay``.
 
 Each record is the JSON of an outcome; a part's digest is the SHA-256 of its
-records, one a line.  ``--records`` writes every record to PATH as well.
-Pytest does not collect this file.
+records, one a line.  The corpus digest covers the first three parts, so it
+stays comparable with trees from before ``built``, which is drawn last and
+does not move the others.  ``--records`` writes every record to PATH as
+well.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -148,6 +157,85 @@ def _tampered(rng: random.Random, records: list) -> None:
     records.append(record)
 
 
+def _paths(cert) -> list[tuple[tuple[str, ...], object]]:
+    """Each node of a decomposed certificate with the sides that lead to it."""
+    out, todo = [], [((), cert)]
+    while todo:
+        path, node = todo.pop()
+        out.append((path, node))
+        if node.m:
+            todo += [(path + (side,), getattr(node, side)) for side in ("left", "right")]
+    return out
+
+
+def _splice(root, path: tuple[str, ...], node):
+    """``root`` with its node at ``path`` replaced by ``node``."""
+    if not path:
+        return node
+    return dataclasses.replace(root, **{path[0]: _splice(getattr(root, path[0]), path[1:], node)})
+
+
+def _wrong(how: str, field: str, node, value):
+    """The value that edit ``how`` puts into ``field`` in place of ``value``."""
+    import numpy as np
+
+    if how == "none":
+        return None
+    if field in ("z1_vars", "z2_vars"):
+        if how == "numpy":
+            return np.array(value, dtype=np.int64)
+        return tuple(map(float if how == "float" else str, value))
+    if how == "float":
+        return float(value)
+    if how == "numpy":
+        return np.int64(value)
+    if field == "params":
+        return value.to_json_dict()
+    if field in ("a", "b", "c", "d"):
+        return value.entries
+    if field == "split":
+        return node.d
+    if field in ("left", "right"):
+        return value.params
+    return str(value)
+
+
+def _built(rng: random.Random, records: list) -> None:
+    from golaypairs import decompose, replay, verify_certificate
+
+    q, m = rng.choice((2, 4, 6, 8, 10)), rng.randint(1, 6)
+    f, g = _standard_pair(rng, q, m)
+    cert = decompose(f, g)[1]
+    path, node = rng.choice(_paths(cert))
+    how = rng.choice(("none", "float", "numpy", "type"))
+    on_split = node.m > 0 and rng.random() < 0.4
+    if on_split:
+        ints, parts = ("z1_vars", "z2_vars", "f0_const", "g0_const"), ("a", "b", "c")
+    elif node.m:
+        ints, parts = ("q", "m", "split_var", "e", "e_prime"), ("params", "split", "d", "left",
+                                                                "right")
+    else:
+        ints, parts = ("q", "m"), ("params",)
+    field = rng.choice(ints + parts if how in ("none", "type") else ints)
+    depth = rng.randint(0, m + 1)
+    obj = node.split if on_split else node
+    new = _wrong(how, field, node, getattr(obj, field))
+
+    def build():
+        edited = dataclasses.replace(obj, **{field: new})
+        return _splice(cert, path, dataclasses.replace(node, split=edited) if on_split else edited)
+
+    made = _outcome(build)
+    record = [[how, field, on_split, list(path)], made if made[0] == "raised" else "built"]
+    if made[0] == "ok":
+        record.append(_outcome(verify_certificate, f, g, made[1], depth))
+        rebuilt = _outcome(replay, made[1])
+        if rebuilt[0] == "ok":
+            rebuilt[1] = [arr.to_json_dict() for arr in rebuilt[1]]
+        record.append(rebuilt)
+    records.append(record)
+
+
 def _batch(rng: random.Random, batches: list, decomposed: list) -> None:
     from golaypairs import QaryArray, decompose
     from golaypairs.certify import _certify
@@ -188,18 +276,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [os.path.abspath(args.src), os.path.dirname(os.path.abspath(__file__))]
     rng = random.Random(args.seed)
-    parts: dict[str, list] = {"tampered": [], "batches": [], "decompose": []}
+    parts: dict[str, list] = {"tampered": [], "batches": [], "decompose": [], "built": []}
     for _ in range(args.n):
         _tampered(rng, parts["tampered"])
     for _ in range(args.n // 15):
         _batch(rng, parts["batches"], parts["decompose"])
+    for _ in range(args.n // 3):
+        _built(rng, parts["built"])
     whole = hashlib.sha256()
     out = open(args.records, "w", encoding="utf-8") if args.records else None
     try:
         for name, records in parts.items():
-            lines = [json.dumps([name, r], sort_keys=True) + "\n" for r in records]
+            # repr shows a value that is not JSON, such as a numpy integer
+            lines = [json.dumps([name, r], sort_keys=True, default=repr) + "\n" for r in records]
             digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-            whole.update(digest.encode())
+            if name != "built":
+                whole.update(digest.encode())
             print(f"{name}: {len(records)} records, sha256 {digest[:16]}")
             if out is not None:
                 out.writelines(lines)
@@ -208,6 +300,8 @@ def main(argv=None) -> int:
             out.close()
     accepted = sum(1 for r in parts["tampered"] if r[1:2] == [["ok", None]])
     print(f"accepted certificates: {accepted}; corpus sha256 {whole.hexdigest()[:16]}")
+    accepted = sum(1 for r in parts["built"] if r[2:3] == [["ok", None]])
+    print(f"accepted built edits: {accepted}")
     return 0
 
 

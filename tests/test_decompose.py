@@ -2,7 +2,10 @@
 
 import dataclasses
 import importlib
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,7 +204,6 @@ HALVES = QaryArray(4, 2, (0, 1, 2, 3)), QaryArray(4, 2, (3, 0, 2, 1))
     pytest.param(HALVES, _fitted((1,), (), ONE, ONE, QaryArray(4, 0, (0,))), id="z2-missing"),
     pytest.param(HALVES, _fitted((1,), (1,), ONE, ONE, ONE), id="z1-z2-overlap"),
     pytest.param(HALVES, _fitted((1,), (3,), ONE, ONE, ONE), id="z2-out-of-range"),
-    pytest.param(HALVES, _fitted((1.0,), (2,), ONE, ONE, ONE), id="z1-float"),
 ])
 def test_extract_d_rejects_a_split_that_does_not_fit_its_halves(halves, split):
     # each case breaks one fit of the split to the halves; a fitting split
@@ -209,6 +211,14 @@ def test_extract_d_rejects_a_split_that_does_not_fit_its_halves(halves, split):
     extract_d(*HALVES, _fitted((1,), (2,), ONE, ONE, ONE))
     with pytest.raises(ValueError):
         extract_d(*halves, split)
+
+
+def test_gcd_split_refuses_float_split_variables():
+    # a float variable never reaches extract_d: the split's own constructor
+    # refuses it, while the same split with integers fits these halves
+    extract_d(*HALVES, _fitted((1,), (2,), ONE, ONE, ONE))
+    with pytest.raises(ValueError, match="integer"):
+        _fitted((1.0,), (2,), ONE, ONE, ONE)
 
 
 def test_decompose_worked_example():
@@ -416,38 +426,105 @@ def _python_built():
     return f, g, cert
 
 
-def _rejected(f, g, cert, message):
-    for check in (lambda: verify_certificate(f, g, cert), lambda: replay(cert)):
-        with pytest.raises(VerificationError) as exc:
-            check()
-        assert str(exc.value) == f"certificate verification failed: {message}"
-
-
 @pytest.mark.parametrize("side", ["z1_vars", "z2_vars"])
 def test_python_built_certificate_with_float_split_variables_fails_c3(side):
     # 1.0 hashes and compares equal to 1, so a shape cached by an integer
-    # call must not let it through: the verdict is the same before and after
+    # call must not let it through: the split's constructor refuses the
+    # floats before and after that call, so no certificate can hold them
     from golaypairs import forest
 
     f, g, cert = _python_built()
     floats = tuple(float(v) for v in getattr(cert.split, side))
-    bent = dataclasses.replace(cert, split=dataclasses.replace(cert.split, **{side: floats}))
-    message = "split variable sets do not partition the remaining variables"
     forest._shape.cache_clear()
-    _rejected(f, g, bent, message)
+    with pytest.raises(ValueError, match="integer"):
+        dataclasses.replace(cert.split, **{side: floats})
     verify_certificate(f, g, cert)
-    _rejected(f, g, bent, message)
+    with pytest.raises(ValueError, match="integer"):
+        dataclasses.replace(cert.split, **{side: floats})
 
 
 @pytest.mark.parametrize("field", ["split", "left", "right"])
 @pytest.mark.parametrize("node", ["root", "child"])
 def test_python_built_certificate_missing_a_part_fails_verification(field, node):
+    # an inner node's constructor refuses a missing part, so no certificate
+    # that reaches the certifier lacks one
     f, g, cert = _python_built()
-    if node == "root":
-        bent = dataclasses.replace(cert, **{field: None})
+    verify_certificate(f, g, cert)
+    target = cert if node == "root" else cert.left
+    assert not target.is_leaf
+    with pytest.raises(ValueError, match="missing or of the wrong type"):
+        dataclasses.replace(target, **{field: None})
+
+
+# a field of a certificate object of the wrong type: each edit, made with
+# dataclasses.replace, is refused by the edited object's constructor
+WRONG_TYPES = {
+    "split_var": lambda c: dataclasses.replace(c, split_var=float(c.split_var)),
+    "m": lambda c: dataclasses.replace(c, m=float(c.m)),
+    "q": lambda c: dataclasses.replace(c, q=float(c.q)),
+    "e": lambda c: dataclasses.replace(c, e=float(c.e)),
+    "e_prime": lambda c: dataclasses.replace(c, e_prime=float(c.e_prime)),
+    "params": lambda c: dataclasses.replace(c, params=c.params.to_json_dict()),
+    "d": lambda c: dataclasses.replace(c, d=c.d.entries),
+    "f0_const": lambda c: dataclasses.replace(c.split, f0_const=float(c.split.f0_const)),
+    "g0_const": lambda c: dataclasses.replace(c.split, g0_const=float(c.split.g0_const)),
+    "a": lambda c: dataclasses.replace(c.split, a=c.split.a.entries),
+    "z2_vars": lambda c: dataclasses.replace(c.split, z2_vars=None),
+}
+
+
+@pytest.mark.parametrize("field", sorted(WRONG_TYPES))
+def test_certificate_objects_refuse_a_field_of_the_wrong_type(field):
+    # the refusal does not depend on what an integer call cached first
+    f, g, cert = _python_built()
+    verify_certificate(f, g, cert)
+    for node in (cert, cert.left):
+        with pytest.raises(ValueError):
+            WRONG_TYPES[field](node)
+
+
+def test_certificate_objects_refuse_wrong_types_in_a_fresh_process():
+    # no shape or plan cached by an earlier call in this process
+    import golaypairs
+
+    script = """
+import dataclasses
+from golaypairs import StandardParams, construct_standard, decompose
+cert = decompose(*construct_standard(StandardParams(4, 3, (1, 3, 2), (1, 0, 3), 1, 2)))[1]
+for edit in ({"split_var": 3.0}, {"m": 3.0}, {"q": 4.0}, {"split": None}, {"left": None},
+             {"right": None}):
+    try:
+        dataclasses.replace(cert, **edit)
+    except ValueError:
+        print("ValueError")
     else:
-        bent = dataclasses.replace(cert, left=dataclasses.replace(cert.left, **{field: None}))
-    _rejected(f, g, bent, "inner node lacks its split or a sub-certificate")
+        print("accepted")
+"""
+    src = os.path.dirname(os.path.dirname(golaypairs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["ValueError"] * 6
+
+
+def test_certificate_objects_turn_numpy_integers_into_ints():
+    f, g, cert = _python_built()
+    split = dataclasses.replace(
+        cert.split, z1_vars=np.array(cert.split.z1_vars), z2_vars=list(cert.split.z2_vars),
+        f0_const=np.int64(cert.split.f0_const), g0_const=np.int8(cert.split.g0_const),
+    )
+    assert split == cert.split
+    assert type(split.z1_vars) is tuple and type(split.z2_vars) is tuple
+    numbers = (*split.z1_vars, *split.z2_vars, split.f0_const, split.g0_const)
+    assert all(type(v) is int for v in numbers)
+    bent = dataclasses.replace(
+        cert, q=np.int64(cert.q), m=np.int32(cert.m), split_var=np.int64(cert.split_var),
+        split=split, e=np.int64(cert.e), e_prime=np.uint8(cert.e_prime),
+    )
+    assert bent == cert
+    assert all(type(v) is int for v in (bent.q, bent.m, bent.split_var, bent.e, bent.e_prime))
+    verify_certificate(f, g, bent)
+    assert replay(bent) == (f, g)
 
 
 def test_certificate_worked_example_structure():

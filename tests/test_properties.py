@@ -1083,6 +1083,32 @@ def test_unvalidated_standard_results_are_valid(params):
         assert_valid(value)
 
 
+@settings(max_examples=60, deadline=None)
+@given(standard_params(max_m=6))
+def test_decomposed_certificate_objects_pass_their_constructors(params):
+    # decompose and gcd_normalized build these unchecked; each equals its
+    # rebuild through its constructor and holds its integers as ints
+    f, g = construct_standard(params)
+    nodes, splits = [decompose(f, g)[1]], []
+    if params.m:
+        (f0, _), (g0, _) = split_last(f), split_last(g)
+        splits.append(gcd_normalized(f0, g0))
+    while nodes:
+        node = nodes.pop()
+        assert dataclasses.replace(node) == node
+        numbers = [node.q, node.m]
+        if not node.is_leaf:
+            numbers += [node.split_var, node.e, node.e_prime]
+            splits.append(node.split)
+            nodes += [node.left, node.right]
+        assert all(type(v) is int for v in numbers), node
+    for split in splits:
+        assert dataclasses.replace(split) == split
+        assert type(split.z1_vars) is tuple and type(split.z2_vars) is tuple
+        numbers = [*split.z1_vars, *split.z2_vars, split.f0_const, split.g0_const]
+        assert all(type(v) is int for v in numbers), split
+
+
 @settings(max_examples=100)
 @given(array_pairs(max_m=4), st.integers(0, 2), st.data())
 def test_derived_generating_functions_are_valid(case, extra, data):
