@@ -69,15 +69,15 @@ class Anf:
     coeffs: Mapping[frozenset, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        q, m = _integers(self.q, self.m)
+        q, m = _integers((self.q, self.m))
         if q < 1 or m < 0:
             raise ValueError(f"need q >= 1 and m >= 0, got q={q}, m={m}")
         clean = {}
         for subset, coeff in self.coeffs.items():
-            s = frozenset(_integers(*subset))
+            s = frozenset(_integers(subset))
             if any(v < 1 or v > m for v in s):
                 raise ValueError(f"monomial {set(s)} out of range for m={m}")
-            c = _integers(coeff)[0] % q
+            c = _integers((coeff,))[0] % q
             if c:
                 clean[s] = c
         self.__dict__.update(q=q, m=m, coeffs=clean)
@@ -116,10 +116,10 @@ class VarPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        (m,) = _integers(self.m)
+        (m,) = _integers((self.m,))
         if m < 0:
             raise ValueError(f"m must be nonnegative, got {m}")
-        norm = tuple(sorted(tuple(sorted(_integers(*b))) for b in self.blocks))
+        norm = tuple(sorted(tuple(sorted(b)) for b in _integers(self.blocks, _integers)))
         seen: list[int] = []
         for b in norm:
             if not b:

@@ -4,9 +4,10 @@ Every array is fingerprinted by the exact coordinates, in the kernel's CRT
 basis, of its autocorrelation at the kept half of the nonzero shifts (the
 other half is determined by conjugate symmetry).  Two arrays form a
 complementary pair exactly when their fingerprints are negatives of each
-other.  The sweep runs on the correlation kernel of
+other.  Fingerprints are built by the correlation kernel of
 :mod:`golaypairs.qarray` that :func:`~golaypairs.qarray.is_gap` runs on,
-with one row group per array.
+with one row group per array, and the sweep reads the kernel's shift plan
+and CRT basis to hash them without building them.
 
 The sweep is quotiented by the additive constant.  An autocorrelation
 depends only on differences of entries, so f and f + c share a
@@ -20,38 +21,40 @@ The standard set is expanded by the same routine: the standard pair of
 (pi, c, c0, c') is the base pair of (pi, c, 0, 0) plus (c0, c0 + c'), so
 only the m! q^m base pairs are built (see :func:`enumerate_standard`).
 
-The join is a sorted search on a linear hash, checked row by row.
-Fingerprint rows are held once, in one contiguous array in representative
-order.  A coordinate is a +- sum of disjoint histogram entries, so it is
-at most 2^m in absolute value, and each row is stored in the narrowest
-signed dtype holding that bound (int8 for every space with m >= 2 inside
-``DEFAULT_BUDGET``), where negation cannot overflow.  Each row also gets an
-int64 hash, its dot product with fixed odd weights, wrapping; the hash is
-linear, so the negated row hashes to the negated hash.  The hashes are
-argsorted once and walked in chunks; each chunk's negated hashes are probed
-with ``searchsorted``, and a candidate is kept only if its rows are
+The join is a sorted search on a linear hash, checked row by row, and it
+holds hashes, not rows.  A coordinate is a +- sum of disjoint histogram
+entries, so it is at most 2^m in absolute value, and a fingerprint row is
+built in the narrowest signed dtype holding that bound (int8 for every
+space with m >= 2 inside ``DEFAULT_BUDGET``), where negation cannot
+overflow.  A row's hash is its dot product with fixed odd int64 weights,
+wrapping; the hash is linear, so the negated row hashes to the negated
+hash.  It is also linear in the histogram, so it is a sum of one table
+entry per overlap pair, indexed by the pair's entry difference
+(:func:`_hash_table`), and the sweep computes every hash from the entries
+with one gather, one take and one sum, with no histogram and no row.  The
+hashes are argsorted once and walked in chunks; each chunk's negated hashes
+are probed with ``searchsorted``, the candidates' rows are rebuilt from
+their representatives, and a candidate is kept only if its rows are
 negatives of each other, so exactness never rests on the hash.  For the
 DEBUG record only, distinct fingerprints are counted as the runs of equal
-hashes, corrected inside any run whose neighbouring rows differ.  The join
-holds the rows plus three int64s per representative (hash, sort index,
-sorted hash), so a representative costs width * itemsize + 24 bytes: 76 at
-(8,3), whose 2^21 representatives take 159 MB.  A space whose estimate
-(:func:`_join_bytes`) is over ``_MAX_BYTES`` is refused with
+hashes, corrected inside any run whose rebuilt rows differ.  The join holds
+three int64s per representative (hash, sort index, sorted hash), 24 bytes:
+48 MiB at (8,3), where its 2^21 rows would add 104 MiB.  A space whose estimate (:func:`_join_bytes`, which still charges
+the rows) is over ``_MAX_BYTES`` is refused with
 :class:`BudgetExceededError` before any work.  The expanded pair list is
 held to the same cap: after the join, the matched representatives bound the
 number of pairs, and a census whose pairs would take more than
 ``_MAX_BYTES`` at ``_PAIR_BYTES`` each is refused before they are built.
 
-Fingerprints are computed in chunks of at most ``CHUNK`` representatives,
-cut so that a chunk's histogram holds at most ``qarray._BINS`` counts, one
-int64 per representative, residue and half shift.  The kernel also holds one
-int64 key per representative and overlap pair: at (8,3) a chunk is 2,520
-representatives, 2.1 MB of counts and 0.6 MB of keys, and at (4095,1) it is
-64.  With ``workers > 1`` the chunks are farmed out to a
-process pool and merged back in order, so reports are byte-for-byte
-identical for every worker count.  Each call logs one DEBUG record with its
-counters and stage timings on the ``golaypairs`` logger, which is silent by
-default.
+Hashes are computed in chunks of at most ``CHUNK`` representatives, one
+overlap pair at a time, so a chunk holds one int64 per representative and
+cell and a few more, and no array with one key per representative and
+overlap pair.  Rows are rebuilt by the correlation kernel in calls of at
+most ``_KEYS`` such keys and ``qarray._BINS`` histogram bins.  With ``workers > 1`` the chunks
+are farmed out to a process pool, each sending back only its hashes, and
+merged back in order, so reports are byte-for-byte identical for every
+worker count.  Each call logs one DEBUG record with its counters and stage
+timings on the ``golaypairs`` logger, which is silent by default.
 
 :func:`verify_theorem` then certifies one pair per constant class of an
 even-q space.  The shift rule: if (f, g) is the standard pair of
@@ -89,14 +92,27 @@ import numpy as np
 from .cyclotomic import _integers, get_context
 from .certify import _certify
 from .errors import BudgetExceededError, OddModulusError, VerificationError
-from .qarray import _BINS, QaryArray, _coords, _cube_plan, _trusted, is_gap
+from .qarray import _BINS, QaryArray, _coords, _crt_coords, _cube_plan, _trusted, is_gap
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
+# Representatives per sweep task and per probe of the join.  Each sweep task
+# holds one int64 per representative and cell, and a few more.  In fresh
+# processes on a 2-core Xeon (2 MiB L2 per core), chunks of 2,048, 4,096 and
+# 8,192 took 252-276, 228-230 and 203-208 ms for the (8,3) sweep, and
+# `census 5 3` ops took 15.8-17.0, 13.1-13.9 and 12.8-13.4 ms (median of 15
+# in one process).  A kernel that gathered a chunk's keys for all overlap
+# pairs at once, in 2,340-representative chunks, took 640-760 and 37-43 ms:
+# its two 512 KiB temporaries came fresh from the OS in every chunk.
 CHUNK = 4096
 # Refuse a join or a pair list whose estimate passes 1 GiB; the (8,3) join
-# needs about 159 MB.
+# holds 48 MiB of hashes and sort index.
 _MAX_BYTES = 1 << 30
+# Most (representative, overlap pair) keys in one kernel call that rebuilds
+# fingerprint rows: the call holds two int64 arrays of that many keys, 512 KiB
+# each, which keeps the rows that the join rebuilds at (2,4), 120 overlap
+# pairs per representative, inside the join's estimate (_join_bytes).
+_KEYS = 1 << 16
 # Peak memory of `census` per censused pair over its 32 MB baseline: 1.16 KB
 # at (64,1) and (512,0), with about 131,000 pairs each, on Python 3.11.
 _PAIR_BYTES = 1200
@@ -118,12 +134,14 @@ def _row_layout(q: int, m: int) -> tuple[int, np.dtype]:
 
 def _entries(q: int, m: int, reps) -> np.ndarray:
     """Entries of representatives ``reps``, one int64 row each: 0, then
-    the base-q digits of the representative, lowest first."""
+    the base-q digits of the representative, lowest first.  The rows are a
+    view of one C-ordered (cells, reps) array, whose transpose is the
+    layout :func:`_chunk_hashes` sums over."""
     work = np.array(reps, dtype=np.int64)
-    out = np.zeros((len(work), 1 << m), dtype=np.int64)
+    out = np.zeros((1 << m, len(work)), dtype=np.int64)
     for t in range(1, 1 << m):
-        work, out[:, t] = np.divmod(work, q)
-    return out
+        work, out[t] = np.divmod(work, q)
+    return out.T
 
 
 def _weights(width: int) -> np.ndarray:
@@ -134,50 +152,91 @@ def _weights(width: int) -> np.ndarray:
     return (z ^ z >> 31 | 1).view(np.int64)
 
 
-def _chunk_rows(
-    q: int, m: int, start: int, stop: int, width: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fingerprint rows of representatives start..stop-1, in order, and their hashes."""
+def _hash_table(q: int, m: int) -> np.ndarray:
+    """The row hash per overlap pair and entry difference: entry (p, d) is
+    what pair p of the cube plan adds to the hash of a row whose entries at
+    that pair differ by d mod q.
+
+    The hash is linear in the histogram, so a histogram bin adds its CRT
+    coordinates dotted with their weights.  Those are computed once per
+    bin and shift from the unit histograms, through ``qarray._crt_coords``
+    in blocks of at most ``_BINS`` bins, and wrap in int64 as the row
+    hash does, so a sum of table entries is the row hash bit for bit.
+    """
     plan = _cube_plan(m)
-    n = stop - start
-    table = _entries(q, m, np.arange(start, stop))[:, None]
-    sig = _coords(plan, table, q, 0, len(plan.order)).reshape(n, -1)
-    if max(int(sig.max(initial=0)), -int(sig.min(initial=0))) > np.iinfo(dtype).max:
-        raise VerificationError(
-            "fingerprint coordinate outside its proven bound"
-        )  # pragma: no cover - internal guard
-    rows = np.zeros((n, width), dtype=dtype)
-    rows[:, : sig.shape[1]] = sig
-    return rows, sig @ _weights(sig.shape[1])
+    shifts = len(plan.order)
+    ctx = get_context(q)
+    weights = _weights(ctx.degree * shifts).reshape(ctx.degree, shifts)
+    per_bin = np.empty((q, shifts), dtype=np.int64)
+    block = max(1, _BINS // q)
+    for a in range(0, q, block):
+        n = min(block, q - a)
+        unit = np.zeros((1, q, n), dtype=np.int64)
+        unit[0, a + np.arange(n), np.arange(n)] = 1
+        per_bin[a : a + n] = _crt_coords(unit, q)[0].T @ weights
+    return per_bin.T[plan.shift][:, ctx.order]
 
 
-def _sweep(
-    q: int, m: int, reps: int, width: int, dtype: np.dtype, workers: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fingerprint rows and hashes of every representative, in order, in
-    tasks of at most ``CHUNK`` representatives whose histograms hold at
-    most ``_BINS`` counts (one representative if it alone has more)."""
-    shifts = max(len(_cube_plan(m).order), 1)  # none at m = 0
-    size = max(1, min(CHUNK, _BINS // (q * shifts)))
-    tasks = [(q, m, a, min(a + size, reps), width, dtype) for a in range(0, reps, size)]
-    rows = np.empty((reps, width), dtype=dtype)
+def _chunk_hashes(q: int, m: int, start: int, stop: int, table: np.ndarray) -> np.ndarray:
+    """Row hashes of representatives start..stop-1, in order.  Per overlap
+    pair, one subtraction of its cells' entries, one take of the
+    differences, wrapped mod q, through the pair's row of ``table`` (see
+    :func:`_hash_table`), and one sum; every temporary holds one int64 per
+    representative."""
+    plan = _cube_plan(m)
+    cells = _entries(q, m, np.arange(start, stop)).T
+    hashes = np.zeros(stop - start, dtype=np.int64)
+    diff = np.empty_like(hashes)
+    for row, i, j in zip(table, plan.later.tolist(), plan.earlier.tolist()):
+        np.subtract(cells[i], cells[j], out=diff)
+        row.take(diff, out=diff, mode="wrap")
+        hashes += diff
+    return hashes
+
+
+def _sweep(q: int, m: int, reps: int, workers: int) -> np.ndarray:
+    """Row hashes of every representative, in order, in tasks of at most
+    ``CHUNK`` representatives."""
+    table = _hash_table(q, m)
+    tasks = [(q, m, a, min(a + CHUNK, reps), table) for a in range(0, reps, CHUNK)]
     hashes = np.empty(reps, dtype=np.int64)
-    chunks = _run(_chunk_rows, tasks, workers)
-    for task in tasks:
-        # unnamed, so each chunk is freed before the next one is built
-        rows[task[2] : task[3]], hashes[task[2] : task[3]] = next(chunks)
-    return rows, hashes
+    for task, chunk in zip(tasks, _run(_chunk_hashes, tasks, workers)):
+        hashes[task[2] : task[3]] = chunk
+    return hashes
+
+
+def _rows(q: int, m: int, reps: np.ndarray) -> np.ndarray:
+    """Fingerprint rows of representatives ``reps``, one row each in the
+    layout of :func:`_row_layout`, built through ``qarray._coords`` in
+    calls of at most ``_KEYS`` keys and ``_BINS`` histogram bins (one
+    representative if it alone has more); each is checked against the
+    coordinates' bound."""
+    plan = _cube_plan(m)
+    shifts = len(plan.order)
+    width, dtype = _row_layout(q, m)
+    rows = np.zeros((len(reps), width), dtype=dtype)
+    size = max(1, min(_KEYS // max(len(plan.later), 1), _BINS // (q * max(shifts, 1))))
+    for a in range(0, len(reps), size):
+        sig = _coords(plan, _entries(q, m, reps[a : a + size])[:, None], q, 0, shifts)
+        if max(int(sig.max(initial=0)), -int(sig.min(initial=0))) > np.iinfo(dtype).max:
+            raise VerificationError(
+                "fingerprint coordinate outside its proven bound"
+            )  # pragma: no cover - internal guard
+        sig = sig.reshape(len(sig), -1)
+        rows[a : a + len(sig), : sig.shape[1]] = sig
+    return rows
 
 
 def _matches(
-    rows: np.ndarray, order: np.ndarray, keys: np.ndarray
+    q: int, m: int, order: np.ndarray, keys: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Representative pairs (r, s) with fp(s) = -fp(r), and the number of
     hash candidates.
 
     ``keys`` are the row hashes in ascending order and ``order`` their
     representatives.  Each chunk of negated keys is probed for its run of
-    equal keys, and a candidate is kept only if its rows negate each other.
+    equal keys, and a candidate is kept only if its rows, rebuilt by
+    :func:`_rows`, negate each other.
     """
     f_parts, g_parts, candidates = [], [], 0
     for start in range(0, len(keys), CHUNK):
@@ -188,37 +247,45 @@ def _matches(
         c = np.searchsorted(keys, probe[hit], "right") - lo
         f = order[np.repeat(start + hit, c)]
         g = order[np.repeat(lo - (np.cumsum(c) - c), c) + np.arange(c.sum())]
-        negates = (rows[f] == -rows[g]).all(axis=1)
+        f_rows = np.repeat(_rows(q, m, order[start + hit]), c, axis=0)
+        negates = (f_rows == -_rows(q, m, g)).all(axis=1)
         candidates += len(f)
         f_parts.append(f[negates])
         g_parts.append(g[negates])
     return np.concatenate(f_parts), np.concatenate(g_parts), candidates
 
 
-def _distinct(rows: np.ndarray, order: np.ndarray, keys: np.ndarray) -> int:
+def _distinct(q: int, m: int, order: np.ndarray, keys: np.ndarray) -> int:
     """The number of distinct rows, ``keys`` and ``order`` as for
     :func:`_matches`: the runs of equal keys, plus the extra distinct rows
-    of any run in which two neighbours differ.  Rows are compared only
-    inside runs, a chunk at a time."""
-    runs, mixed = 1, set()
-    for start in range(0, len(keys), CHUNK):
-        stop = min(start + CHUNK, len(keys))
-        a = max(start - 1, 0)
-        same = np.flatnonzero(keys[a + 1 : stop] == keys[a : stop - 1])
-        runs += stop - a - 1 - len(same)
-        clash = same[(rows[order[a + same]] != rows[order[a + 1 + same]]).any(axis=1)]
-        mixed.update(np.searchsorted(keys, keys[a + 1 + clash]).tolist())
-    return runs + sum(
-        len(np.unique(rows[order[a : np.searchsorted(keys, keys[a], "right")]], axis=0)) - 1
-        for a in mixed
-    )
+    of any run in which a row differs from the run's first.  Only the rows
+    of runs of two or more are rebuilt, a chunk of at least ``CHUNK`` keys
+    at a time, cut at the end of a run."""
+    distinct = start = 0
+    while start < len(keys):
+        stop = int(np.searchsorted(keys, keys[min(start + CHUNK, len(keys)) - 1], "right"))
+        chunk = keys[start:stop]
+        first = np.flatnonzero(np.concatenate(([True], chunk[1:] != chunk[:-1])))
+        size = np.diff(first, append=len(chunk))
+        multi = size[size > 1]
+        lead = np.repeat(np.cumsum(multi) - multi, multi)  # each row's run's first
+        rows = _rows(q, m, order[start:stop][np.repeat(size > 1, size)])
+        mixed = np.unique(lead[(rows != rows[lead]).any(axis=1)])
+        ends = np.searchsorted(lead, mixed, "right")
+        distinct += len(first) + sum(
+            len(np.unique(rows[a:b], axis=0)) - 1 for a, b in zip(mixed, ends)
+        )
+        start = stop
+    return distinct
 
 
 def _join_bytes(reps: int, row: int) -> int:
     """Join estimate for ``reps`` rows of ``row`` bytes: the documented
     refusals' 2 * row + 8 bytes per representative, or, for rows under 16
-    bytes (at most 216 representatives, at (6,2)), the row + 24 bytes that
-    the join holds, whichever is larger."""
+    bytes (at most 216 representatives, at (6,2)), row + 24 bytes, whichever
+    is larger.  The join holds 24 bytes per representative and rebuilds rows
+    only for its candidates, so this overstates it; it is kept as it is
+    because it decides which spaces are refused."""
     return reps * max(row + 24, 2 * row + 8)
 
 
@@ -315,7 +382,7 @@ def _gap_classes(
     representative pairs (r, s), r(0) = s(0) = 0, one row each in census
     order: one pair per ordered class {(r + a, s + b)}, so both (r, s) and
     (s, r) for r != s."""
-    q, m = _integers(q, m)
+    q, m = _integers((q, m))
     if q < 2:
         raise ValueError(f"modulus must be at least 2, got {q}")
     if m < 0:
@@ -339,16 +406,16 @@ def _gap_classes(
         )
 
     t0 = time.perf_counter()
-    rows, hashes = _sweep(q, m, reps, width, dtype, workers)
+    hashes = _sweep(q, m, reps, workers)
     t1 = time.perf_counter()
     order = np.argsort(hashes)
     keys = hashes[order]
     del hashes
-    f_reps, g_reps, candidates = _matches(rows, order, keys)
+    f_reps, g_reps, candidates = _matches(q, m, order, keys)
     t2 = time.perf_counter()
     # counted only for the DEBUG record, and timed in no stage
-    distinct = _distinct(rows, order, keys) if _log.isEnabledFor(logging.DEBUG) else 0
-    del rows, order, keys
+    distinct = _distinct(q, m, order, keys) if _log.isEnabledFor(logging.DEBUG) else 0
+    del order, keys
     t3 = time.perf_counter()
     # a match (r, s) expands to q^2 ordered pairs; when r != s, (s, r) gives
     # the same unordered ones, and when r = s, q(q + 1) / 2 are unordered
@@ -392,7 +459,7 @@ def enumerate_standard(q: int, m: int) -> list[tuple[QaryArray, QaryArray]]:
     would pass ``_MAX_BYTES`` at ``_PAIR_BYTES`` each; no census that its
     own pair refusal admits is refused here.
     """
-    q, m = _integers(q, m)
+    q, m = _integers((q, m))
     if q < 2 or q % 2:
         raise OddModulusError(f"standard pairs require even q, got {q}")
     if m < 0:
@@ -472,7 +539,7 @@ def verify_theorem(
     timings and the peak RSS.
     """
     t0 = time.perf_counter()
-    q, m = _integers(q, m)
+    q, m = _integers((q, m))
     gaps, matches = _gap_classes(q, m, budget=budget, workers=workers)
     total = q ** (1 << m)
     gap_keys = {(f.entries, g.entries) for f, g in gaps}

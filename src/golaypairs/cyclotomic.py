@@ -30,10 +30,13 @@ import numpy as np
 _MAX_Q = 4096
 
 
-def _integers(*values) -> tuple[int, ...]:
-    """``values`` as ints; numpy integers pass, floats and strings raise."""
+def _integers(values, item=operator.index) -> tuple:
+    """The sequence ``values`` as a tuple of ints, or of ``item(v)`` for
+    each v; numpy integers pass, and a non-iterable, floats and strings
+    raise ``ValueError``.  Every constructor reads its integer and sequence
+    fields through it."""
     try:
-        return tuple(map(operator.index, values))
+        return tuple(map(item, values))
     except TypeError as exc:
         raise ValueError(f"expected integers: {exc}") from None
 
@@ -68,7 +71,7 @@ def cyclotomic_polynomial(q: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(4)
     (1, 0, 1)
     """
-    (q,) = _integers(q)
+    (q,) = _integers((q,))
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     if q == 1:
@@ -109,7 +112,7 @@ class CycContext:
     __slots__ = ("q", "phi", "degree", "primes", "order")
 
     def __init__(self, q: int):
-        (q,) = _integers(q)
+        (q,) = _integers((q,))
         if not 1 <= q <= _MAX_Q:
             raise ValueError(f"q must lie in 1..{_MAX_Q}, got {q}")
         self.q = q

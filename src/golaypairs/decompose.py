@@ -97,13 +97,10 @@ class GcdSplit:
     g0_const: int
 
     def __post_init__(self):
-        try:
-            z1, z2 = _integers(*self.z1_vars), _integers(*self.z2_vars)
-        except TypeError:  # not iterable
-            raise ValueError("z1_vars and z2_vars must be sequences of integers") from None
+        z1, z2 = _integers(self.z1_vars), _integers(self.z2_vars)
         if not all(isinstance(x, QaryArray) for x in (self.a, self.b, self.c)):
             raise ValueError("a, b and c must be QaryArray values")
-        f0, g0 = _integers(self.f0_const, self.g0_const)
+        f0, g0 = _integers((self.f0_const, self.g0_const))
         self.__dict__.update(z1_vars=z1, z2_vars=z2, f0_const=f0, g0_const=g0)
 
 
@@ -172,7 +169,7 @@ class DecompositionCertificate:
 
     def __post_init__(self):
         inner = ("split_var", "e", "e_prime") if self.m != 0 else ()
-        values = _integers(self.q, self.m, *(getattr(self, name) for name in inner))
+        values = _integers((self.q, self.m, *(getattr(self, name) for name in inner)))
         parts = (self.params,) + ((self.split, self.d, self.left, self.right) if inner else ())
         types = (StandardParams, GcdSplit, QaryArray) + (DecompositionCertificate,) * 2
         if not all(map(isinstance, parts, types)):

@@ -37,10 +37,10 @@ class GenFun:
     coeffs: tuple[CycElement, ...]
 
     def __post_init__(self):
-        q, m = _integers(self.q, self.m)
+        q, m = _integers((self.q, self.m))
         if m < 0:
             raise ValueError(f"m must be nonnegative, got {m}")
-        support = frozenset(_integers(*self.support))
+        support = frozenset(_integers(self.support))
         if any(v < 1 or v > m for v in support):
             raise ValueError(f"support {set(support)} out of range for m={m}")
         coeffs = tuple(self.coeffs)

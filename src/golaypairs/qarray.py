@@ -118,7 +118,7 @@ def _json_int(value) -> int:
 
 def _dims(q, m) -> tuple[int, int]:
     """q and m as ints, q positive and m nonnegative, else ``ValueError``."""
-    q, m = _integers(q, m)
+    q, m = _integers((q, m))
     if q < 1:
         raise ValueError(f"q must be positive, got {q}")
     if m < 0:
@@ -147,7 +147,7 @@ class QaryArray:
 
     def __post_init__(self):
         q, m = _dims(self.q, self.m)
-        entries = _integers(*self.entries)
+        entries = _integers(self.entries)
         if len(entries) != 1 << min(m, 63):  # no tuple holds 2**63 entries
             count = 1 << m if m < 63 else f"2**{m}"
             raise ValueError(f"expected {count} entries for m={m}, got {len(entries)}")
@@ -245,7 +245,7 @@ def _validate_shift(m: int, tau: Sequence[int]) -> tuple[int, ...]:
 
 def all_shifts(m: int) -> Iterable[tuple[int, ...]]:
     """All 3**m shift vectors, in deterministic lexicographic order."""
-    return product((-1, 0, 1), repeat=_integers(m)[0])
+    return product((-1, 0, 1), repeat=_integers((m,))[0])
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, so a float m is checked, not found
@@ -420,16 +420,14 @@ def _histograms(
     return np.bincount(keys.ravel(), minlength=groups * q * n).reshape(groups, q, n)
 
 
-def _coords(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
-    """Coordinates in the CRT basis (see the module docstring) of the
-    :func:`_histograms` of plan shifts lo .. hi-1: entry (k, i, s - lo) is
-    coordinate i of row group k's summed autocorrelation at plan shift s.
-    The histograms are counted in CRT order and reduced in place, one
-    slice subtraction per prime; unless q has two or more distinct primes
-    the result is a view of them."""
+def _crt_coords(hist: np.ndarray, q: int) -> np.ndarray:
+    """Coordinates in the CRT basis (see the module docstring) of histograms
+    of shape (groups, q, n) counted in the context's ``order``: entry
+    (k, i, j) is coordinate i of histogram (k, :, j).  They are reduced in
+    place, one slice subtraction per prime; unless q has two or more
+    distinct primes the result is a view of ``hist``."""
     ctx = get_context(q)
     primes = ctx.primes
-    hist = _histograms(plan, rows, q, lo, hi, crt=True)
     groups, _, n = hist.shape
     coords = hist.reshape(groups, *primes, q // prod(primes) * n)
     head = ()
@@ -440,6 +438,13 @@ def _coords(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.
         coords = coords[head + (slice(-1),)]
         coords -= last
     return coords.reshape(groups, ctx.degree, n)
+
+
+def _coords(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
+    """The :func:`_crt_coords` of the :func:`_histograms` of plan shifts
+    lo .. hi-1: entry (k, i, s - lo) is coordinate i of row group k's summed
+    autocorrelation at plan shift s."""
+    return _crt_coords(_histograms(plan, rows, q, lo, hi, crt=True), q)
 
 
 def _gaps(plan: _ShiftPlan, q: int, rows) -> np.ndarray:
@@ -548,7 +553,7 @@ def is_gap(f: QaryArray, g: QaryArray) -> bool:
 
 def sequence_autocorrelation(q: int, s: Sequence[int], tau: int) -> CycElement:
     """Aperiodic autocorrelation of a q-ary sequence at integer shift tau."""
-    (tau,) = _integers(tau)
+    (tau,) = _integers((tau,))
     length = len(s)
     if not -length < tau < length:
         raise ValueError(f"shift {tau} out of range for length {length}")
@@ -606,7 +611,7 @@ def restrict(f: QaryArray, vars_: Sequence[int]) -> QaryArray:
     ``vars_`` must be strictly increasing 1-based variable indices; the result
     is an array of dimension len(vars_) in the induced local coordinates.
     """
-    vt = _integers(*vars_)
+    vt = _integers(vars_)
     if list(vt) != sorted(set(vt)) or vt and (vt[0] < 1 or vt[-1] > f.m):
         raise ValueError(f"bad variable subset {vt} for m={f.m}")
     entries = tuple(f.entries[s] for s in _spread_masks(vt))

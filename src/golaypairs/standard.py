@@ -37,15 +37,15 @@ class StandardParams:
     c_prime: int
 
     def __post_init__(self):
-        q, m, c0, c_prime = _integers(self.q, self.m, self.c0, self.c_prime)
+        q, m, c0, c_prime = _integers((self.q, self.m, self.c0, self.c_prime))
         if q < 2 or q % 2:
             raise OddModulusError(f"standard pairs require even q, got {q}")
         if m < 0:
             raise ValueError(f"m must be nonnegative, got {m}")
-        pi = _integers(*self.pi)
+        pi = _integers(self.pi)
         if len(pi) != m or sorted(pi) != list(range(1, m + 1)):
             raise ValueError(f"pi={pi} is not a permutation of 1..{m}")
-        c = tuple(v % q for v in _integers(*self.c))
+        c = tuple(v % q for v in _integers(self.c))
         if len(c) != m:
             raise ValueError(f"expected {m} linear constants, got {len(c)}")
         self.__dict__.update(q=q, m=m, pi=pi, c=c, c0=c0 % q, c_prime=c_prime % q)

@@ -133,6 +133,12 @@ def test_var_partition_rejects_fields_that_are_not_integers(args):
         VarPartition(*args)
 
 
+@pytest.mark.parametrize("blocks", [None, 5, (1, 2), ((1,), None)])
+def test_var_partition_blocks_that_are_not_sequences_are_a_value_error(blocks):
+    with pytest.raises(ValueError, match="expected integers"):
+        VarPartition(2, blocks)
+
+
 def test_var_partition_validation():
     assert VarPartition(3, ((3, 1), (2,))).blocks == ((1, 3), (2,))
     with pytest.raises(ValueError):

@@ -410,17 +410,29 @@ def test_sweep_chunks_keep_the_histogram_bound(monkeypatch):
         tracemalloc.stop()
     assert peak < 24 << 20
     sizes = []
-    chunk_rows = census._chunk_rows
+    chunk_hashes = census._chunk_hashes
 
-    def spy(q, m, start, stop, width, dtype):
+    def spy(q, m, start, stop, table):
         sizes.append(stop - start)
-        return chunk_rows(q, m, start, stop, width, dtype)
+        return chunk_hashes(q, m, start, stop, table)
 
-    monkeypatch.setattr(census, "_chunk_rows", spy)
-    for q, m, size in ((4095, 1, 64), (5, 3, 4032), (4, 3, 4096), (3, 0, 1)):
+    # a chunk holds at most CHUNK representatives, and one chunk covers
+    # (4095, 1); its temporaries hold one int64 per representative and cell
+    # and a few more per representative, never one per representative and
+    # overlap pair: 3.9 MB for a chunk at (2, 4), with 120 pairs
+    monkeypatch.setattr(census, "_chunk_hashes", spy)
+    for q, m, size in ((4095, 1, 4095), (5, 3, 4096), (4, 3, 4096), (2, 4, 4096), (3, 0, 1)):
         sizes.clear()
         enumerate_all_gaps(q, m)
         assert max(sizes) == size and sum(sizes) == q ** ((1 << m) - 1), (q, m)
+        table = census._hash_table(q, m)
+        tracemalloc.start()
+        try:
+            chunk_hashes(q, m, 0, size, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ((1 << m) + 5) * 8 * size + 4096, (q, m, peak)
 
 
 def test_join_estimate_bounds_the_join_and_keeps_the_refusals():
@@ -430,22 +442,22 @@ def test_join_estimate_bounds_the_join_and_keeps_the_refusals():
         _MAX_BYTES, _distinct, _join_bytes, _matches, _row_layout, _sweep,
     )
 
-    # what the join holds, rows and hashes plus its peak while it sorts,
-    # matches and counts, on spaces of many chunks
+    # what the join holds, hashes plus its peak while it sorts, matches and
+    # counts, rebuilding the rows it compares, on spaces of many chunks
     for q, m in ((5, 3), (6, 3), (2, 4)):
         reps = q ** (1 << m) // q
         width, dtype = _row_layout(q, m)
-        rows, hashes = _sweep(q, m, reps, width, dtype, 1)
+        hashes = _sweep(q, m, reps, 1)
         tracemalloc.start()
         try:
             order = np.argsort(hashes)
             keys = hashes[order]
-            _matches(rows, order, keys)
-            _distinct(rows, order, keys)
+            _matches(q, m, order, keys)
+            _distinct(q, m, order, keys)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = rows.nbytes + hashes.nbytes + peak
+        held = hashes.nbytes + peak
         assert held <= _join_bytes(reps, width * dtype.itemsize), (q, m)
     # a space is refused exactly when 2 * row + 8 bytes per representative
     # pass the cap, and the estimate is never below the join's row + 24
@@ -457,6 +469,27 @@ def test_join_estimate_bounds_the_join_and_keeps_the_refusals():
             estimate = _join_bytes(reps, row)
             assert (estimate > _MAX_BYTES) == (reps * (2 * row + 8) > _MAX_BYTES), (q, m)
             assert estimate >= reps * (row + 24), (q, m)
+
+
+def test_the_sweep_and_join_hold_hashes_not_rows(monkeypatch):
+    import tracemalloc
+
+    import golaypairs.census as census
+
+    # a hash, a sort index and a sorted hash per representative, plus one
+    # sweep chunk's temporaries: no (reps, width) array, which would be
+    # 7.3 MB of int8 rows at (6,3); pairs are not expanded
+    monkeypatch.setattr(census, "_expand", lambda q, m, bases: [])
+    for q, m in ((6, 3), (4, 3), (2, 4)):
+        census._gap_classes(q, m, budget=census.DEFAULT_BUDGET, workers=1)
+        tracemalloc.start()
+        try:
+            census._gap_classes(q, m, budget=census.DEFAULT_BUDGET, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reps = q ** ((1 << m) - 1)
+        assert peak <= 24 * reps + ((1 << m) + 5) * 8 * census.CHUNK, (q, m, peak)
 
 
 def test_report_serialization():

@@ -73,7 +73,7 @@ from golaypairs import (
     star,
     verify_certificate,
 )
-from golaypairs import certify, qarray
+from golaypairs import census, certify, qarray
 from golaypairs.boolfun import _subset_transform
 from golaypairs.certify import _certify
 from golaypairs.forest import _join, _param_objects, _param_rows, _recombine, _shape, _sub_rows
@@ -355,6 +355,35 @@ def test_radical_reduction_equals_the_dense_table(q, data):
     diff = _histograms(plan, table, q, lo, hi)
     diff[:, basis] -= got
     assert embeddings_vanish(np.moveaxis(diff, 1, -1)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.tuples(st.integers(2, 12), st.integers(0, 4)), st.just((4095, 1))),
+    st.data(),
+)
+def test_table_hashes_are_the_hashes_of_the_kernel_rows(space, data):
+    # the census sweep sums one table entry per overlap pair; that is the
+    # int64 hash of the row that _coords builds, bit for bit, for a random
+    # range of representatives and for random single representatives
+    q, m = space
+    reps = q ** ((1 << m) - 1)
+    n = data.draw(st.integers(1, min(reps, 40)))
+    start = data.draw(st.integers(0, reps - n))
+    picks = data.draw(st.lists(st.integers(0, reps - 1), min_size=1, max_size=6))
+    index = np.concatenate((np.arange(start, start + n), picks))
+    plan = _cube_plan(m)
+    entries = census._entries(q, m, index)[:, None]
+    sig = _coords(plan, entries, q, 0, len(plan.order)).reshape(len(index), -1)
+    want = sig @ census._weights(sig.shape[1])
+    table = census._hash_table(q, m)
+    got = np.concatenate(
+        [census._chunk_hashes(q, m, start, start + n, table)]
+        + [census._chunk_hashes(q, m, i, i + 1, table) for i in picks]
+    )
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    rows = census._rows(q, m, index)
+    assert np.array_equal(rows[:, : sig.shape[1]], sig) and not rows[:, sig.shape[1] :].any()
 
 
 @contextmanager

@@ -84,6 +84,12 @@ def test_public_entries_refuse_bad_moduli_dimensions_and_shifts(fn, args):
         fn(*args)
 
 
+@pytest.mark.parametrize("entries", [None, 7])
+def test_entries_that_are_not_a_sequence_are_a_value_error(entries):
+    with pytest.raises(ValueError, match="expected integers"):
+        QaryArray(4, 1, entries)
+
+
 def test_constant_and_arithmetic():
     c = QaryArray.constant(4, 6, m=2)
     assert c.entries == (2, 2, 2, 2)

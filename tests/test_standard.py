@@ -112,6 +112,12 @@ def test_parameter_validation():
     assert all(type(v) is int for v in (p.q, p.m, *p.pi, *p.c, p.c0, p.c_prime))
 
 
+@pytest.mark.parametrize("pi, c", [(None, (0,)), ((1,), None), (1, (0,)), ((1,), 5)])
+def test_a_permutation_or_linear_part_that_is_not_a_sequence_is_a_value_error(pi, c):
+    with pytest.raises(ValueError, match="expected integers"):
+        StandardParams(4, 1, pi, c, 0, 0)
+
+
 def test_constants_reduced_on_entry():
     p = StandardParams(4, 1, (1,), (7,), -1, 9)
     assert p.c == (3,)
