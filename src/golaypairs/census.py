@@ -30,31 +30,41 @@ overflow.  A row's hash is its dot product with fixed odd int64 weights,
 wrapping; the hash is linear, so the negated row hashes to the negated
 hash.  It is also linear in the histogram, so it is a sum of one table
 entry per overlap pair, indexed by the pair's entry difference
-(:func:`_hash_table`), and the sweep computes every hash from the entries
-with one gather, one take and one sum, with no histogram and no row.  The
-hashes are argsorted once and walked in chunks; each chunk's negated hashes
-are probed with ``searchsorted``, the candidates' rows are rebuilt from
-their representatives, and a candidate is kept only if its rows are
-negatives of each other, so exactness never rests on the hash.  For the
-DEBUG record only, distinct fingerprints are counted as the runs of equal
-hashes, corrected inside any run whose rebuilt rows differ.  The join holds
-three int64s per representative (hash, sort index, sorted hash), 24 bytes:
-48 MiB at (8,3), where its 2^21 rows would add 104 MiB.  A space whose estimate (:func:`_join_bytes`, which still charges
-the rows) is over ``_MAX_BYTES`` is refused with
-:class:`BudgetExceededError` before any work.  The expanded pair list is
-held to the same cap: after the join, the matched representatives bound the
-number of pairs, and a census whose pairs would take more than
-``_MAX_BYTES`` at ``_PAIR_BYTES`` each is refused before they are built.
+(:func:`_hash_table`).  The sweep splits that sum at the cube's last
+coordinate (:func:`_split`): representative hi * n_lo + lo has the digits
+of lo on the lower half of the cells and the digits of hi on the upper
+half, so its hash is one entry of a table of hi plus, per upper cell, one
+entry of a (q, n_lo) table at that cell's entry and lo.  A block of whole
+hi rows is one broadcast copy and one row gather and add per upper cell,
+four at m = 3, with no histogram and no row.  The hashes are argsorted
+once and walked in chunks; each chunk's negated hashes are probed with
+``searchsorted``, the candidates' rows are rebuilt from their
+representatives, and a candidate is kept only if its rows are negatives of
+each other, so exactness never rests on the hash.  For the DEBUG record
+only, distinct fingerprints are counted as the runs of equal hashes,
+corrected inside any run whose rebuilt rows differ.  The join holds three
+int64s per representative (hash, sort index, sorted hash), 24 bytes: 48 MiB
+at (8,3), where its 2^21 rows would add 104 MiB.  A space whose estimate
+(:func:`_join_bytes`, which still charges the rows) is over ``_MAX_BYTES``
+is refused with :class:`BudgetExceededError` before any work.  The expanded
+pair list is held to the same cap: after the join, the matched
+representatives bound the number of pairs, and a census whose pairs would
+take more than ``_MAX_BYTES`` at ``_PAIR_BYTES`` each is refused before
+they are built.
 
-Hashes are computed in chunks of at most ``CHUNK`` representatives, one
-overlap pair at a time, so a chunk holds one int64 per representative and
-cell and a few more, and no array with one key per representative and
-overlap pair.  Rows are rebuilt by the correlation kernel in calls of at
-most ``_KEYS`` such keys and ``qarray._BINS`` histogram bins.  With ``workers > 1`` the chunks
-are farmed out to a process pool, each sending back only its hashes, and
-merged back in order, so reports are byte-for-byte identical for every
-worker count.  Each call logs one DEBUG record with its counters and stage
-timings on the ``golaypairs`` logger, which is silent by default.
+The split's tables hold (2^(m-1) + 1) q n_lo int64 for q n_lo^2
+representatives, n_lo = q^(2^(m-1) - 1): 160 KiB at (8,3), 810 KiB at
+(12,3).  Hashes are computed in blocks of whole hi rows, at most ``CHUNK``
+representatives unless one hi row has more, so a block's temporaries are
+one scratch int64 per representative, and no array holds one key per
+representative and cell or overlap pair.  Rows are rebuilt by the
+correlation kernel in calls of at most ``_KEYS`` such keys and
+``qarray._BINS`` histogram bins.  With ``workers > 1`` the hi rows are cut
+into one span of whole blocks per worker process, so each is sent the
+tables once and sends back only its hashes, and the spans are joined in
+order, so reports are byte-for-byte identical for every worker count.
+Each call logs one DEBUG record with its counters and stage timings on
+the ``golaypairs`` logger, which is silent by default.
 
 :func:`verify_theorem` then certifies one pair per constant class of an
 even-q space.  The shift rule: if (f, g) is the standard pair of
@@ -86,24 +96,25 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
 from .cyclotomic import _integers, get_context
 from .certify import _certify
 from .errors import BudgetExceededError, OddModulusError, VerificationError
-from .qarray import _BINS, QaryArray, _coords, _crt_coords, _cube_plan, _trusted, is_gap
+from .qarray import _BINS, QaryArray, _coords, _crt_adjoint, _cube_plan, _trusted, is_gap
 from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
-# Representatives per sweep task and per probe of the join.  Each sweep task
-# holds one int64 per representative and cell, and a few more.  In fresh
-# processes on a 2-core Xeon (2 MiB L2 per core), chunks of 2,048, 4,096 and
-# 8,192 took 252-276, 228-230 and 203-208 ms for the (8,3) sweep, and
-# `census 5 3` ops took 15.8-17.0, 13.1-13.9 and 12.8-13.4 ms (median of 15
-# in one process).  A kernel that gathered a chunk's keys for all overlap
-# pairs at once, in 2,340-representative chunks, took 640-760 and 37-43 ms:
-# its two 512 KiB temporaries came fresh from the OS in every chunk.
+# Representatives per sweep block, unless one hi row of the split has more,
+# and per probe of the join.  A sweep block holds one scratch int64 per
+# representative.  In fresh processes on a 2-core Xeon (2 MiB L2 per core),
+# blocks of at most 1,024, 2,048, 4,096, 8,192 and 16,384 took 22-27, 14-15,
+# 12-24, 10-15 and 10-12 ms for the (8,3) sweep, and `census 5 3` ops took
+# 7.3-7.4, 5.6-5.8, 5.1-5.5, 4.7-6.7 and 4.5-5.6 ms (median of 15 in one
+# process, three rounds).  Past 4,096 the gain is within the host's drift,
+# and the constant also sets the certification batches (CHUNK // (3 m)).
 CHUNK = 4096
 # Refuse a join or a pair list whose estimate passes 1 GiB; the (8,3) join
 # holds 48 MiB of hashes and sort index.
@@ -132,15 +143,21 @@ def _row_layout(q: int, m: int) -> tuple[int, np.dtype]:
     return width, np.min_scalar_type(-(1 << m) - 1)
 
 
+def _digits(q: int, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out``, its rows filled with the base-q digits of ``values``,
+    lowest first."""
+    for row in out:
+        values, row[...] = np.divmod(values, q)
+    return out
+
+
 def _entries(q: int, m: int, reps) -> np.ndarray:
     """Entries of representatives ``reps``, one int64 row each: 0, then
     the base-q digits of the representative, lowest first.  The rows are a
-    view of one C-ordered (cells, reps) array, whose transpose is the
-    layout :func:`_chunk_hashes` sums over."""
-    work = np.array(reps, dtype=np.int64)
-    out = np.zeros((1 << m, len(work)), dtype=np.int64)
-    for t in range(1, 1 << m):
-        work, out[t] = np.divmod(work, q)
+    view of one C-ordered (cells, reps) array."""
+    reps = np.asarray(reps, dtype=np.int64)
+    out = np.zeros((1 << m, len(reps)), dtype=np.int64)
+    _digits(q, reps, out[1:])
     return out.T
 
 
@@ -158,51 +175,110 @@ def _hash_table(q: int, m: int) -> np.ndarray:
     that pair differ by d mod q.
 
     The hash is linear in the histogram, so a histogram bin adds its CRT
-    coordinates dotted with their weights.  Those are computed once per
-    bin and shift from the unit histograms, through ``qarray._crt_coords``
-    in blocks of at most ``_BINS`` bins, and wrap in int64 as the row
-    hash does, so a sum of table entries is the row hash bit for bit.
+    coordinates dotted with their weights: the weights taken back through
+    the transpose of the CRT reduction (``qarray._crt_adjoint``), which
+    wraps in int64 as the row hash does, so a sum of table entries is the
+    row hash bit for bit.
     """
     plan = _cube_plan(m)
     shifts = len(plan.order)
     ctx = get_context(q)
     weights = _weights(ctx.degree * shifts).reshape(ctx.degree, shifts)
-    per_bin = np.empty((q, shifts), dtype=np.int64)
-    block = max(1, _BINS // q)
-    for a in range(0, q, block):
-        n = min(block, q - a)
-        unit = np.zeros((1, q, n), dtype=np.int64)
-        unit[0, a + np.arange(n), np.arange(n)] = 1
-        per_bin[a : a + n] = _crt_coords(unit, q)[0].T @ weights
-    return per_bin.T[plan.shift][:, ctx.order]
+    return _crt_adjoint(weights, q).T[plan.shift][:, ctx.order]
 
 
-def _chunk_hashes(q: int, m: int, start: int, stop: int, table: np.ndarray) -> np.ndarray:
-    """Row hashes of representatives start..stop-1, in order.  Per overlap
-    pair, one subtraction of its cells' entries, one take of the
-    differences, wrapped mod q, through the pair's row of ``table`` (see
-    :func:`_hash_table`), and one sum; every temporary holds one int64 per
-    representative."""
-    plan = _cube_plan(m)
-    cells = _entries(q, m, np.arange(start, stop)).T
-    hashes = np.zeros(stop - start, dtype=np.int64)
-    diff = np.empty_like(hashes)
-    for row, i, j in zip(table, plan.later.tolist(), plan.earlier.tolist()):
-        np.subtract(cells[i], cells[j], out=diff)
+def _pair_sums(table: np.ndarray, later, earlier, entries: np.ndarray) -> np.ndarray:
+    """Per column of ``entries`` (one row per cell), the sum over pairs p of
+    ``table[p]`` at the entry difference of cells ``later[p]`` and
+    ``earlier[p]``, wrapped mod q."""
+    sums = np.zeros(entries.shape[1], dtype=np.int64)
+    diff = np.empty_like(sums)
+    for row, i, j in zip(table, later, earlier):
+        np.subtract(entries[i], entries[j], out=diff)
         row.take(diff, out=diff, mode="wrap")
-        hashes += diff
-    return hashes
+        sums += diff
+    return sums
+
+
+class _Split(NamedTuple):
+    """The row hash split at a cell ``half``: the cells below it hold 0,
+    then the base-q digits of lo, and the cells from it on the digits of
+    hi, for representative hi * n_lo + lo.  Its hash is ``high[hi]`` plus
+    ``cross[u, e, lo]`` over the upper cells u, e being the entry of u
+    (digit u of hi)."""
+
+    high: np.ndarray  # the pairs within the upper cells, per hi
+    cross: np.ndarray  # (upper cells, q, n_lo): the pairs across, per upper cell
+    # and entry; the first also holds the pairs within the lower cells
+
+
+def _split(q: int, later, earlier, table: np.ndarray, cells: int) -> _Split:
+    """The :class:`_Split` of the hash whose pair p adds ``table[p]`` at the
+    entry difference of cells ``later[p]`` and ``earlier[p]`` of ``cells``,
+    split at half the cells (at cell 1 if there is one cell, which has no
+    pairs).  Every pair lies in the lower cells, in the upper ones or
+    across, so the parts sum to the hash, wrapping in int64 as it does."""
+    half = max(cells // 2, 1)
+    n_lo, n_hi = q ** (half - 1), q ** (cells - half)
+    lower = np.zeros((half, n_lo), dtype=np.int64)
+    _digits(q, np.arange(n_lo), lower[1:])
+    upper = _digits(q, np.arange(n_hi), np.empty((cells - half, n_hi), dtype=np.int64))
+    side = (later >= half).astype(np.int8) + (earlier >= half)  # upper cells per pair
+    below, above, across = side == 0, side == 2, side == 1
+    cross = np.zeros((cells - half, q, n_lo), dtype=np.int64)
+    cross[:1] += _pair_sums(table[below], later[below], earlier[below], lower)
+    value = np.arange(q)[:, None]
+    for row, i, j in zip(table[across], later[across], earlier[across]):
+        if i >= half:
+            cross[i - half] += row.take(value - lower[j], mode="wrap")
+        else:
+            cross[j - half] += row.take(lower[i] - value, mode="wrap")
+    high = _pair_sums(table[above], later[above] - half, earlier[above] - half, upper)
+    return _Split(high, cross)
+
+
+def _block_hashes(split: _Split, start: int, digits: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out``, shape (hi rows, n_lo), with the hashes of hi rows
+    ``start`` on, whose upper entries are the columns of ``digits``: one
+    broadcast copy, then one row gather and add per upper cell, through one
+    scratch array of ``out``'s size."""
+    out[...] = split.high[start : start + len(out), None]
+    scratch = np.empty_like(out)
+    for table, entry in zip(split.cross, digits):
+        table.take(entry, axis=0, out=scratch, mode="clip")
+        out += scratch
+
+
+def _split_hashes(split: _Split, start: int, stop: int) -> np.ndarray:
+    """Row hashes of hi rows start .. stop-1, the representatives
+    start * n_lo .. stop * n_lo - 1 in order, in blocks of whole hi rows,
+    as many as hold at most ``CHUNK`` representatives, and at least one."""
+    upper, q, n_lo = split.cross.shape
+    digits = np.empty((upper, stop - start), dtype=np.int64)
+    _digits(q, np.arange(start, stop), digits)
+    hashes = np.empty((stop - start, n_lo), dtype=np.int64)
+    rows = max(1, CHUNK // n_lo)
+    for a in range(0, stop - start, rows):
+        _block_hashes(split, start + a, digits[:, a : a + rows], hashes[a : a + rows])
+    return hashes.ravel()
 
 
 def _sweep(q: int, m: int, reps: int, workers: int) -> np.ndarray:
-    """Row hashes of every representative, in order, in tasks of at most
-    ``CHUNK`` representatives."""
-    table = _hash_table(q, m)
-    tasks = [(q, m, a, min(a + CHUNK, reps), table) for a in range(0, reps, CHUNK)]
-    hashes = np.empty(reps, dtype=np.int64)
-    for task, chunk in zip(tasks, _run(_chunk_hashes, tasks, workers)):
-        hashes[task[2] : task[3]] = chunk
-    return hashes
+    """Row hashes of every representative, in order, from the
+    :func:`_split` of :func:`_hash_table` at the cube's last coordinate.
+    The hi rows are cut into one span of whole blocks per worker process,
+    so each process is sent the split's tables once."""
+    plan = _cube_plan(m)
+    split = _split(q, plan.later, plan.earlier, _hash_table(q, m), 1 << m)
+    n_lo = split.cross.shape[2]
+    n_hi = reps // n_lo
+    rows = max(1, CHUNK // n_lo)
+    blocks = -(-n_hi // rows)
+    parts = _pool_size(workers, blocks)
+    cuts = [min(rows * (blocks * k // parts), n_hi) for k in range(parts + 1)]
+    tasks = [(split, a, b) for a, b in zip(cuts, cuts[1:])]
+    hashes = list(_run(_split_hashes, tasks, workers))
+    return hashes[0] if len(hashes) == 1 else np.concatenate(hashes)
 
 
 def _rows(q: int, m: int, reps: np.ndarray) -> np.ndarray:

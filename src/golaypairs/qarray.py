@@ -440,6 +440,22 @@ def _crt_coords(hist: np.ndarray, q: int) -> np.ndarray:
     return coords.reshape(groups, ctx.degree, n)
 
 
+def _crt_adjoint(weights: np.ndarray, q: int) -> np.ndarray:
+    """The transpose of :func:`_crt_coords` for one group: for int64
+    ``weights`` of shape (degree, n), the (q, n) array whose entry (a, j) is
+    coordinate column j of the unit histogram at position a of the context's
+    ``order``, dotted with ``weights[:, j]``, wrapping in int64.  Each prime
+    axis is expanded back by appending minus its sum, the transpose of
+    subtracting the last slice."""
+    ctx = get_context(q)
+    primes = ctx.primes
+    n = weights.shape[1]
+    out = weights.reshape(*(p - 1 for p in primes), q // prod(primes) * n)
+    for axis in range(len(primes)):
+        out = np.concatenate((out, -out.sum(axis=axis, keepdims=True)), axis=axis)
+    return out.reshape(q, n)
+
+
 def _coords(plan: _ShiftPlan, rows: np.ndarray, q: int, lo: int, hi: int) -> np.ndarray:
     """The :func:`_crt_coords` of the :func:`_histograms` of plan shifts
     lo .. hi-1: entry (k, i, s - lo) is coordinate i of row group k's summed

@@ -198,6 +198,21 @@ def test_multichunk_spaces_merge_in_order(monkeypatch):
     assert pairs_one == pairs_many == pairs_pool
 
 
+def test_the_sweep_hashes_the_same_on_a_process_pool(monkeypatch):
+    import golaypairs.census as census
+
+    # (3,3) has 81 hi rows of 27 representatives: a CHUNK of 20 makes blocks
+    # of one hi row, 108 blocks of four with a ragged last one; each worker
+    # sweeps one span of whole blocks, and the spans join in order
+    for q, m, chunk in ((3, 3, 20), (3, 3, 108), (5, 3, census.CHUNK), (4095, 1, 1000)):
+        reps = q ** ((1 << m) - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(census, "CHUNK", chunk)
+            one = census._sweep(q, m, reps, 1)
+            assert np.array_equal(census._sweep(q, m, reps, 2), one), (q, m, chunk)
+        assert np.array_equal(census._sweep(q, m, reps, 1), one), (q, m, chunk)
+
+
 def test_census_logs_counters_and_stage_timings(caplog):
     with caplog.at_level(logging.DEBUG, logger="golaypairs"):
         assert len(enumerate_all_gaps(4, 2)) == 256
@@ -410,29 +425,34 @@ def test_sweep_chunks_keep_the_histogram_bound(monkeypatch):
         tracemalloc.stop()
     assert peak < 24 << 20
     sizes = []
-    chunk_hashes = census._chunk_hashes
+    block_hashes = census._block_hashes
 
-    def spy(q, m, start, stop, table):
-        sizes.append(stop - start)
-        return chunk_hashes(q, m, start, stop, table)
+    def spy(split, start, digits, out):
+        sizes.append(out.size)
+        return block_hashes(split, start, digits, out)
 
-    # a chunk holds at most CHUNK representatives, and one chunk covers
-    # (4095, 1); its temporaries hold one int64 per representative and cell
-    # and a few more per representative, never one per representative and
-    # overlap pair: 3.9 MB for a chunk at (2, 4), with 120 pairs
-    monkeypatch.setattr(census, "_chunk_hashes", spy)
-    for q, m, size in ((4095, 1, 4095), (5, 3, 4096), (4, 3, 4096), (2, 4, 4096), (3, 0, 1)):
+    # a block is whole hi rows, at most CHUNK representatives unless one hi
+    # row has more, and one block covers (4095, 1); it writes into the
+    # sweep's hashes through one scratch array of its own size, so its
+    # temporaries hold one int64 per representative, never one per
+    # representative and cell or overlap pair
+    monkeypatch.setattr(census, "_block_hashes", spy)
+    for q, m, size in ((4095, 1, 4095), (5, 3, 4000), (4, 3, 4096), (2, 4, 4096), (3, 0, 1)):
         sizes.clear()
         enumerate_all_gaps(q, m)
         assert max(sizes) == size and sum(sizes) == q ** ((1 << m) - 1), (q, m)
-        table = census._hash_table(q, m)
+        plan = census._cube_plan(m)
+        split = census._split(q, plan.later, plan.earlier, census._hash_table(q, m), 1 << m)
+        upper, _, n_lo = split.cross.shape
+        digits = census._digits(q, np.arange(size // n_lo), np.empty((upper, size // n_lo), np.int64))
+        out = np.empty((size // n_lo, n_lo), dtype=np.int64)
         tracemalloc.start()
         try:
-            chunk_hashes(q, m, 0, size, table)
+            block_hashes(split, 0, digits, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= ((1 << m) + 5) * 8 * size + 4096, (q, m, peak)
+        assert peak <= 8 * size + 4096, (q, m, peak)
 
 
 def test_join_estimate_bounds_the_join_and_keeps_the_refusals():

@@ -79,6 +79,8 @@ from golaypairs.certify import _certify
 from golaypairs.forest import _join, _param_objects, _param_rows, _recombine, _shape, _sub_rows
 from golaypairs.qarray import (
     _coords,
+    _crt_adjoint,
+    _crt_coords,
     _cube_plan,
     _gaps,
     _histograms,
@@ -357,15 +359,39 @@ def test_radical_reduction_equals_the_dense_table(q, data):
     assert embeddings_vanish(np.moveaxis(diff, 1, -1)).all()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((4096, 2187, 3125, 30, 210, 2310, 12, 4095, 2, 9)), st.data())
+def test_crt_adjoint_is_the_transpose_of_the_reduction(q, data):
+    # a histogram count at position a adds, to the CRT coordinates dotted
+    # with any int64 weights, row a of the adjoint, bit for bit under int64
+    # wrapping; the unit histograms are taken at random positions
+    ctx = get_context(q)
+    n = data.draw(st.integers(1, 3))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    weights = np.random.default_rng(seed).integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, (ctx.degree, n), dtype=np.int64,
+        endpoint=True,
+    )
+    picks = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=8))
+    unit = np.zeros((1, q, len(picks)), dtype=np.int64)
+    unit[0, picks, np.arange(len(picks))] = 1
+    want = _crt_coords(unit, q)[0].T @ weights
+    got = _crt_adjoint(weights, q)
+    assert got.shape == (q, n) and np.array_equal(got[picks], want)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
-    st.one_of(st.tuples(st.integers(2, 12), st.integers(0, 4)), st.just((4095, 1))),
+    st.one_of(
+        st.tuples(st.integers(2, 12), st.integers(0, 4)), st.sampled_from(((4095, 1), (4096, 1)))
+    ),
     st.data(),
 )
 def test_table_hashes_are_the_hashes_of_the_kernel_rows(space, data):
-    # the census sweep sums one table entry per overlap pair; that is the
-    # int64 hash of the row that _coords builds, bit for bit, for a random
-    # range of representatives and for random single representatives
+    # a sum of one table entry per overlap pair, at the pair's entry
+    # difference, is the int64 hash of the row that _coords builds, bit for
+    # bit, for a random range of representatives and for random single
+    # representatives
     q, m = space
     reps = q ** ((1 << m) - 1)
     n = data.draw(st.integers(1, min(reps, 40)))
@@ -373,17 +399,56 @@ def test_table_hashes_are_the_hashes_of_the_kernel_rows(space, data):
     picks = data.draw(st.lists(st.integers(0, reps - 1), min_size=1, max_size=6))
     index = np.concatenate((np.arange(start, start + n), picks))
     plan = _cube_plan(m)
-    entries = census._entries(q, m, index)[:, None]
-    sig = _coords(plan, entries, q, 0, len(plan.order)).reshape(len(index), -1)
+    entries = census._entries(q, m, index)
+    sig = _coords(plan, entries[:, None], q, 0, len(plan.order)).reshape(len(index), -1)
     want = sig @ census._weights(sig.shape[1])
     table = census._hash_table(q, m)
-    got = np.concatenate(
-        [census._chunk_hashes(q, m, start, start + n, table)]
-        + [census._chunk_hashes(q, m, i, i + 1, table) for i in picks]
-    )
+    diff = (entries[:, plan.later] - entries[:, plan.earlier]) % q
+    got = table[np.arange(len(table)), diff].sum(axis=1, dtype=np.int64)
     assert got.dtype == np.int64 and np.array_equal(got, want)
     rows = census._rows(q, m, index)
     assert np.array_equal(rows[:, : sig.shape[1]], sig) and not rows[:, sig.shape[1] :].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.integers(2, 12), st.integers(0, 3)),
+        st.tuples(st.integers(2, 4), st.just(4)),
+        st.just((4095, 1)),
+    ),
+    st.data(),
+)
+def test_split_hashes_are_the_hashes_of_the_kernel_rows(space, data):
+    # the sweep adds the three tables of the hash split at the cube's last
+    # coordinate; a run of hi rows, in blocks cut by a random CHUNK (below
+    # one hi row, or leaving a ragged last block), hashes as the kernel
+    # rows do, bit for bit, and so does the whole sweep of a small space.
+    # At m = 4 the tables of q >= 5 would hold 8 q^8 entries, so m = 4 is
+    # drawn only up to q = 4 (the census admits it only at q = 2)
+    q, m = space
+    plan = _cube_plan(m)
+    split = census._split(q, plan.later, plan.earlier, census._hash_table(q, m), 1 << m)
+    n_lo, n_hi = split.cross.shape[2], len(split.high)
+    reps = q ** ((1 << m) - 1)
+    assert n_lo * n_hi == reps and split.cross.shape == ((1 << m) // 2, q, n_lo)
+    start = data.draw(st.integers(0, n_hi - 1))
+    stop = data.draw(st.integers(start + 1, min(n_hi, start + max(1, 600 // n_lo))))
+    chunk = data.draw(st.integers(1, 3 * n_lo + 2))
+
+    def kernel_hashes(index):
+        entries = census._entries(q, m, index)[:, None]
+        sig = _coords(plan, entries, q, 0, len(plan.order)).reshape(len(index), -1)
+        return sig @ census._weights(sig.shape[1])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "CHUNK", chunk)
+        got = census._split_hashes(split, start, stop)
+        whole = census._sweep(q, m, reps, 1) if reps <= 2048 else None
+    want = kernel_hashes(np.arange(start * n_lo, stop * n_lo))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    if whole is not None:
+        assert np.array_equal(whole, kernel_hashes(np.arange(reps)))
 
 
 @contextmanager
