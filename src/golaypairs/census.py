@@ -59,12 +59,11 @@ representatives unless one hi row has more, so a block's temporaries are
 one scratch int64 per representative, and no array holds one key per
 representative and cell or overlap pair.  Rows are rebuilt by the
 correlation kernel in calls of at most ``_KEYS`` such keys and
-``qarray._BINS`` histogram bins.  With ``workers > 1`` the hi rows are cut
-into one span of whole blocks per worker process, so each is sent the
-tables once and sends back only its hashes, and the spans are joined in
-order, so reports are byte-for-byte identical for every worker count.
-Each call logs one DEBUG record with its counters and stage timings on
-the ``golaypairs`` logger, which is silent by default.
+``qarray._BINS`` histogram bins.  Every stage runs in the calling process:
+``workers`` is checked and selects nothing, so reports are byte-for-byte
+identical for every worker count.  Each call logs one DEBUG record with its
+counters and stage timings on the ``golaypairs`` logger, which is silent by
+default.
 
 :func:`verify_theorem` then certifies one pair per constant class of an
 even-q space.  The shift rule: if (f, g) is the standard pair of
@@ -82,18 +81,14 @@ which decomposes 148 distinct sub-pairs, one set of numpy stacks per node
 shape.  If any representative fails, every censused pair is certified in
 the same batches, and that run's failures are the witnesses, so a failing
 census names the pairs that fail their own certificates.  The batches run
-in census order, on a process pool when ``workers > 1``, and their
-witnesses are merged into one sorted set, so reports are again identical
-for every worker count.
+in census order, and their witnesses are merged into one sorted set.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import NamedTuple
@@ -263,22 +258,12 @@ def _split_hashes(split: _Split, start: int, stop: int) -> np.ndarray:
     return hashes.ravel()
 
 
-def _sweep(q: int, m: int, reps: int, workers: int) -> np.ndarray:
+def _sweep(q: int, m: int) -> np.ndarray:
     """Row hashes of every representative, in order, from the
-    :func:`_split` of :func:`_hash_table` at the cube's last coordinate.
-    The hi rows are cut into one span of whole blocks per worker process,
-    so each process is sent the split's tables once."""
+    :func:`_split` of :func:`_hash_table` at the cube's last coordinate."""
     plan = _cube_plan(m)
     split = _split(q, plan.later, plan.earlier, _hash_table(q, m), 1 << m)
-    n_lo = split.cross.shape[2]
-    n_hi = reps // n_lo
-    rows = max(1, CHUNK // n_lo)
-    blocks = -(-n_hi // rows)
-    parts = _pool_size(workers, blocks)
-    cuts = [min(rows * (blocks * k // parts), n_hi) for k in range(parts + 1)]
-    tasks = [(split, a, b) for a, b in zip(cuts, cuts[1:])]
-    hashes = list(_run(_split_hashes, tasks, workers))
-    return hashes[0] if len(hashes) == 1 else np.concatenate(hashes)
+    return _split_hashes(split, 0, len(split.high))
 
 
 def _rows(q: int, m: int, reps: np.ndarray) -> np.ndarray:
@@ -394,23 +379,6 @@ def _standard_pair_count(q: int, m: int, limit: int) -> int | None:
     return count if count <= limit else None
 
 
-def _pool_size(workers: int, chunks: int) -> int:
-    """Worker processes worth starting: at most one per chunk and per CPU."""
-    return max(1, min(workers, chunks, os.cpu_count() or 1))
-
-
-def _run(fn, tasks: list[tuple], workers: int):
-    """``fn(*task)`` for every task, yielded in task order; on a process
-    pool of ``_pool_size(workers, len(tasks))`` processes when that is over
-    one."""
-    workers = _pool_size(workers, len(tasks))
-    if workers == 1:
-        yield from (fn(*task) for task in tasks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(fn, *zip(*tasks))
-
-
 def _expand(q: int, m: int, bases: list) -> list[tuple[QaryArray, QaryArray]]:
     """Pairs (f + a, g + b), a and b in Z_q, of the base pairs (f, g) of entry
     tuples with id(f + a) <= id(g + b), in census order: each unordered pair
@@ -441,12 +409,13 @@ def enumerate_all_gaps(
     An array's id is its entries read as base-q digits, entry 0 lowest, so
     ids compare as the reversed entry tuples do.  Pairs are returned with
     the ids in ascending order (a pair may consist of an array and itself)
-    and the list sorted by id pair, independent of the worker count, which
-    is clamped to the number of chunks and CPUs.  Raises
+    and the list sorted by id pair.  The census runs in the calling process;
+    ``workers`` is checked and selects nothing.  Raises
     :class:`BudgetExceededError` before any work if the space holds more
     than ``budget`` arrays or its join would need more than ``_MAX_BYTES``,
     and after the join if its pairs might; :class:`ValueError` for a
-    negative budget or a q or m that is not an integer.
+    negative budget, a worker count under 1, or a q, m, budget or worker
+    count that is not an integer.
     """
     return _gap_classes(q, m, budget=budget, workers=workers)[0]
 
@@ -458,7 +427,7 @@ def _gap_classes(
     representative pairs (r, s), r(0) = s(0) = 0, one row each in census
     order: one pair per ordered class {(r + a, s + b)}, so both (r, s) and
     (s, r) for r != s."""
-    q, m = _integers((q, m))
+    q, m, budget, workers = _integers((q, m, budget, workers))
     if q < 2:
         raise ValueError(f"modulus must be at least 2, got {q}")
     if m < 0:
@@ -482,7 +451,7 @@ def _gap_classes(
         )
 
     t0 = time.perf_counter()
-    hashes = _sweep(q, m, reps, workers)
+    hashes = _sweep(q, m)
     t1 = time.perf_counter()
     order = np.argsort(hashes)
     keys = hashes[order]
@@ -598,12 +567,11 @@ def verify_theorem(
     The representatives are certified in batches of ``CHUNK // (3 * m)`` in
     census order; within a batch each distinct sub-pair is decomposed,
     checked and correlated once, so the batch size also sets how often one
-    is met again in another batch; with ``workers > 1`` the batches run on
-    a process pool and their witnesses are merged.  If any representative
-    fails, every census pair is certified the same way, and the pairs that
-    fail then are the witnesses.  A standard pair missing from the census
-    would mean the sweep itself is broken and raises
-    :class:`VerificationError`.  For odd q the standard construction is
+    is met again in another batch.  If any representative fails, every
+    census pair is certified the same way, and the pairs that fail then are
+    the witnesses.  ``workers`` is checked as in :func:`enumerate_all_gaps`
+    and selects nothing.  A standard pair missing from the census would mean
+    the sweep itself is broken and raises :class:`VerificationError`.  For odd q the standard construction is
     empty in positive dimension, so every censused pair is a witness; in
     dimension 0 all pairs are degenerate and counted as standard.  One DEBUG
     record on the ``golaypairs`` logger gives the census pairs, the class
@@ -639,10 +607,10 @@ def verify_theorem(
         size = CHUNK // max(3 * m, 1)
         # every census pair only if some representative fails
         for pairs in (reps, gaps):
-            tasks = [(q, m, pairs[a : a + size]) for a in range(0, len(pairs), size)]
             failed = set()
-            results = _run(_certify, tasks, workers)
-            for (_, _, batch), (failures, counts, shared, walk, corr) in zip(tasks, results):
+            for a in range(0, len(pairs), size):
+                batch = pairs[a : a + size]
+                failures, counts, shared, walk, corr = _certify(q, m, batch)
                 failed.update((batch[i][0].entries, batch[i][1].entries) for i in failures)
                 rows.update(counts)
                 decomposed += shared[0]

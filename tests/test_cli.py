@@ -1,11 +1,15 @@
 """Command-line interface: formats, verdicts, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import golaypairs
 from golaypairs import (
     DecompositionCertificate,
     QaryArray,
@@ -203,6 +207,26 @@ def test_census_reports_identical_across_workers(tmp_path, capsys):
         ) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_census_with_fewer_than_one_worker_exits_two(capsys, workers):
+    assert main(["census", "2", "2", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert "workers must be at least 1" in captured.err and captured.out == ""
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    script = (
+        "import sys, golaypairs.cli\n"
+        "print(sorted(n for n in sys.modules"
+        " if n.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    src = os.path.dirname(os.path.dirname(golaypairs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["[]"]
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):

@@ -444,7 +444,7 @@ def test_split_hashes_are_the_hashes_of_the_kernel_rows(space, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(census, "CHUNK", chunk)
         got = census._split_hashes(split, start, stop)
-        whole = census._sweep(q, m, reps, 1) if reps <= 2048 else None
+        whole = census._sweep(q, m) if reps <= 2048 else None
     want = kernel_hashes(np.arange(start * n_lo, stop * n_lo))
     assert got.dtype == np.int64 and np.array_equal(got, want)
     if whole is not None:
