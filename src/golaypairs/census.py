@@ -36,15 +36,16 @@ of lo on the lower half of the cells and the digits of hi on the upper
 half, so its hash is one entry of a table of hi plus, per upper cell, one
 entry of a (q, n_lo) table at that cell's entry and lo.  A block of whole
 hi rows is one broadcast copy and one row gather and add per upper cell,
-four at m = 3, with no histogram and no row.  The hashes are argsorted
-once and walked in chunks; each chunk's negated hashes are probed with
-``searchsorted``, the candidates' rows are rebuilt from their
-representatives, and a candidate is kept only if its rows are negatives of
-each other, so exactness never rests on the hash.  For the DEBUG record
-only, distinct fingerprints are counted as the runs of equal hashes,
-corrected inside any run whose rebuilt rows differ.  The join holds three
-int64s per representative (hash, sort index, sorted hash), 24 bytes: 48 MiB
-at (8,3), where its 2^21 rows would add 104 MiB.  A space whose estimate
+four at m = 3, with no histogram and no row.  The join folds the sign: in
+place, each hash becomes a key of |h|, the side bit h > 0 and the index,
+and one sort puts each pair with h(g) = -h(f) on both sides of one run of
+equal |h| prefixes (:func:`_candidates`).  A candidate is kept only if its
+rows, rebuilt from the representatives, are negatives of each other, so
+exactness never rests on the hash.  For the DEBUG record only, distinct
+fingerprints are counted as the runs of equal prefix and side, corrected
+inside any run whose rebuilt rows differ.  The join holds the sweep's one
+int64 per representative: 16 MiB at (8,3), where its 2^21 rows would add
+104 MiB.  A space whose estimate
 (:func:`_join_bytes`, which still charges the rows) is over ``_MAX_BYTES``
 is refused with :class:`BudgetExceededError` before any work.  The expanded
 pair list is held to the same cap: after the join, the matched
@@ -103,7 +104,7 @@ from .standard import StandardParams, construct_standard
 
 DEFAULT_BUDGET = 20_000_000
 # Representatives per sweep block, unless one hi row of the split has more,
-# and per probe of the join.  A sweep block holds one scratch int64 per
+# and keys per block of the join.  A sweep block holds one scratch int64 per
 # representative.  In fresh processes on a 2-core Xeon (2 MiB L2 per core),
 # blocks of at most 1,024, 2,048, 4,096, 8,192 and 16,384 took 22-27, 14-15,
 # 12-24, 10-15 and 10-12 ms for the (8,3) sweep, and `census 5 3` ops took
@@ -112,7 +113,7 @@ DEFAULT_BUDGET = 20_000_000
 # and the constant also sets the certification batches (CHUNK // (3 m)).
 CHUNK = 4096
 # Refuse a join or a pair list whose estimate passes 1 GiB; the (8,3) join
-# holds 48 MiB of hashes and sort index.
+# holds 16 MiB of keys.
 _MAX_BYTES = 1 << 30
 # Most (representative, overlap pair) keys in one kernel call that rebuilds
 # fingerprint rows: the call holds two int64 arrays of that many keys, 512 KiB
@@ -288,49 +289,71 @@ def _rows(q: int, m: int, reps: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _matches(
-    q: int, m: int, order: np.ndarray, keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+def _candidates(hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate pairs (f[i], g[i]) of representatives, each ordered pair
+    once, that hold every pair with h(g) = -h(f), wrapping, of ``hashes``,
+    the row hashes of representatives 0 .. n-1, which become sorted uint64
+    keys in place, a ``CHUNK`` at a time: |h| with its low b + 1 bits
+    replaced by the side bit h > 0 and the index, b = ceil(log2 n).  Such f
+    and g lie on opposite sides of one run of equal prefixes |h| >> (b + 1),
+    or, if h(f) is 0 or INT64_MIN, in its span: the side-0 keys of prefix 0,
+    or the keys from 2^63 on, each ordered pair of which is a candidate."""
+    keys, bits = hashes.view(np.uint64), (len(hashes) - 1).bit_length()
+    shift, clear, turns = np.uint64(bits), np.uint64((1 << 64) - (2 << bits)), []
+    for a in range(0, len(keys), CHUNK):
+        h, key = hashes[a : a + CHUNK], keys[a : a + CHUNK]
+        side = np.left_shift(h > 0, shift, dtype=np.uint64)
+        np.abs(h, out=h)  # INT64_MIN stays, and reads 2^63 as a key
+        key &= clear
+        key |= side + np.arange(a, a + len(key), dtype=np.uint64)
+    keys.sort()
+    for a in range(0, len(keys), CHUNK):  # each adjacent pair once
+        run = keys[a : a + CHUNK + 1] >> shift  # the prefix, then the side bit
+        turn = np.flatnonzero(run[1:] - run[:-1] == 1)
+        turns.append(a + 1 + turn[run[turn] & np.uint64(1) == 0])  # side 0 to 1
+    mid = np.concatenate(turns)
+    first = keys[mid] & clear  # the run's prefix, side 0 and index 0
+    lo, hi = np.searchsorted(keys, first), np.searchsorted(keys, first + np.uint64(2 << bits))
+    zero, top = np.searchsorted(keys, np.array([1 << bits, 1 << 63], dtype=np.uint64))
+    a, na = np.r_[lo, mid, 0, top], np.r_[mid - lo, hi - mid, zero, len(keys) - top]
+    b, nb = np.r_[mid, lo, 0, top], np.r_[hi - mid, mid - lo, zero, len(keys) - top]
+    n = na * nb  # the pairs (a + x, b + y), x < na, y < nb
+    k, nb = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n), np.repeat(nb, n)
+    f, g, index = np.repeat(a, n) + k // nb, np.repeat(b, n) + k % nb, np.uint64((1 << bits) - 1)
+    return (keys[f] & index).view(np.int64), (keys[g] & index).view(np.int64)
+
+
+def _join(q: int, m: int, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Representative pairs (r, s) with fp(s) = -fp(r), and the number of
-    hash candidates.
-
-    ``keys`` are the row hashes in ascending order and ``order`` their
-    representatives.  Each chunk of negated keys is probed for its run of
-    equal keys, and a candidate is kept only if its rows, rebuilt by
-    :func:`_rows`, negate each other.
-    """
-    f_parts, g_parts, candidates = [], [], 0
-    for start in range(0, len(keys), CHUNK):
-        probe = -keys[start : start + CHUNK]
-        lo = np.searchsorted(keys, probe)
-        hit = np.flatnonzero(keys[np.minimum(lo, len(keys) - 1)] == probe)
-        lo = lo[hit]
-        c = np.searchsorted(keys, probe[hit], "right") - lo
-        f = order[np.repeat(start + hit, c)]
-        g = order[np.repeat(lo - (np.cumsum(c) - c), c) + np.arange(c.sum())]
-        f_rows = np.repeat(_rows(q, m, order[start + hit]), c, axis=0)
-        negates = (f_rows == -_rows(q, m, g)).all(axis=1)
-        candidates += len(f)
-        f_parts.append(f[negates])
-        g_parts.append(g[negates])
-    return np.concatenate(f_parts), np.concatenate(g_parts), candidates
+    :func:`_candidates`, each kept only if its rows, rebuilt for at most
+    ``CHUNK // 2`` kernel keys at a time, negate each other."""
+    f, g = _candidates(hashes)
+    size = max(1, CHUNK // max(4 * len(_cube_plan(m).later), 1))
+    negates = np.empty(len(f), dtype=bool)
+    for a in range(0, len(f), size):
+        rows = _rows(q, m, np.concatenate((f[a : a + size], g[a : a + size])))
+        negates[a : a + size] = (rows[: len(rows) // 2] == -rows[len(rows) // 2 :]).all(axis=1)
+    return f[negates], g[negates], len(f)
 
 
-def _distinct(q: int, m: int, order: np.ndarray, keys: np.ndarray) -> int:
-    """The number of distinct rows, ``keys`` and ``order`` as for
-    :func:`_matches`: the runs of equal keys, plus the extra distinct rows
-    of any run in which a row differs from the run's first.  Only the rows
-    of runs of two or more are rebuilt, a chunk of at least ``CHUNK`` keys
-    at a time, cut at the end of a run."""
+def _distinct(q: int, m: int, keys: np.ndarray) -> int:
+    """The number of distinct rows of the sorted :func:`_candidates` keys:
+    the runs of equal prefix and side, plus the extra distinct rows of any
+    run in which a row differs from the run's first.  Only the rows of runs
+    of two or more are rebuilt, a chunk of at least ``CHUNK`` keys at a
+    time, cut at the end of a run."""
+    bits = (len(keys) - 1).bit_length()
+    shift, index = np.uint64(bits), np.uint64((1 << bits) - 1)
     distinct = start = 0
     while start < len(keys):
-        stop = int(np.searchsorted(keys, keys[min(start + CHUNK, len(keys)) - 1], "right"))
-        chunk = keys[start:stop]
-        first = np.flatnonzero(np.concatenate(([True], chunk[1:] != chunk[:-1])))
-        size = np.diff(first, append=len(chunk))
+        end = keys[min(start + CHUNK, len(keys)) - 1] >> shift
+        stop = int(np.searchsorted(keys, end + np.uint64(1) << shift))
+        run = keys[start:stop] >> shift
+        first = np.flatnonzero(np.concatenate(([True], run[1:] != run[:-1])))
+        size = np.diff(first, append=len(run))
         multi = size[size > 1]
         lead = np.repeat(np.cumsum(multi) - multi, multi)  # each row's run's first
-        rows = _rows(q, m, order[start:stop][np.repeat(size > 1, size)])
+        rows = _rows(q, m, (keys[start:stop][np.repeat(size > 1, size)] & index).view(np.int64))
         mixed = np.unique(lead[(rows != rows[lead]).any(axis=1)])
         ends = np.searchsorted(lead, mixed, "right")
         distinct += len(first) + sum(
@@ -344,7 +367,7 @@ def _join_bytes(reps: int, row: int) -> int:
     """Join estimate for ``reps`` rows of ``row`` bytes: the documented
     refusals' 2 * row + 8 bytes per representative, or, for rows under 16
     bytes (at most 216 representatives, at (6,2)), row + 24 bytes, whichever
-    is larger.  The join holds 24 bytes per representative and rebuilds rows
+    is larger.  The join holds 8 bytes per representative and rebuilds rows
     only for its candidates, so this overstates it; it is kept as it is
     because it decides which spaces are refused."""
     return reps * max(row + 24, 2 * row + 8)
@@ -453,14 +476,11 @@ def _gap_classes(
     t0 = time.perf_counter()
     hashes = _sweep(q, m)
     t1 = time.perf_counter()
-    order = np.argsort(hashes)
-    keys = hashes[order]
-    del hashes
-    f_reps, g_reps, candidates = _matches(q, m, order, keys)
+    f_reps, g_reps, candidates = _join(q, m, hashes)
     t2 = time.perf_counter()
-    # counted only for the DEBUG record, and timed in no stage
-    distinct = _distinct(q, m, order, keys) if _log.isEnabledFor(logging.DEBUG) else 0
-    del order, keys
+    # counted only for the DEBUG record, on the keys the join sorted
+    distinct = _distinct(q, m, hashes.view(np.uint64)) if _log.isEnabledFor(logging.DEBUG) else 0
+    del hashes
     t3 = time.perf_counter()
     # a match (r, s) expands to q^2 ordered pairs; when r != s, (s, r) gives
     # the same unordered ones, and when r = s, q(q + 1) / 2 are unordered
@@ -483,9 +503,9 @@ def _gap_classes(
         "census q=%d m=%d: %d representatives swept, %d distinct fingerprints,"
         " %d hash candidates, %d rejected by the row check,"
         " %d matched representative pairs, %d pairs re-verified;"
-        " sweep %.3f s, join %.3f s, expansion %.3f s",
+        " sweep %.3f s, join %.3f s, distinct %.3f s, expansion %.3f s",
         q, m, reps, distinct, candidates, candidates - len(f_reps), len(f_reps), len(pairs),
-        t1 - t0, t2 - t1, time.perf_counter() - t3,
+        t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3,
     )
     return pairs, np.stack((f_reps, g_reps), axis=1)[np.lexsort((g_reps, f_reps))]
 

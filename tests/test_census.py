@@ -219,12 +219,18 @@ def census_counts(caplog, q, m):
 
 @pytest.mark.parametrize(
     "weights",
-    [lambda width: np.zeros(width, dtype=np.int64), lambda width: np.eye(1, width, dtype=np.int64)[0]],
-    ids=["zero", "first column"],
+    [
+        lambda width: np.zeros(width, dtype=np.int64),
+        lambda width: np.eye(1, width, dtype=np.int64)[0],
+        lambda width: np.full(width, 1 << 62, dtype=np.int64),
+    ],
+    ids=["zero", "first column", "top bits"],
 )
 def test_exactness_rests_on_the_row_check(monkeypatch, caplog, weights):
-    # every row hashes to 0, or to its first coordinate, so hash runs hold
-    # distinct rows and the row check has to reject most candidates
+    # every row hashes to 0, to its first coordinate, or to its coordinate
+    # sum times 2^62, which is 0, +-2^62 or INT64_MIN; so hash runs hold
+    # distinct rows, the self-negating hashes 0 and INT64_MIN are met, and
+    # the row check has to reject most candidates
     import golaypairs.census as census
 
     spaces = ((2, 1), (3, 1), (4, 1), (2, 2), (5, 1), (6, 1), (3, 2), (4, 2), (2, 3))
@@ -440,7 +446,7 @@ def test_join_estimate_bounds_the_join_and_keeps_the_refusals():
     import tracemalloc
 
     from golaypairs.census import (
-        _MAX_BYTES, _distinct, _join_bytes, _matches, _row_layout, _sweep,
+        _MAX_BYTES, _distinct, _join, _join_bytes, _row_layout, _sweep,
     )
 
     # what the join holds, hashes plus its peak while it sorts, matches and
@@ -451,10 +457,8 @@ def test_join_estimate_bounds_the_join_and_keeps_the_refusals():
         hashes = _sweep(q, m)
         tracemalloc.start()
         try:
-            order = np.argsort(hashes)
-            keys = hashes[order]
-            _matches(q, m, order, keys)
-            _distinct(q, m, order, keys)
+            _join(q, m, hashes)
+            _distinct(q, m, hashes.view(np.uint64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -491,6 +495,39 @@ def test_the_sweep_and_join_hold_hashes_not_rows(monkeypatch):
             tracemalloc.stop()
         reps = q ** ((1 << m) - 1)
         assert peak <= 24 * reps + ((1 << m) + 5) * 8 * census.CHUNK, (q, m, peak)
+
+
+def test_the_folded_join_holds_one_key_per_representative(monkeypatch):
+    import tracemalloc
+
+    import golaypairs.census as census
+
+    # the join sorts the sweep's hashes into keys in place, so the sweep and
+    # the join hold 8 B per representative plus one block's temporaries: the
+    # fold and run scan of CHUNK keys, and the rows rebuilt for at most
+    # CHUNK // 2 kernel keys; pairs are not expanded
+    monkeypatch.setattr(census, "_expand", lambda q, m, bases: [])
+    for q, m in ((6, 3), (5, 3), (2, 4)):
+        census._gap_classes(q, m, budget=census.DEFAULT_BUDGET, workers=1)
+        tracemalloc.start()
+        try:
+            census._gap_classes(q, m, budget=census.DEFAULT_BUDGET, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        reps = q ** ((1 << m) - 1)
+        assert peak <= 8 * reps + ((1 << m) + 5) * 8 * census.CHUNK, (q, m, peak)
+
+
+def test_census_times_the_distinct_count_as_a_stage(caplog):
+    # the DEBUG-only count of distinct fingerprints is a stage of its own,
+    # after the counters, so their parse is unchanged
+    assert census_counts(caplog, 4, 2)[1]["distinct"] == 40
+    (record,) = [r for r in caplog.records if r.name == "golaypairs"]
+    stages = record.getMessage().split(";")[1]
+    assert [w for w in stages.split() if w.isalpha() and w != "s"] == [
+        "sweep", "join", "distinct", "expansion"
+    ]
 
 
 def test_report_serialization():

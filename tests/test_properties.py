@@ -451,6 +451,56 @@ def test_split_hashes_are_the_hashes_of_the_kernel_rows(space, data):
         assert np.array_equal(whole, kernel_hashes(np.arange(reps)))
 
 
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def wrap64(value):
+    """``value`` wrapped into int64."""
+    return (value - INT64_MIN) % (1 << 64) + INT64_MIN
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from((0, INT64_MIN, INT64_MAX, -INT64_MAX, 1, -1)),
+            st.integers(INT64_MIN, INT64_MAX),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(1, 5),
+    st.data(),
+)
+def test_folded_candidates_hold_every_negating_pair(base, chunk, data):
+    # negations of drawn hashes and neighbours that differ from them only in
+    # their low bits fill runs of equal prefixes on both sides; a CHUNK of 1
+    # to 5 cuts the fold and the run scan into blocks that runs straddle
+    near = st.tuples(st.sampled_from(base), st.integers(-70, 70), st.booleans())
+    extra = [wrap64((-v if negate else v) + d) for v, d, negate in data.draw(st.lists(near, max_size=14))]
+    values = data.draw(st.permutations(base + extra))
+    hashes = np.array(values, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(census, "CHUNK", chunk)
+        f, g = census._candidates(hashes)
+    got = list(zip(f.tolist(), g.tolist()))
+    assert len(got) == len(set(got))  # ordered pairs, each once
+    want = {(i, j) for i, v in enumerate(values) for j, w in enumerate(values) if w == wrap64(-v)}
+    assert want <= set(got)
+    # each candidate lies in one run of equal prefixes on opposite sides, the
+    # side being h > 0, or both its hashes in one span of a self-negating
+    # hash: side 0 of prefix 0, where 0 lies, or INT64_MIN
+    bits = (len(values) - 1).bit_length()
+    for i, j in got:
+        (pi, si), (pj, sj) = ((abs(v) >> bits + 1, v > 0) for v in (values[i], values[j]))
+        zero = pi == pj == 0 and not si and not sj
+        assert (pi == pj and si != sj) or zero or values[i] == values[j] == INT64_MIN, (i, j)
+    # the hashes are now the sorted keys, one per index
+    keys = hashes.view(np.uint64)
+    assert (keys[1:] > keys[:-1]).all()
+    assert sorted((keys & np.uint64((1 << bits) - 1)).tolist()) == list(range(len(values)))
+
+
 @contextmanager
 def sliced_plans(size):
     """Plans rebuilt with ``_SLICE`` = size; cached plans are dropped before
