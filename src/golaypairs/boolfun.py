@@ -23,7 +23,7 @@ import numpy as np
 
 from .cyclotomic import _integers
 from .errors import PartitionTooFineError
-from .qarray import QaryArray, combine, restrict
+from .qarray import QaryArray, _trusted, combine, restrict
 
 @lru_cache(maxsize=None)
 def _subset_matrix(cells: int, sign: int) -> np.ndarray:
@@ -94,7 +94,7 @@ def to_anf(f: QaryArray) -> Anf:
     for mask, c in enumerate(lam):
         if c:
             coeffs[frozenset(k + 1 for k in range(f.m) if mask >> k & 1)] = c
-    return Anf(f.q, f.m, coeffs)
+    return _trusted(Anf, f.q, f.m, coeffs)
 
 
 def from_anf(a: Anf) -> QaryArray:
@@ -105,7 +105,7 @@ def from_anf(a: Anf) -> QaryArray:
         for v in subset:
             mask |= 1 << (v - 1)
         dense[mask] = coeff
-    return QaryArray(a.q, a.m, tuple(_subset_transform(dense, a.q, 1).tolist()))
+    return _trusted(QaryArray, a.q, a.m, tuple(_subset_transform(dense, a.q, 1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def interaction_components(f: QaryArray) -> VarPartition:
     nonzero coefficient contains both.
     """
     lam = _subset_transform(f.entries, f.q, -1).tolist()
-    return VarPartition(f.m, _components(f.m, (mask for mask, c in enumerate(lam) if c)))
+    return _trusted(VarPartition, f.m, _components(f.m, (mask for mask, c in enumerate(lam) if c)))
 
 
 def separate(f: QaryArray, p: VarPartition) -> tuple[list[QaryArray], int]:

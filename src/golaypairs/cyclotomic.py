@@ -31,14 +31,19 @@ _MAX_Q = 4096
 
 
 def _integers(values, item=operator.index) -> tuple:
-    """The sequence ``values`` as a tuple of ints, or of ``item(v)`` for
-    each v; numpy integers pass, and a non-iterable, floats and strings
-    raise ``ValueError``.  Every constructor reads its integer and sequence
-    fields through it."""
+    """The iterable ``values`` as a tuple of ints, or of ``item(v)`` for
+    each v; numpy integers pass, and a non-iterable, floats, strings and
+    bools raise ``ValueError``.  Every constructor, and so every JSON
+    loader, reads its integer and sequence fields through it."""
     try:
-        return tuple(map(item, values))
+        if not isinstance(values, (tuple, list)):
+            values = tuple(values)  # the type scan below needs a second pass
+        out = tuple(map(item, values))
     except TypeError as exc:
         raise ValueError(f"expected integers: {exc}") from None
+    if bool in set(map(type, values)):  # operator.index takes True as 1
+        raise ValueError(f"expected integers, got {next(v for v in values if type(v) is bool)}")
+    return out
 
 
 def _primes(q: int) -> list[int]:

@@ -56,7 +56,7 @@ from .forest import (
     _shape,
     _sub_pairs,
 )
-from .qarray import QaryArray, _json_int, _trusted
+from .qarray import QaryArray, _trusted
 from .standard import StandardParams, construct_standard
 
 
@@ -205,29 +205,28 @@ class DecompositionCertificate:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DecompositionCertificate":
         try:
-            q = _json_int(data["q"])
-            m = _json_int(data["m"])
+            q, m = data["q"], data["m"]
             params = StandardParams.from_json_dict(data["params"])
             if m == 0:
-                return cls(q, 0, params)
+                return cls(q, m, params)
             split = GcdSplit(
-                tuple(_json_int(v) for v in data["z1_vars"]),
-                tuple(_json_int(v) for v in data["z2_vars"]),
+                data["z1_vars"],
+                data["z2_vars"],
                 QaryArray.from_json_dict(data["a"]),
                 QaryArray.from_json_dict(data["b"]),
                 QaryArray.from_json_dict(data["c"]),
-                _json_int(data["f0_const"]),
-                _json_int(data["g0_const"]),
+                data["f0_const"],
+                data["g0_const"],
             )
             return cls(
                 q,
                 m,
                 params,
-                _json_int(data["split_var"]),
+                data["split_var"],
                 split,
                 QaryArray.from_json_dict(data["d"]),
-                _json_int(data["e"]),
-                _json_int(data["e_prime"]),
+                data["e"],
+                data["e_prime"],
                 cls.from_json_dict(data["left"]),
                 cls.from_json_dict(data["right"]),
             )

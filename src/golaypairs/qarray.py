@@ -54,15 +54,19 @@ pair with one cell changed fails after 2**(m-1) pair lookups, while a true
 pair pays for all (4**m - 2**m) / 2 of them.  Below m = 6 a kernel call is
 mostly fixed cost, so the whole plan is one batch: one call decides a pair.
 
-Validation happens at the boundary: public constructors and every
-``from_json_dict`` check their input (those of ``DecompositionCertificate``
-and ``GcdSplit`` check types and presence only).  Internal code builds a
-value unchecked through :func:`_trusted` only when its q and m come from
+Validation happens at the boundary, once: public constructors check their
+input (those of ``DecompositionCertificate`` and ``GcdSplit`` check types
+and presence only), and every ``from_json_dict`` hands its raw JSON fields
+to them, so each integer is read once, through ``cyclotomic._integers``,
+which refuses bools, floats and strings.  Internal code builds a value
+unchecked through :func:`_trusted` only when its q and m come from
 validated objects and every entry is copied from one or reduced mod that q;
-a certificate's other fields must be ints or values so built.  For a
-:class:`~golaypairs.genfun.GenFun` the entries are its coefficients, which
-must be built in the context of that q and vanish outside its support,
-itself a frozenset of ints.
+a certificate's other fields must be ints or values so built.  An ``Anf``
+so built holds only nonzero reduced coefficients, keyed by frozensets of
+ints in 1..m, and a ``VarPartition`` the sorted blocks its constructor
+would make.  For a :class:`~golaypairs.genfun.GenFun` the entries are its
+coefficients, which must be built in the context of that q and vanish
+outside its support, itself a frozenset of ints.
 """
 
 from __future__ import annotations
@@ -107,13 +111,6 @@ _BINS = 1 << 18
 # m = 6 a call is mostly fixed cost: a separate shell batch would nearly
 # double what a true pair pays and save a non-pair at most 5 us.
 _SHELL_BATCH = 6
-
-
-def _json_int(value) -> int:
-    """``value`` if it is a JSON integer; floats, bools and strings raise."""
-    if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return value
 
 
 def _dims(q, m) -> tuple[int, int]:
@@ -226,12 +223,9 @@ class QaryArray:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "QaryArray":
         try:
-            q = _json_int(data["q"])
-            m = _json_int(data["m"])
-            entries = tuple(_json_int(v) for v in data["entries"])
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(data["q"], data["m"], data["entries"])
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed array object: {exc}") from exc
-        return cls(q, m, entries)
 
 
 def _validate_shift(m: int, tau: Sequence[int]) -> tuple[int, ...]:
@@ -570,6 +564,7 @@ def is_gap(f: QaryArray, g: QaryArray) -> bool:
 def sequence_autocorrelation(q: int, s: Sequence[int], tau: int) -> CycElement:
     """Aperiodic autocorrelation of a q-ary sequence at integer shift tau."""
     (tau,) = _integers((tau,))
+    s = _integers(s)
     length = len(s)
     if not -length < tau < length:
         raise ValueError(f"shift {tau} out of range for length {length}")
@@ -586,6 +581,7 @@ def is_gcp(q: int, s1: Sequence[int], s2: Sequence[int]) -> bool:
 
     Positive shifts suffice by the same conjugate symmetry used for arrays.
     """
+    s1, s2 = _integers(s1), _integers(s2)
     if len(s1) != len(s2):
         raise ValueError("sequences must have equal length")
     get_context(q)  # rejects q < 1 before residues mod q are taken
@@ -649,15 +645,16 @@ def combine(
     exact for every q.
     """
     q, m = _dims(q, m)
+    (constant,) = _integers((constant,))
     vars_: tuple[int, ...] = ()
     gathers = []
     for block_vars, arr in blocks:
-        vt = tuple(block_vars)
-        if arr.q != q or arr.m != len(vt):
+        vt = _integers(block_vars)
+        if not isinstance(arr, QaryArray) or arr.q != q or arr.m != len(vt):
             raise ValueError("block array does not match its variable list")
         vars_ += vt
         if any(v < 1 or v > m for v in vt) or len(set(vars_)) != len(vars_):
             raise ValueError(f"bad or overlapping block variables {vt}")
         gathers.append(np.array(arr.entries, dtype=object).take(_block_index(m, vt)))
     total = sum(gathers, np.full(1 << m, constant, dtype=object))
-    return QaryArray(q, m, tuple((total % q).tolist()))
+    return _trusted(QaryArray, q, m, tuple((total % q).tolist()))

@@ -22,7 +22,7 @@ from typing import Mapping
 from .boolfun import _subset_transform
 from .cyclotomic import _integers
 from .errors import OddModulusError
-from .qarray import QaryArray, _json_int, _trusted
+from .qarray import QaryArray, _trusted
 
 
 @dataclass(frozen=True)
@@ -63,14 +63,7 @@ class StandardParams:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "StandardParams":
         try:
-            return cls(
-                _json_int(data["q"]),
-                _json_int(data["m"]),
-                tuple(_json_int(v) for v in data["pi"]),
-                tuple(_json_int(v) for v in data["c"]),
-                _json_int(data["c0"]),
-                _json_int(data["c_prime"]),
-            )
+            return cls(data["q"], data["m"], data["pi"], data["c"], data["c0"], data["c_prime"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed parameter object: {exc}") from exc
 

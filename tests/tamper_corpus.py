@@ -4,7 +4,7 @@
 
 imports ``golaypairs`` from the directory SRC (a checkout's ``src``), so two
 trees can be compared on the same corpus: equal digests mean every outcome
-and message is the same.  The corpus of one SEED has four parts:
+and message is the same.  The corpus of one SEED has five parts:
 
 - ``tampered``: N certificates of standard pairs (q in {2, 4, 6, 8, 10}, m 1
   to 6), each dumped to JSON with one to three random edits (none, one time
@@ -20,13 +20,19 @@ and message is the same.  The corpus of one SEED has four parts:
   set with ``dataclasses.replace`` to None, a float, a numpy integer or a
   value of another type, and the edited node is spliced back into the tree.
   Its record is the outcome of that construction and, if it succeeds, of
-  ``verify_certificate`` and ``replay``.
+  ``verify_certificate`` and ``replay``;
+- ``typed``: N // 3 certificates of standard pairs dumped to JSON, with one
+  integer of one random node swapped for a bool, a float, a numeric string,
+  null or a list: a node's own integer, a split constant, a variable set or
+  one of its entries, a ``params`` field or entry, or the ``q``, ``m``,
+  ``entries`` or one entry of an array.  Its record is the outcome of the
+  reload and, if that succeeds, of ``verify_certificate``.
 
 Each record is the JSON of an outcome; a part's digest is the SHA-256 of its
 records, one a line.  The corpus digest covers the first three parts, so it
-stays comparable with trees from before ``built``, which is drawn last and
-does not move the others.  ``--records`` writes every record to PATH as
-well.  Pytest does not collect this file.
+stays comparable with trees from before ``built`` and ``typed``, which are
+drawn last, in that order, and do not move the others.  ``--records``
+writes every record to PATH as well.  Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -236,6 +242,55 @@ def _built(rng: random.Random, records: list) -> None:
     records.append(record)
 
 
+_TYPED_FIELDS = {
+    "node": ("q", "m", "split_var", "e", "e_prime", "f0_const", "g0_const", "z1_vars",
+             "z2_vars"),
+    "params": ("q", "m", "pi", "c", "c0", "c_prime"),
+    **dict.fromkeys("abcd", ("q", "m", "entries")),
+}
+
+
+def _retyped(rng: random.Random, how: str, value):
+    """The value of type ``how`` that takes the place of ``value``, an int
+    or a list of ints."""
+    if how == "bool":
+        return rng.random() < 0.5
+    if how == "float":
+        return float(value if isinstance(value, int) else len(value))
+    if how == "string":
+        return str(value) if isinstance(value, int) else "".join(map(str, value))
+    if how == "null":
+        return None
+    return [value]
+
+
+def _typed(rng: random.Random, records: list) -> None:
+    from golaypairs import DecompositionCertificate, decompose, verify_certificate
+
+    q, m = rng.choice((2, 4, 6, 8, 10)), rng.randint(1, 6)
+    f, g = _standard_pair(rng, q, m)
+    data = decompose(f, g)[1].to_json_dict()
+    nodes = _nodes(data)
+    at = rng.randrange(len(nodes))
+    node = nodes[at]
+    slots = [(name, field) for name, fields in _TYPED_FIELDS.items() for field in fields
+             if field in (node if name == "node" else node.get(name, ()))]
+    name, field = rng.choice(slots)
+    obj, key = (node if name == "node" else node[name]), field
+    entry = None
+    if isinstance(obj[key], list) and obj[key] and rng.random() < 0.5:
+        entry = rng.randrange(len(obj[key]))
+        obj, key = obj[key], entry
+    how = rng.choice(("bool", "float", "string", "null", "list"))
+    obj[key] = _retyped(rng, how, obj[key])
+    depth = rng.randint(0, m + 1)
+    loaded = _outcome(DecompositionCertificate.from_json_dict, data)
+    record = [[how, at, name, field, entry], loaded if loaded[0] == "raised" else "loaded"]
+    if loaded[0] == "ok":
+        record.append(_outcome(verify_certificate, f, g, loaded[1], depth))
+    records.append(record)
+
+
 def _batch(rng: random.Random, batches: list, decomposed: list) -> None:
     from golaypairs import QaryArray, decompose
     from golaypairs.certify import _certify
@@ -276,13 +331,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [os.path.abspath(args.src), os.path.dirname(os.path.abspath(__file__))]
     rng = random.Random(args.seed)
-    parts: dict[str, list] = {"tampered": [], "batches": [], "decompose": [], "built": []}
+    parts: dict[str, list] = {
+        "tampered": [], "batches": [], "decompose": [], "built": [], "typed": [],
+    }
     for _ in range(args.n):
         _tampered(rng, parts["tampered"])
     for _ in range(args.n // 15):
         _batch(rng, parts["batches"], parts["decompose"])
     for _ in range(args.n // 3):
         _built(rng, parts["built"])
+    for _ in range(args.n // 3):
+        _typed(rng, parts["typed"])
     whole = hashlib.sha256()
     out = open(args.records, "w", encoding="utf-8") if args.records else None
     try:
@@ -290,7 +349,7 @@ def main(argv=None) -> int:
             # repr shows a value that is not JSON, such as a numpy integer
             lines = [json.dumps([name, r], sort_keys=True, default=repr) + "\n" for r in records]
             digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-            if name != "built":
+            if name not in ("built", "typed"):
                 whole.update(digest.encode())
             print(f"{name}: {len(records)} records, sha256 {digest[:16]}")
             if out is not None:
@@ -302,6 +361,8 @@ def main(argv=None) -> int:
     print(f"accepted certificates: {accepted}; corpus sha256 {whole.hexdigest()[:16]}")
     accepted = sum(1 for r in parts["built"] if r[2:3] == [["ok", None]])
     print(f"accepted built edits: {accepted}")
+    loaded = sum(1 for r in parts["typed"] if r[1] == "loaded")
+    print(f"loaded typed swaps: {loaded}")
     return 0
 
 

@@ -354,16 +354,20 @@ def test_debug_switch_writes_the_census_records_to_stderr(capsys):
 )
 def test_verify_rejects_non_integer_json_numbers(tmp_path, capsys, number):
     assert main(["verify", write(tmp_path, "pair.json", number)]) == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
-    "field", [{"q": 4.5}, {"c0": True}, {"c_prime": "1"}], ids=["float", "bool", "string"]
+    "field",
+    [{"q": 4.5}, {"c0": True}, {"c_prime": "1"}, {"pi": [2, True]}, {"c": [0, False]}],
+    ids=["float", "bool", "string", "bool-in-pi", "bool-in-c"],
 )
 def test_construct_rejects_non_integer_json_numbers(tmp_path, capsys, field):
     src = write(tmp_path, "params.json", {**PARAMS, **field})
     assert main(["construct", src]) == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
 
 
 def test_verify_refuses_a_modulus_over_the_bound(tmp_path, capsys):

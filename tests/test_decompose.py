@@ -349,7 +349,9 @@ def test_certificate_json_round_trip():
     with pytest.raises(ValueError):
         DecompositionCertificate.from_json_dict({"q": 2})
     data = cert.to_json_dict()
-    for key, bad in (("e", 1.0), ("split_var", True), ("q", "10"), ("z2_vars", [1.0])):
+    for key, bad in (
+        ("e", 1.0), ("split_var", True), ("q", "10"), ("z2_vars", [1.0]), ("z1_vars", [True]),
+    ):
         with pytest.raises(ValueError, match="integer"):
             DecompositionCertificate.from_json_dict({**data, key: bad})
 

@@ -2,25 +2,33 @@
 
 import random
 import time
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from golaypairs import (
+    Anf,
     BudgetExceededError,
+    DecompositionCertificate,
     QaryArray,
     StandardParams,
+    VarPartition,
     all_shifts,
     autocorrelation,
     combine,
     construct_standard,
     correlation_spectrum,
+    decompose,
+    from_array,
     get_context,
     half_shifts,
     is_gap,
     is_gcp,
     restrict,
     sequence_autocorrelation,
+    to_anf,
 )
 
 from golaypairs import qarray
@@ -88,6 +96,86 @@ def test_public_entries_refuse_bad_moduli_dimensions_and_shifts(fn, args):
 def test_entries_that_are_not_a_sequence_are_a_value_error(entries):
     with pytest.raises(ValueError, match="expected integers"):
         QaryArray(4, 1, entries)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_gcp(2, [0.5, 0], [0, 0]),
+        lambda: sequence_autocorrelation(4, [0.7, 1, 2], 1),
+        lambda: is_gcp(4, ["a", 0], [0, 0]),
+        lambda: is_gcp(4, None, None),
+    ],
+    ids=["float", "float-shifted", "string", "none"],
+)
+def test_sequence_entries_that_are_not_integers_are_a_value_error(call):
+    # they are refused rather than truncated by the cast to int64
+    with pytest.raises(ValueError, match="expected integers"):
+        call()
+
+
+def _bool_edits():
+    """Each integer field of each validating constructor, as a function that
+    builds the object with a bool put into that field (or among its
+    entries)."""
+    f, g = construct_standard(StandardParams(4, 2, (2, 1), (1, 3), 2, 1))
+    cert = decompose(f, g)[1]
+    params, split = cert.params, cert.split
+    leaf = DecompositionCertificate(4, 0, StandardParams(4, 0, (), (), 0, 0))
+    gen = from_array(f)
+    anf = to_anf(f)
+    return {
+        "QaryArray.q": lambda b: replace(f, q=b),
+        "QaryArray.m": lambda b: replace(f, m=b),
+        "QaryArray.entries": lambda b: replace(f, entries=(b,) + f.entries[1:]),
+        "StandardParams.q": lambda b: replace(params, q=b),
+        "StandardParams.m": lambda b: replace(params, m=b),
+        "StandardParams.pi": lambda b: replace(params, pi=(2, b)),
+        "StandardParams.c": lambda b: replace(params, c=(b, 0)),
+        "StandardParams.c0": lambda b: replace(params, c0=b),
+        "StandardParams.c_prime": lambda b: replace(params, c_prime=b),
+        "GcdSplit.z1_vars": lambda b: replace(split, z1_vars=(b,)),
+        "GcdSplit.z2_vars": lambda b: replace(split, z2_vars=(b,)),
+        "GcdSplit.f0_const": lambda b: replace(split, f0_const=b),
+        "GcdSplit.g0_const": lambda b: replace(split, g0_const=b),
+        "DecompositionCertificate.q": lambda b: replace(cert, q=b),
+        "DecompositionCertificate.m": lambda b: replace(cert, m=b),
+        "DecompositionCertificate.leaf_q": lambda b: replace(leaf, q=b),
+        "DecompositionCertificate.leaf_m": lambda b: replace(leaf, m=b),
+        "DecompositionCertificate.split_var": lambda b: replace(cert, split_var=b),
+        "DecompositionCertificate.e": lambda b: replace(cert, e=b),
+        "DecompositionCertificate.e_prime": lambda b: replace(cert, e_prime=b),
+        "Anf.q": lambda b: replace(anf, q=b),
+        "Anf.m": lambda b: replace(anf, m=b),
+        "Anf.monomial": lambda b: Anf(4, 2, {frozenset({b, 2}): 1}),
+        "Anf.coefficient": lambda b: Anf(4, 2, {frozenset({1}): b}),
+        "VarPartition.m": lambda b: VarPartition(b, ((1,),)),
+        "VarPartition.blocks": lambda b: VarPartition(2, ((b, 2),)),
+        "GenFun.q": lambda b: replace(gen, q=b),
+        "GenFun.m": lambda b: replace(gen, m=b),
+        "GenFun.support": lambda b: replace(gen, support=frozenset({b, 2})),
+        "restrict": lambda b: restrict(f, [b]),
+        "restrict.generator": lambda b: restrict(f, (v for v in (b,))),
+        "all_shifts": lambda b: all_shifts(b),
+    }
+
+
+@pytest.mark.parametrize("field", list(_bool_edits()))
+@pytest.mark.parametrize("flag", [True, False])
+def test_constructors_refuse_bools_in_every_integer_field(field, flag):
+    # operator.index reads True as 1, so each field is scanned for bools
+    with pytest.raises(ValueError, match="integer"):
+        _bool_edits()[field](flag)
+
+
+def test_combine_reads_its_constant_as_an_integer():
+    a = QaryArray(3, 1, (0, 2))
+    out = combine(3, 2, [((2,), a)], np.int64(4))
+    assert out.entries == (1, 1, 0, 0)
+    assert all(type(v) is int for v in out.entries)
+    for constant in (1.5, True, "1"):
+        with pytest.raises(ValueError, match="integer"):
+            combine(3, 2, [((2,), a)], constant)
 
 
 def test_constant_and_arithmetic():
@@ -318,6 +406,12 @@ def test_combine_validates_blocks():
         combine(2, 1, [((1, 2), QaryArray(2, 2, (0, 0, 0, 1)))], 0)
     with pytest.raises(ValueError):
         combine(2, 2, [((1,), QaryArray(2, 2, (0, 0, 0, 1)))], 0)
+    with pytest.raises(ValueError, match="expected integers"):
+        combine(2, 1, [((1.0,), a)], 0)
+    # the result is built unchecked, so a block must be a validated array
+    fake = SimpleNamespace(q=2, m=1, entries=(0.5, 1))
+    with pytest.raises(ValueError, match="block array"):
+        combine(2, 1, [((1,), fake)], 0)
 
 
 def test_combine_handles_uncovered_variables_and_constant():
@@ -335,7 +429,9 @@ def test_json_round_trip():
         QaryArray.from_json_dict({"q": 2, "m": 1})
     with pytest.raises(ValueError):
         QaryArray.from_json_dict({"q": 2, "m": 1, "entries": "xy"})
-    for bad in ({"q": 2.0}, {"m": True}, {"m": "1"}, {"entries": [0, 1.0]}):
+    for bad in (
+        {"q": 2.0}, {"m": True}, {"m": "1"}, {"entries": [0, 1.0]}, {"entries": [0, True]},
+    ):
         with pytest.raises(ValueError, match="integer"):
             QaryArray.from_json_dict({"q": 2, "m": 1, "entries": [0, 1], **bad})
 

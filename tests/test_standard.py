@@ -134,6 +134,11 @@ def test_json_round_trip():
         StandardParams.from_json_dict(
             {"q": 2, "m": 1, "pi": None, "c": [0], "c0": 0, "c_prime": 0}
         )
+    data = p.to_json_dict()
+    # True == 1, so pi = [2, 3, True] would read as a permutation
+    for key, bad in (("q", 8.0), ("c0", True), ("pi", [2, 3, True]), ("c", [1, 5, False])):
+        with pytest.raises(ValueError, match="integer"):
+            StandardParams.from_json_dict({**data, key: bad})
 
 
 def test_distinct_parameters_can_collide_only_as_documented():
